@@ -21,10 +21,10 @@ from . import selftest as selftest_mod
 from . import serialize
 from .decompose import (Decomposition, VerificationReport, contour_sample,
                         separable_decompose, verify_decomposition)
-from .errors import (DimensionMismatchError, InadmissibleRadiusError,
-                     NotAFiducialError, NotSeparableError,
-                     ParameterRangeError, SicUnavailableError,
-                     SimplexStructureError)
+from .errors import (CertificateError, DimensionMismatchError,
+                     InadmissibleRadiusError, NotAFiducialError,
+                     NotSeparableError, ParameterRangeError,
+                     SicUnavailableError, SimplexStructureError)
 from .sicpovm import (EXACT_TOL, OPTIMIZED_TOL, Fiducial, FiducialSearchFailure,
                       find_fiducial, known_fiducial, max_overlap_deviation,
                       save_fiducial_cache, sic_from_fiducial)
@@ -345,9 +345,9 @@ def main(argv=None) -> int:
     except NotSeparableError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NOT_SEPARABLE
-    except InadmissibleRadiusError as exc:
+    except CertificateError as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+        return EXIT_SELFTEST
     except NotAFiducialError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SEARCH

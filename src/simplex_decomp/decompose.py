@@ -17,15 +17,19 @@ decomposition.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import PSD_TOL, DensityMatrix, psd_radius_bounds, su_generators
-from .errors import (DimensionMismatchError, InadmissibleRadiusError,
-                     NotSeparableError, ParameterRangeError,
-                     SicUnavailableError, SimplexStructureError)
+from .blochspace import (PSD_TOL, DensityMatrix, _readonly, psd_radius_bounds,
+                         su_generators)
+from .errors import (CertificateError, DimensionMismatchError,
+                     InadmissibleRadiusError, NotSeparableError,
+                     ParameterRangeError, SicUnavailableError,
+                     SimplexStructureError)
 from .sicpovm import EXACT_TOL, SicPovm, known_fiducial, sic_from_fiducial
 from .simplex import RegularSimplex, verify_simplex
 from .states import (StateKind, classify_isotropic, classify_werner,
@@ -84,10 +88,43 @@ class VerificationReport:
     separable_certificate: bool
 
 
+@lru_cache(maxsize=None)
+def _operator_plan(dim: int) -> tuple:
+    """Sparse schedule of the contraction sum_mu a_mu L_mu, per dimension.
+
+    Almost every entry of a generator is zero: an off-diagonal entry is
+    touched by one symmetric and one antisymmetric generator, a diagonal
+    entry only by the diagonal ones.  The plan groups consecutive
+    generators with disjoint supports into batches, kept in generator
+    order.  Each batch holds ``(rows, cols, owner, coef)``: the nonzero
+    entries, the generator (vertex coordinate) owning each and its value.
+    """
+    batches, current, taken = [], [], set()
+    for mu, g in enumerate(su_generators(dim).matrices):
+        rows, cols = np.nonzero(g)
+        support = set(zip(rows.tolist(), cols.tolist()))
+        if support & taken:
+            batches.append(current)
+            current, taken = [], set()
+        current.append((rows, cols, np.full(rows.size, mu), g[rows, cols]))
+        taken |= support
+    batches.append(current)
+    return tuple(tuple(_readonly(np.concatenate(col)) for col in zip(*batch))
+                 for batch in batches)
+
+
 def _simplex_operators(s: RegularSimplex, dim: int) -> np.ndarray:
-    """Stack of a_i . L for every vertex, shape (N^2, N, N)."""
-    gens = su_generators(dim)
-    return np.einsum("im,mjk->ijk", s.vertices, gens.matrices)
+    """Stack of a_i . L for every vertex, shape (N^2, N, N).
+
+    Equal bit for bit to ``einsum("im,mjk->ijk", vertices, generators)``:
+    the skipped products are exact zeros, the kept ones are added to +0 in
+    generator order, and each product is the same complex multiplication
+    of a real coordinate.
+    """
+    ops = np.zeros((s.vertices.shape[0], dim, dim), dtype=complex)
+    for rows, cols, owner, coef in _operator_plan(dim):
+        ops[:, rows, cols] += s.vertices[:, owner] * coef
+    return ops
 
 
 def decompose(kind, dim: int, tau: float, r: float,
@@ -130,12 +167,21 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     Deliberately kept as the term-by-term sum (no closed form) so it can
     serve as an independent oracle against the state constructors.
     """
-    n2 = d.dim * d.dim
-    out = np.zeros((n2, n2), dtype=complex)
-    for i in range(d.n_factors):
-        right = d.factors_s[i].T if d.kind is StateKind.ISOTROPIC else d.factors_s[i]
-        out += np.kron(d.factors_r[i], right)
-    return DensityMatrix(out / d.n_factors)
+    n = d.dim
+    # acc[(a, b), (c, d)] sums R_i[a, b] * S_i[c, d] in index order from
+    # zero, as the sum of np.kron products does in its (a, c), (b, d)
+    # order; the final division writes it back into the term buffer in
+    # that order, so no array beyond the two buffers is allocated.
+    acc = np.zeros((n * n, n * n), dtype=complex)
+    term = np.empty_like(acc)
+    transpose = d.kind is StateKind.ISOTROPIC
+    for left, right in zip(d.factors_r, d.factors_s):
+        np.multiply.outer(left.ravel(), (right.T if transpose else right).ravel(),
+                          out=term)
+        acc += term
+    np.divide(acc.reshape(n, n, n, n).transpose(0, 2, 1, 3), d.n_factors,
+              out=term.reshape(n, n, n, n))
+    return DensityMatrix(term)
 
 
 def _separable_range(dim: int) -> tuple[float, float]:
@@ -194,6 +240,9 @@ def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
 
 
 def _nearest_admissible(r: float, intervals) -> float:
+    # Clamp to the hull first so that r = +-inf picks the extreme endpoint
+    # instead of tying at infinite distance with every interval.
+    r = min(max(r, intervals[0][0]), intervals[-1][1])
     best = None
     for a, b in intervals:
         c = min(max(r, a), b)
@@ -221,9 +270,12 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
 
     Requires tau in the separable interval and r in the admissible set, so
     every factor is positive semidefinite by construction.  With ``sic``
-    omitted, the exact registry (N = 2, 3) is used.
+    omitted, the exact registry (N = 2, 3) is used.  A NaN radius is
+    refused outright; +-inf is inadmissible with the nearest endpoint.
     """
     kind = StateKind.parse(kind)
+    if math.isnan(r):
+        raise ParameterRangeError(f"r = {r} is not a number")
     if sic is None:
         sic = _auto_sic(dim)
     if sic.dim != dim:
@@ -307,7 +359,8 @@ def contour_sample(kind, dim: int, tau: float, k: int,
     for r in radii:
         d = decompose(kind, dim, tau, r, sic.bloch)
         report = verify_decomposition(d, target_tol=target_tol)
-        assert report.separable_certificate, (
-            f"certificate failed at r = {r}: {report}")
+        if not report.separable_certificate:
+            raise CertificateError(f"certificate failed at r = {r}: {report}",
+                                   report=report)
         out.append(d)
     return out

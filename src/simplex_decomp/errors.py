@@ -45,7 +45,7 @@ class NotSeparableError(ValueError):
         self.classification = classification
 
 
-class InadmissibleRadiusError(ValueError):
+class InadmissibleRadiusError(ParameterRangeError):
     """The requested factor radius leaves the positive-semidefinite contour.
 
     Carries ``nearest``, the closest admissible radius, and ``intervals``,
@@ -60,3 +60,14 @@ class InadmissibleRadiusError(ValueError):
 
 class SicUnavailableError(LookupError):
     """No SIC-POVM is known for this dimension; run a fiducial search."""
+
+
+class CertificateError(ValueError):
+    """A decomposition failed its separability certificate.
+
+    Carries ``report``, the failing verification report.
+    """
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report

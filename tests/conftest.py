@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -23,15 +25,19 @@ def registry_sics():
 
 
 @pytest.fixture(scope="session")
-def optimized_sics():
-    """SICs for N = 4, 5 from the first succeeding seed in 0..19."""
-    out = {}
-    for n in (4, 5):
+def searched_sic():
+    """SIC for a given N from the first succeeding seed in 0..19, cached."""
+    @lru_cache(maxsize=None)
+    def get(n):
         for seed in range(20):
             result = find_fiducial(n, seed=seed)
             if isinstance(result, Fiducial):
-                out[n] = sic_from_fiducial(result)
-                break
-        else:
-            pytest.fail(f"no SIC fiducial found for N = {n} within 20 seeds")
-    return out
+                return sic_from_fiducial(result)
+        pytest.fail(f"no SIC fiducial found for N = {n} within 20 seeds")
+    return get
+
+
+@pytest.fixture(scope="session")
+def optimized_sics(searched_sic):
+    """SICs for N = 4, 5 from the first succeeding seed in 0..19."""
+    return {n: searched_sic(n) for n in (4, 5)}

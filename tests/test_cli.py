@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -128,6 +129,48 @@ class TestDecompose:
                                "--fiducial-cache", str(cache))
         assert code == 0
         assert json.loads(out)["report"]["separable_certificate"] is True
+
+    def test_nan_radius_exits_5_without_traceback(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "werner", "3",
+                                 "--tau", "0.5", "--r", "nan")
+        assert code == 5
+        assert out == ""
+        assert "not a number" in err
+
+    def test_infinite_radius_reports_the_upper_endpoint(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "werner", "3",
+                               "--tau", "-0.3", "--r", "inf")
+        assert code == 5
+        assert json.loads(out)["nearest"] == pytest.approx(2.0 / np.sqrt(3.0), abs=1e-15)
+
+    def test_failed_certificate_exits_1(self, capsys, monkeypatch):
+        module = importlib.import_module("simplex_decomp.decompose")
+        real = module.verify_decomposition
+        monkeypatch.setattr(module, "verify_decomposition",
+                            lambda d, target_tol: real(d, target_tol=-1.0))
+        code, out, err = run_cli(capsys, "decompose", "werner", "3",
+                                 "--tau", "0.5", "--count", "2")
+        assert code == 1
+        assert out == ""
+        assert "certificate failed" in err
+
+    def test_failed_certificate_exits_1_under_python_O(self):
+        script = (
+            "import importlib, sys\n"
+            "from simplex_decomp.cli import main\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(99)\n"
+            "module = importlib.import_module('simplex_decomp.decompose')\n"
+            "real = module.verify_decomposition\n"
+            "module.verify_decomposition = lambda d, target_tol: real(d, target_tol=-1.0)\n"
+            "sys.exit(main(['decompose', 'werner', '3', '--tau', '0.5', '--count', '2']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert "certificate failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "decompose", "werner", "3",

@@ -1,17 +1,23 @@
+import importlib
+
 import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from simplex_decomp.blochspace import psd_radius_bounds
-from simplex_decomp.decompose import (admissible_r_interval, contour_sample,
+from simplex_decomp.blochspace import psd_radius_bounds, su_generators
+from simplex_decomp.decompose import (_simplex_operators,
+                                      admissible_r_interval, contour_sample,
                                       decompose, reconstruct,
                                       separable_decompose, verify_decomposition)
-from simplex_decomp.errors import (DimensionMismatchError,
+from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
                                    InadmissibleRadiusError, NotSeparableError,
                                    ParameterRangeError, SicUnavailableError)
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
-from simplex_decomp.states import (isotropic_density, partial_transpose,
-                                   swap_operator, werner_density)
+from simplex_decomp.states import (StateKind, isotropic_density,
+                                   partial_transpose, swap_operator,
+                                   werner_density)
+
+decompose_module = importlib.import_module("simplex_decomp.decompose")
 
 
 def intervals_close(got, expected, atol=1e-12):
@@ -203,6 +209,19 @@ class TestSeparableDecompose:
         with pytest.raises(NotSeparableError):
             separable_decompose("werner", 2, -2.0, 1.0, sic=registry_sics[2])
 
+    def test_nan_radius_refused_as_parameter_error(self, registry_sics):
+        with pytest.raises(ParameterRangeError, match="not a number"):
+            separable_decompose("werner", 3, 0.5, float("nan"), sic=registry_sics[3])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_radius_nearest_is_the_extreme_endpoint(self, registry_sics, sign):
+        intervals = admissible_r_interval(3, -0.3)
+        with pytest.raises(InadmissibleRadiusError) as err:
+            separable_decompose("werner", 3, -0.3, sign * np.inf, sic=registry_sics[3])
+        assert isinstance(err.value, ParameterRangeError)
+        expected = intervals[-1][1] if sign > 0 else intervals[0][0]
+        assert err.value.nearest == expected
+
     def test_registry_lookup_when_sic_missing(self):
         d = separable_decompose("werner", 2, 0.5, 1.0)
         assert verify_decomposition(d).separable_certificate
@@ -296,3 +315,82 @@ class TestContourSample:
     def test_invalid_count_rejected(self, registry_sics):
         with pytest.raises(ParameterRangeError):
             contour_sample("werner", 2, 0.5, 0, sic=registry_sics[2])
+
+    def test_failed_certificate_raises(self, registry_sics, monkeypatch):
+        """An explicit raise, not an assert, so it holds under python -O."""
+        real = verify_decomposition
+        monkeypatch.setattr(decompose_module, "verify_decomposition",
+                            lambda d, target_tol: real(d, target_tol=-1.0))
+        with pytest.raises(CertificateError) as err:
+            contour_sample("werner", 3, 0.5, 2, sic=registry_sics[3])
+        assert not err.value.report.separable_certificate
+
+
+def reference_simplex_operators(simplex, dim):
+    """Dense contraction over every generator: the kernel's bitwise oracle."""
+    return np.einsum("im,mjk->ijk", simplex.vertices, su_generators(dim).matrices)
+
+
+def reference_reconstruct(d):
+    """Sum of np.kron products in index order: the kernel's bitwise oracle."""
+    n2 = d.dim * d.dim
+    out = np.zeros((n2, n2), dtype=complex)
+    for i in range(d.n_factors):
+        right = d.factors_s[i].T if d.kind is StateKind.ISOTROPIC else d.factors_s[i]
+        out += np.kron(d.factors_r[i], right)
+    return out / d.n_factors
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)),
+                              np.signbit(getattr(expected, part))), part
+
+
+def contour_points(dim):
+    """(tau, r) inside, at the ends of and on the negative branch of the contour."""
+    neg_min, r_max = psd_radius_bounds(dim)
+    tau_neg = -1.0 / dim
+    (a, _), (c, e) = admissible_r_interval(dim, tau_neg)
+    tau_small = 0.5 * neg_min * neg_min  # positive, with a negative branch
+    (f, g), _ = admissible_r_interval(dim, tau_small)
+    return [(tau_neg, a), (tau_neg, 0.5 * (c + e)), (tau_small, 0.5 * (f + g)),
+            (2.0 * (dim - 1) / dim, r_max)]
+
+
+class TestKernelsBitwise:
+    """The fast kernels return the same bits as their dense references."""
+
+    @pytest.fixture(scope="class")
+    def sics(self, registry_sics, searched_sic):
+        return {n: registry_sics[n] if n in registry_sics else searched_sic(n)
+                for n in (2, 3, 4, 5, 6, 7, 8, 12, 16)}
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_simplex_operators(self, sics, dim):
+        simplex = sics[dim].bloch
+        assert_bitwise_equal(_simplex_operators(simplex, dim),
+                             reference_simplex_operators(simplex, dim))
+
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_simplex_operators_on_rotated_simplex(self, dim):
+        m = dim * dim - 1
+        rot = ortho_group.rvs(m, random_state=dim)
+        simplex = RegularSimplex(ambient_dim=m,
+                                 vertices=canonical_simplex(m).vertices @ rot.T)
+        assert_bitwise_equal(_simplex_operators(simplex, dim),
+                             reference_simplex_operators(simplex, dim))
+
+    @pytest.mark.parametrize("kind", ["werner", "isotropic"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_decompose_and_reconstruct(self, sics, dim, kind):
+        sic = sics[dim]
+        ops = reference_simplex_operators(sic.bloch, dim)
+        eye = np.eye(dim, dtype=complex)
+        for tau, r in contour_points(dim):
+            d = separable_decompose(kind, dim, tau, r, sic=sic)
+            assert_bitwise_equal(d.factors_r, eye / dim + (d.r / 2.0) * ops)
+            assert_bitwise_equal(d.factors_s, eye / dim + (d.s / 2.0) * ops)
+            assert_bitwise_equal(reconstruct(d).entries, reference_reconstruct(d))
