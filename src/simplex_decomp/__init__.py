@@ -15,8 +15,8 @@ from .decompose import (Decomposition, VerificationReport,
                         reconstruct, separable_decompose, verify_decomposition)
 from .sicpovm import (Fiducial, FiducialSearchFailure, Provenance, SicPovm,
                       find_fiducial, frame_potential, frame_potential_minimum,
-                      known_fiducial, sic_from_fiducial, solvable_dimensions,
-                      wh_displacements)
+                      known_fiducial, obtain_sic, sic_from_fiducial,
+                      solvable_dimensions, wh_displacements)
 from .simplex import (OrthogonalExtension, RegularSimplex, canonical_simplex,
                       gram_identities, orthogonal_extension, verify_simplex)
 from .states import (NonlocalityClass, ParamSet, RegionRow, StateClass,
@@ -36,7 +36,7 @@ __all__ = [
     "Fiducial", "FiducialSearchFailure", "Provenance", "SicPovm",
     "wh_displacements", "sic_from_fiducial", "frame_potential",
     "frame_potential_minimum", "find_fiducial", "known_fiducial",
-    "solvable_dimensions",
+    "obtain_sic", "solvable_dimensions",
     "StateKind", "StateClass", "NonlocalityClass", "ParamSet", "RegionRow",
     "swap_operator", "max_entangled_projector", "werner_density",
     "isotropic_density", "convert_params", "classify", "classify_werner",

@@ -19,15 +19,16 @@ import warnings
 
 from . import selftest as selftest_mod
 from . import serialize
-from .decompose import (Decomposition, VerificationReport, contour_sample,
-                        separable_decompose, verify_decomposition)
+from .decompose import (Decomposition, VerificationReport, certify,
+                        contour_radii, separable_decompose)
 from .errors import (CertificateError, DimensionMismatchError,
+                     FiducialCacheError, FiducialSearchError,
                      InadmissibleRadiusError, NotAFiducialError,
                      NotSeparableError, ParameterRangeError,
                      SicUnavailableError, SimplexStructureError)
-from .sicpovm import (EXACT_TOL, OPTIMIZED_TOL, Fiducial, FiducialSearchFailure,
-                      find_fiducial, known_fiducial, max_overlap_deviation,
-                      save_fiducial_cache, sic_from_fiducial)
+from .sicpovm import (TOLERANCES, FiducialSearchFailure, find_fiducial,
+                      known_fiducial, max_overlap_deviation, obtain_sic,
+                      save_fiducial_cache)
 from .states import StateKind, classify, convert_params, region_csv, region_table
 
 EXIT_OK = 0
@@ -39,8 +40,15 @@ EXIT_BAD_PARAMETER = 5
 
 ENV_CACHE = "SIMPLEX_DECOMP_CACHE"
 
-_BAD_PARAM_ERRORS = (ParameterRangeError, DimensionMismatchError,
-                     SimplexStructureError, SicUnavailableError)
+# Exit code of each error that reaches main; the first matching row wins.
+_EXIT_CODES = (
+    ((NotSeparableError,), EXIT_NOT_SEPARABLE),
+    ((CertificateError,), EXIT_SELFTEST),
+    ((NotAFiducialError, FiducialSearchError, FiducialCacheError), EXIT_SEARCH),
+    ((ParameterRangeError, DimensionMismatchError, SimplexStructureError,
+      SicUnavailableError), EXIT_BAD_PARAMETER),
+    ((OSError,), EXIT_IO),
+)
 
 
 def _resolve_cache(flag_value: str | None) -> str | None:
@@ -106,27 +114,12 @@ def _given_param(args, kind: StateKind) -> tuple[str, float]:
     raise ParameterRangeError("one parameter flag is required")
 
 
-def _obtain_sic(dim: int, cache_path: str | None):
-    """SIC from registry/cache, else a deterministic multi-start search."""
-    fid = known_fiducial(dim, cache_path)
-    if fid is None:
-        for seed in range(20):
-            found = find_fiducial(dim, seed=seed)
-            if isinstance(found, Fiducial):
-                fid = found
-                break
-        else:
-            print(f"fiducial search failed for N = {dim} over seeds 0..19",
-                  file=sys.stderr)
-            return None
-    return sic_from_fiducial(fid)
-
-
 def cmd_sic(args) -> int:
     cache_path = _resolve_cache(args.cache)
     if args.find:
+        residual_tol = {} if args.tol is None else {"tol": args.tol}
         result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters,
-                               tol=args.tol)
+                               **residual_tol)
         if isinstance(result, FiducialSearchFailure):
             payload = {"N": result.dim, "seed": result.seed,
                        "iterations": result.iterations,
@@ -146,16 +139,12 @@ def cmd_sic(args) -> int:
         print(serialize.dumps(payload))
         return EXIT_OK
     # --verify
-    try:
-        fid = known_fiducial(args.N, cache_path)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"cannot load fiducial for N = {args.N}: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
+    fid = known_fiducial(args.N, cache_path)
     if fid is None:
         print(f"no fiducial known for N = {args.N}; run --find first", file=sys.stderr)
         return EXIT_BAD_PARAMETER
     deviation = max_overlap_deviation(fid)
-    tol = args.tol if args.tol_given else (EXACT_TOL if fid.is_exact else OPTIMIZED_TOL)
+    tol = TOLERANCES[fid.provenance.kind].overlap if args.tol is None else args.tol
     payload = {"N": args.N, "max_overlap_deviation": deviation, "tol": tol,
                "provenance": fid.provenance.kind, "ok": deviation <= tol}
     print(serialize.dumps(payload))
@@ -173,36 +162,32 @@ def cmd_decompose(args) -> int:
         print(f"state is {cls.name}, not separable: no product decomposition exists",
               file=sys.stderr)
         return EXIT_NOT_SEPARABLE
-    sic = _obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
-    if sic is None:
-        return EXIT_SEARCH
-    target_tol = args.tol if args.tol is not None else \
-        (1e-10 if sic.tol <= EXACT_TOL else 1e-7)
+    sic = obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
     if args.r is not None:
-        try:
-            items = [separable_decompose(kind, args.N, params.tau, args.r, sic=sic)]
-        except InadmissibleRadiusError as exc:
-            print(str(exc), file=sys.stderr)
-            print(serialize.dumps({"admissible_r_intervals":
-                                   [[a, b] for a, b in exc.intervals],
-                                   "nearest": exc.nearest}))
-            return EXIT_BAD_PARAMETER
+        radii = [args.r]
     else:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            items = contour_sample(kind, args.N, params.tau, args.count,
-                                   sic=sic, target_tol=target_tol)
+            radii = contour_radii(args.N, params.tau, args.count)
         for w in caught:
             print(str(w.message), file=sys.stderr)
-    reports = [verify_decomposition(d, target_tol=target_tol) for d in items]
-    dicts = [_decomposition_dict(d, rep) for d, rep in zip(items, reports)]
+    try:
+        items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
+                 for r in radii]
+    except InadmissibleRadiusError as exc:
+        print(str(exc), file=sys.stderr)
+        print(serialize.dumps({"admissible_r_intervals":
+                               [[a, b] for a, b in exc.intervals],
+                               "nearest": exc.nearest}))
+        return EXIT_BAD_PARAMETER
+    dicts = [_decomposition_dict(d, certify(d, args.tol)) for d in items]
     body = dicts[0] if len(dicts) == 1 else dicts
     try:
         _write_output(serialize.dumps(body) + "\n", args.out)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK if all(r.separable_certificate for r in reports) else EXIT_SELFTEST
+    return EXIT_OK
 
 
 def cmd_classify(args) -> int:
@@ -334,29 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "sic":
-        args.tol_given = args.tol is not None
-        if args.tol is None:
-            args.tol = 1e-10
     if getattr(args, "command", None) == "regions" and args.family == "iso":
         args.family = "isotropic"
     try:
         return args.func(args)
-    except NotSeparableError as exc:
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_NOT_SEPARABLE
-    except CertificateError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SELFTEST
-    except NotAFiducialError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SEARCH
-    except _BAD_PARAM_ERRORS as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BAD_PARAMETER
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def entrypoint() -> None:

@@ -30,16 +30,14 @@ from .errors import (CertificateError, DimensionMismatchError,
                      InadmissibleRadiusError, NotSeparableError,
                      ParameterRangeError, SicUnavailableError,
                      SimplexStructureError)
-from .sicpovm import EXACT_TOL, SicPovm, known_fiducial, sic_from_fiducial
-from .simplex import RegularSimplex, verify_simplex
-from .states import (StateKind, classify_isotropic, classify_werner,
-                     convert_params, isotropic_density, werner_density)
+from .sicpovm import SicPovm, known_fiducial, sic_from_fiducial
+from .simplex import DEFAULT_TOL, RegularSimplex, verify_simplex
+from .states import (RANGE_ATOL, StateKind, classify, convert_params,
+                     isotropic_density, werner_density)
 
 # Slack for radius membership at interval endpoints; a radius admitted this
 # far outside still yields factor eigenvalues within the PSD tolerance.
 ADMISSIBLE_ATOL = 1e-9
-
-_DEGENERATE_LEN = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +58,7 @@ class Decomposition:
     factors_s: np.ndarray
 
     def __post_init__(self):
-        if abs(self.r * self.s - self.tau) > 1e-12:
+        if not abs(self.r * self.s - self.tau) <= RANGE_ATOL:  # NaN fails too
             raise ParameterRangeError(
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
         for name in ("factors_r", "factors_s"):
@@ -131,9 +129,9 @@ def decompose(kind, dim: int, tau: float, r: float,
               simplex: RegularSimplex) -> Decomposition:
     """Build the product mixture over an arbitrary regular N^2-simplex.
 
-    Valid for every tau in the family range; the resulting factors are not
-    required to be positive semidefinite.  ``s`` is derived as tau/r (and
-    set to 0 when tau is 0, where any r works).
+    Valid for every tau in the family range and every finite r; the
+    resulting factors are not required to be positive semidefinite.  ``s``
+    is derived as tau/r (and set to 0 when tau is 0, where any r works).
     """
     kind = StateKind.parse(kind)
     convert_params(kind, dim, "tau", tau)
@@ -147,6 +145,9 @@ def decompose(kind, dim: int, tau: float, r: float,
             f"dot dev {report.max_dot_dev:.3e} at tol {simplex.tol:.1e})")
     tau = float(tau)
     r = float(r)
+    if not math.isfinite(r):
+        raise ParameterRangeError(
+            f"r = {r} is {'not a number' if math.isnan(r) else 'infinite'}")
     if tau == 0.0:
         s = 0.0
     elif r == 0.0:
@@ -189,19 +190,14 @@ def _separable_range(dim: int) -> tuple[float, float]:
 
 
 def _refuse_not_separable(dim: int, tau: float):
+    # Below the interval only Werner states exist, above it only isotropic.
     lo, hi = _separable_range(dim)
-    hint = ""
-    cls = None
-    if tau < lo:
-        wmin = -2.0 * (dim + 1.0) / dim
-        if tau >= wmin - 1e-12:
-            cls = classify_werner(dim, max(tau, wmin))
-            hint = f"; as a Werner state it is {cls.name}"
-    elif tau > hi:
-        imax = 2.0 * (dim * dim - 1.0) / dim
-        if tau <= imax + 1e-12:
-            cls = classify_isotropic(dim, min(tau, imax))
-            hint = f"; as an isotropic state it is {cls.name}"
+    werner = tau < lo
+    try:
+        cls = classify(StateKind.WERNER if werner else StateKind.ISOTROPIC, dim, tau)
+        hint = f"; as {'a Werner' if werner else 'an isotropic'} state it is {cls.name}"
+    except ParameterRangeError:
+        cls, hint = None, ""
     raise NotSeparableError(
         f"tau = {tau} is outside the separable interval [{lo}, {hi}]{hint}",
         classification=cls)
@@ -216,7 +212,7 @@ def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
     """
     lo, hi = _separable_range(dim)
     tau = float(tau)
-    if not (lo - 1e-12 <= tau <= hi + 1e-12):
+    if not (lo - RANGE_ATOL <= tau <= hi + RANGE_ATOL):
         _refuse_not_separable(dim, tau)
     neg_min, r_max = psd_radius_bounds(dim)
     if tau == 0.0:
@@ -232,7 +228,7 @@ def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
     out = []
     for a, b in intervals:
         if a > b:
-            if a - b > 1e-12:
+            if a - b > RANGE_ATOL:
                 continue
             a = b = 0.5 * (a + b)
         out.append((a, b))
@@ -270,18 +266,16 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
 
     Requires tau in the separable interval and r in the admissible set, so
     every factor is positive semidefinite by construction.  With ``sic``
-    omitted, the exact registry (N = 2, 3) is used.  A NaN radius is
-    refused outright; +-inf is inadmissible with the nearest endpoint.
+    omitted, the exact registry (N = 2, 3) is used.  +-inf is inadmissible
+    with the nearest endpoint; :func:`decompose` refuses a NaN radius.
     """
     kind = StateKind.parse(kind)
-    if math.isnan(r):
-        raise ParameterRangeError(f"r = {r} is not a number")
     if sic is None:
         sic = _auto_sic(dim)
     if sic.dim != dim:
         raise DimensionMismatchError(f"SIC dimension {sic.dim} != requested {dim}")
     intervals = admissible_r_interval(dim, tau)
-    if not _contains(r, intervals):
+    if not (math.isnan(r) or _contains(r, intervals)):
         nearest = _nearest_admissible(r, intervals)
         raise InadmissibleRadiusError(
             f"r = {r} leaves the admissible set {intervals} for tau = {tau}; "
@@ -290,7 +284,7 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
     return decompose(kind, dim, tau, r, sic.bloch)
 
 
-def verify_decomposition(d: Decomposition, target_tol: float = 1e-10
+def verify_decomposition(d: Decomposition, target_tol: float = DEFAULT_TOL
                          ) -> VerificationReport:
     """Compare the Kronecker reconstruction with the closed-form state.
 
@@ -317,50 +311,62 @@ def verify_decomposition(d: Decomposition, target_tol: float = 1e-10
         separable_certificate=bool(all_psd and err <= target_tol))
 
 
-def contour_sample(kind, dim: int, tau: float, k: int,
-                   sic: SicPovm | None = None,
-                   target_tol: float | None = None) -> list[Decomposition]:
-    """k certified decompositions sampled uniformly along the r-contour.
+def certify(d: Decomposition, target_tol: float | None = None) -> VerificationReport:
+    """Verify ``d`` once; raise :class:`CertificateError` unless certified.
 
-    Samples are uniform in r across the admissible branches.  When the
-    admissible set degenerates to isolated points (tau at an endpoint of
-    the separable interval), the unique solutions are returned -- possibly
-    fewer than k -- and a multiplicity note is emitted as a warning.
+    ``target_tol`` defaults to the tolerance of the decomposition's simplex;
+    over a SIC that is the certificate tolerance of its provenance.
     """
-    kind = StateKind.parse(kind)
+    report = verify_decomposition(
+        d, target_tol=d.simplex.tol if target_tol is None else target_tol)
+    if not report.separable_certificate:
+        raise CertificateError(f"certificate failed at r = {d.r}: {report}",
+                               report=report)
+    return report
+
+
+def contour_radii(dim: int, tau: float, k: int) -> list[float]:
+    """k radii spread uniformly in r across the admissible branches.
+
+    When the admissible set degenerates to isolated points (tau at an
+    endpoint of the separable interval), the unique radii are returned --
+    possibly fewer than k -- and a multiplicity note is emitted as a warning.
+    """
     if k < 1:
         raise ParameterRangeError(f"sample count must be >= 1, got {k}")
-    if sic is None:
-        sic = _auto_sic(dim)
-    if target_tol is None:
-        target_tol = 1e-10 if sic.tol <= EXACT_TOL else 1e-7
     intervals = admissible_r_interval(dim, tau)
     assert intervals, "admissible set cannot be empty inside the separable interval"
     lengths = [b - a for a, b in intervals]
     total = sum(lengths)
-    if total <= _DEGENERATE_LEN:
+    if total <= RANGE_ATOL:
         points = sorted({0.5 * (a + b) for a, b in intervals})
         warnings.warn(
             f"contour r*s = {tau} is degenerate: only {len(points)} "
             f"decomposition(s) exist at r in {points} (requested {k})",
-            stacklevel=2)
-        radii = points[:k]
-    else:
-        positions = [0.5 * total] if k == 1 else list(np.linspace(0.0, total, k))
-        radii = []
-        for t in positions:
-            rem = t
-            for idx, ((a, b), ln) in enumerate(zip(intervals, lengths)):
-                if rem <= ln + 1e-15 or idx == len(intervals) - 1:
-                    radii.append(min(a + rem, b))
-                    break
-                rem -= ln
-    out = []
-    for r in radii:
-        d = decompose(kind, dim, tau, r, sic.bloch)
-        report = verify_decomposition(d, target_tol=target_tol)
-        if not report.separable_certificate:
-            raise CertificateError(f"certificate failed at r = {r}: {report}",
-                                   report=report)
-        out.append(d)
+            stacklevel=3)
+        return points[:k]
+    positions = [0.5 * total] if k == 1 else list(np.linspace(0.0, total, k))
+    radii = []
+    for t in positions:
+        rem = t
+        for idx, ((a, b), ln) in enumerate(zip(intervals, lengths)):
+            if rem <= ln + 1e-15 or idx == len(intervals) - 1:
+                radii.append(min(a + rem, b))
+                break
+            rem -= ln
+    return radii
+
+
+def contour_sample(kind, dim: int, tau: float, k: int,
+                   sic: SicPovm | None = None,
+                   target_tol: float | None = None) -> list[Decomposition]:
+    """k decompositions at :func:`contour_radii`, each passed through
+    :func:`certify`."""
+    kind = StateKind.parse(kind)
+    radii = contour_radii(dim, tau, k)
+    if sic is None:
+        sic = _auto_sic(dim)
+    out = [decompose(kind, dim, tau, r, sic.bloch) for r in radii]
+    for d in out:
+        certify(d, target_tol)
     return out

@@ -62,6 +62,14 @@ class SicUnavailableError(LookupError):
     """No SIC-POVM is known for this dimension; run a fiducial search."""
 
 
+class FiducialSearchError(LookupError):
+    """Every seed of a multi-start fiducial search failed."""
+
+
+class FiducialCacheError(ValueError):
+    """A fiducial cache file is not valid JSON or misses a required field."""
+
+
 class CertificateError(ValueError):
     """A decomposition failed its separability certificate.
 

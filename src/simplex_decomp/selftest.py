@@ -7,6 +7,7 @@ prints a PASS/FAIL line; the exit status names the first failing check.
 from __future__ import annotations
 
 import sys
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import ortho_group
@@ -14,13 +15,12 @@ from scipy.stats import ortho_group
 from .blochspace import (BlochVector, bloch_from_density, density_from_bloch,
                          min_eigenvalue, psd_radius_bounds, su_generators)
 from .decompose import admissible_r_interval, decompose, reconstruct, verify_decomposition
-from .sicpovm import (EXACT_TOL, OPTIMIZED, OPTIMIZED_TOL, Fiducial, Provenance,
-                      find_fiducial, frame_potential, frame_potential_minimum,
-                      known_fiducial, load_fiducial_cache, max_overlap_deviation,
-                      sic_from_fiducial)
+from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
+                      Provenance, frame_potential, frame_potential_minimum,
+                      load_fiducial_cache, max_overlap_deviation, obtain_sic)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
                       orthogonal_extension, verify_simplex)
-from .states import (StateKind, classify_isotropic, classify_werner,
+from .states import (StateKind, _tau_range, classify_isotropic, classify_werner,
                      convert_params, isotropic_density, partial_transpose,
                      region_table, werner_density)
 
@@ -38,22 +38,8 @@ def _random_pure_direction(rng, n):
     return b.direction
 
 
-def _sics_for(ctx, dims):
-    out = {}
-    for n in dims:
-        if n not in ctx["sics"]:
-            fid = known_fiducial(n)
-            if fid is None:
-                for seed in range(20):
-                    cand = find_fiducial(n, seed=seed)
-                    if isinstance(cand, Fiducial):
-                        fid = cand
-                        break
-            if fid is None:
-                raise RuntimeError(f"no SIC fiducial found for N = {n} over seeds 0..19")
-            ctx["sics"][n] = sic_from_fiducial(fid)
-        out[n] = ctx["sics"][n]
-    return out
+def _sics(ctx):
+    return {n: ctx["sic"](n) for n in range(2, ctx["n_max"] + 1)}
 
 
 def check_generator_orthogonality(ctx):
@@ -139,28 +125,26 @@ def check_orthogonal_extension(ctx):
 
 
 def check_sic_overlap(ctx):
-    details = []
+    cases = []  # (label, fiducial, overlap tolerance of its provenance)
     if ctx["fiducial_cache"]:
         fid = load_fiducial_cache(ctx["fiducial_cache"])
+        cases.append((f"cache N={fid.dim}", fid, TOLERANCES[fid.provenance.kind].overlap))
+    for n, sic in _sics(ctx).items():
+        # A SIC's orbit starts at its fiducial (D_00 is the identity), and
+        # sic.tol is the overlap tolerance it was accepted at.
+        fid = Fiducial(dim=n, vector=sic.states[0], provenance=ctx["probe_prov"])
+        cases.append((f"N={n}", fid, sic.tol))
+    details = []
+    for label, fid, tol in cases:
         dev = max_overlap_deviation(fid)
-        if dev > OPTIMIZED_TOL:
-            return False, (f"cached fiducial (N = {fid.dim}) squared-overlap "
-                           f"deviation {dev:.3e} exceeds {OPTIMIZED_TOL:.1e}")
-        details.append(f"cache N={fid.dim} dev {dev:.1e}")
-    sics = _sics_for(ctx, range(2, ctx["n_max"] + 1))
-    for n, sic in sics.items():
-        fid = known_fiducial(n)
-        tol = EXACT_TOL if fid is not None else OPTIMIZED_TOL
-        dev = float(np.abs(np.abs(sic.states.conj() @ sic.states.T) ** 2
-                           - (n * np.eye(n * n) + 1.0) / (n + 1.0)).max())
         if dev > tol:
-            return False, f"N = {n}: overlap deviation {dev:.3e} exceeds {tol:.1e}"
-        details.append(f"N={n} dev {dev:.1e}")
+            return False, f"{label}: overlap deviation {dev:.3e} exceeds {tol:.1e}"
+        details.append(f"{label} dev {dev:.1e}")
     return True, ", ".join(details)
 
 
 def check_sic_bloch_simplex(ctx):
-    for n, sic in _sics_for(ctx, range(2, ctx["n_max"] + 1)).items():
+    for n, sic in _sics(ctx).items():
         rep = verify_simplex(sic.bloch)
         if not rep.ok:
             return False, f"N = {n}: Bloch directions miss the simplex conditions"
@@ -173,7 +157,7 @@ def check_sic_bloch_simplex(ctx):
 
 def check_povm_completeness(ctx):
     worst = 0.0
-    for n, sic in _sics_for(ctx, range(2, ctx["n_max"] + 1)).items():
+    for n, sic in _sics(ctx).items():
         total = np.einsum("di,dj->ij", sic.states, sic.states.conj())
         worst = max(worst, float(np.abs(total - n * np.eye(n)).max()))
     return worst <= 1e-8, f"max |sum of projectors - N id| {worst:.3e}"
@@ -195,13 +179,13 @@ def check_frame_potential_bound(ctx):
 def check_state_form_agreement(ctx):
     worst = 0.0
     for n in range(2, ctx["n_max"] + 1):
-        for tau in np.linspace(*_family_range(StateKind.WERNER, n), 5):
+        for tau in np.linspace(*_tau_range(StateKind.WERNER, n), 5):
             p = convert_params(StateKind.WERNER, n, "tau", tau)
             base = werner_density(n, phi=p.phi).entries
             for name in ("alpha", "beta", "tau"):
                 other = werner_density(n, **{name: getattr(p, name)}).entries
                 worst = max(worst, float(np.abs(other - base).max()))
-        for tau in np.linspace(*_family_range(StateKind.ISOTROPIC, n), 5):
+        for tau in np.linspace(*_tau_range(StateKind.ISOTROPIC, n), 5):
             p = convert_params(StateKind.ISOTROPIC, n, "tau", tau)
             a = isotropic_density(n, eta=p.eta).entries
             b = isotropic_density(n, tau=p.tau).entries
@@ -209,16 +193,10 @@ def check_state_form_agreement(ctx):
     return worst <= 1e-12, f"max cross-form deviation {worst:.3e}"
 
 
-def _family_range(kind, n):
-    if kind is StateKind.WERNER:
-        return (-2.0 * (n + 1) / n, 2.0 * (n - 1) / n)
-    return (-2.0 / n, 2.0 * (n * n - 1) / n)
-
-
 def check_ppt_classification_agreement(ctx):
     for n in range(2, ctx["n_max"] + 1):
         for kind in (StateKind.WERNER, StateKind.ISOTROPIC):
-            lo, hi = _family_range(kind, n)
+            lo, hi = _tau_range(kind, n)
             for tau in np.linspace(lo, hi, 41):
                 if kind is StateKind.WERNER:
                     rho = werner_density(n, tau=tau)
@@ -233,10 +211,10 @@ def check_ppt_classification_agreement(ctx):
 
 
 def check_reconstruction_fidelity(ctx):
-    sics = _sics_for(ctx, range(2, ctx["n_max"] + 1))
-    worst_exact, worst_opt = 0.0, 0.0
+    sics = _sics(ctx)
+    # Worst error per certificate tolerance, i.e. per SIC provenance.
+    worst = {policy.certificate: 0.0 for policy in TOLERANCES.values()}
     for n, sic in sics.items():
-        exact = sic.tol <= EXACT_TOL
         for kind in (StateKind.WERNER, StateKind.ISOTROPIC):
             for tau in np.linspace(-2.0 / n, 2.0 * (n - 1) / n, 7):
                 intervals = admissible_r_interval(n, tau)
@@ -246,16 +224,16 @@ def check_reconstruction_fidelity(ctx):
                         continue
                     rep = verify_decomposition(
                         decompose(kind, n, tau, r, sic.bloch))
-                    if exact:
-                        worst_exact = max(worst_exact, rep.reconstruction_error)
-                    else:
-                        worst_opt = max(worst_opt, rep.reconstruction_error)
+                    worst[sic.bloch.tol] = max(worst[sic.bloch.tol],
+                                               rep.reconstruction_error)
                     ctx.setdefault("factor_floor", 0.0)
                     ctx["factor_floor"] = min(ctx["factor_floor"],
                                               rep.min_eig_r, rep.min_eig_s)
-    ok = worst_exact <= 1e-10 and worst_opt <= 1e-7
-    return ok, (f"max reconstruction error {worst_exact:.3e} (exact), "
-                f"{worst_opt:.3e} (optimized)")
+    ok = all(err <= tol for tol, err in worst.items())
+    exact, optimized = (worst[TOLERANCES[k].certificate]
+                        for k in (EXACT_REGISTRY, OPTIMIZED))
+    return ok, (f"max reconstruction error {exact:.3e} (exact), "
+                f"{optimized:.3e} (optimized)")
 
 
 def check_factor_positivity(ctx):
@@ -282,7 +260,7 @@ def check_simplex_universality(ctx):
 
 
 def check_pt_duality(ctx):
-    sics = _sics_for(ctx, range(2, ctx["n_max"] + 1))
+    sics = _sics(ctx)
     worst = 0.0
     for n, sic in sics.items():
         for tau in (-2.0 / n, 0.3, 2.0 * (n - 1) / n):
@@ -333,7 +311,8 @@ def run_selftest(n_max: int = 3, tol: float = 1e-9,
     if writer is None:
         writer = sys.stdout
     ctx = {"n_max": max(2, n_max), "tol": tol, "fiducial_cache": fiducial_cache,
-           "sics": {}, "probe_prov": Provenance(kind=OPTIMIZED)}
+           "sic": lru_cache(maxsize=None)(obtain_sic),
+           "probe_prov": Provenance(kind=OPTIMIZED)}
     first_failure = None
     for name, fn in CHECKS:
         try:

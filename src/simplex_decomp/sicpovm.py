@@ -15,8 +15,11 @@ sum) is exposed as the certifying objective, with known global minimum
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,18 +27,24 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .blochspace import su_generators
-from .errors import DimensionMismatchError, NotAFiducialError
+from .errors import (DimensionMismatchError, FiducialCacheError,
+                     FiducialSearchError, NotAFiducialError)
 from .serialize import dumps
-from .simplex import DEFAULT_TOL as SIMPLEX_EXACT_TOL
-from .simplex import OPTIMIZED_TOL as SIMPLEX_OPTIMIZED_TOL
-from .simplex import RegularSimplex
+from .simplex import DEFAULT_TOL, RegularSimplex
 
 EXACT_REGISTRY = "exact-registry"
 OPTIMIZED = "optimized"
 
-# Overlap-deviation acceptance per provenance class.
-EXACT_TOL = 1e-12
-OPTIMIZED_TOL = 1e-8
+# Per provenance: ``overlap`` bounds the deviation of every squared overlap
+# from equiangularity; ``certificate`` is both the tolerance of the SIC's
+# Bloch simplex and the reconstruction target of decompositions over it.
+Tolerances = namedtuple("Tolerances", "overlap certificate")
+TOLERANCES = {
+    EXACT_REGISTRY: Tolerances(overlap=1e-12, certificate=DEFAULT_TOL),
+    OPTIMIZED: Tolerances(overlap=1e-8, certificate=1e-7),
+}
+# Callers tell an exact-registry SIC by ``SicPovm.tol <= EXACT_TOL``.
+EXACT_TOL = TOLERANCES[EXACT_REGISTRY].overlap
 
 
 @dataclass(frozen=True)
@@ -148,28 +157,27 @@ def sic_from_fiducial(f: Fiducial, tol: float | None = None) -> SicPovm:
     """Displacement orbit of a fiducial, checked for equiangularity.
 
     ``tol`` bounds the allowed deviation of every squared overlap from
-    (N delta_ij + 1)/(N + 1); it defaults to the provenance class of the
-    fiducial (1e-12 exact, 1e-8 optimized).  The returned Bloch simplex
-    holds the unit Bloch directions of the N^2 projectors and carries the
-    matching tolerance class.
+    (N delta_ij + 1)/(N + 1); it defaults to the overlap tolerance of the
+    fiducial's provenance in :data:`TOLERANCES`.  The returned Bloch
+    simplex holds the unit Bloch directions of the N^2 projectors and
+    carries the certificate tolerance of that provenance.
     """
     n = f.dim
+    policy = TOLERANCES[f.provenance.kind]
     if tol is None:
-        tol = EXACT_TOL if f.is_exact else OPTIMIZED_TOL
-    states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
-    overlaps = np.abs(states.conj() @ states.T) ** 2
-    target = (n * np.eye(n * n) + 1.0) / (n + 1.0)
-    max_dev = float(np.abs(overlaps - target).max())
+        tol = policy.overlap
+    max_dev = max_overlap_deviation(f)
     if max_dev > tol:
         raise NotAFiducialError(
             f"displacement orbit is not equiangular: worst squared-overlap "
             f"deviation {max_dev:.3e} exceeds {tol:.1e}", max_deviation=max_dev)
+    states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
     gens = su_generators(n)
     projectors = np.einsum("di,dj->dij", states, states.conj())
     coords = np.einsum("dij,mji->dm", projectors, gens.matrices).real
     directions = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-    simplex_tol = SIMPLEX_EXACT_TOL if f.is_exact else SIMPLEX_OPTIMIZED_TOL
-    bloch = RegularSimplex(ambient_dim=n * n - 1, vertices=directions, tol=simplex_tol)
+    bloch = RegularSimplex(ambient_dim=n * n - 1, vertices=directions,
+                           tol=policy.certificate)
     return SicPovm(dim=n, states=states, bloch=bloch, tol=tol)
 
 
@@ -239,7 +247,16 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
                                           iterations=int(res.nfev), residual=residual))
 
 
-def _registry_fiducial(dimension: int) -> Fiducial | None:
+def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
+                   ) -> Fiducial | None:
+    """Registry fiducial (exact, N in {2, 3}) or a cached optimized one.
+
+    Returns None when neither source covers the dimension.  Cached entries
+    are *not* trusted: a malformed file raises :class:`FiducialCacheError`,
+    and a well-formed one is revalidated by :func:`sic_from_fiducial` at
+    first use, so a wrong vector surfaces as a failed equiangularity check,
+    not as a silent wrong answer.
+    """
     if dimension == 2:
         # Bloch direction (1,1,1)/sqrt(3): the qubit tetrahedron apex.
         c = 1.0 / np.sqrt(3.0)
@@ -249,21 +266,6 @@ def _registry_fiducial(dimension: int) -> Fiducial | None:
     if dimension == 3:
         v = np.array([0.0, 1.0, -1.0], dtype=complex) / np.sqrt(2.0)
         return Fiducial(dim=3, vector=v, provenance=Provenance(kind=EXACT_REGISTRY))
-    return None
-
-
-def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
-                   ) -> Fiducial | None:
-    """Registry fiducial (exact, N in {2, 3}) or a cached optimized one.
-
-    Returns None when neither source covers the dimension.  Cached entries
-    are *not* trusted: they are revalidated by :func:`sic_from_fiducial` at
-    first use, so a corrupt cache surfaces as a failed equiangularity check,
-    not as a silent wrong answer.
-    """
-    exact = _registry_fiducial(dimension)
-    if exact is not None:
-        return exact
     if cache_path is not None and os.path.exists(cache_path):
         data = load_fiducial_cache(cache_path)
         if data.dim == dimension:
@@ -271,27 +273,64 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
     return None
 
 
+def obtain_sic(dim: int, cache_path: str | os.PathLike | None = None) -> SicPovm:
+    """SIC from the registry, else the cache, else a multi-start search.
+
+    The search keeps the first success over seeds 0..19, so the result is
+    deterministic; :class:`FiducialSearchError` when every seed fails.
+    """
+    fid = known_fiducial(dim, cache_path)
+    if fid is None:
+        for seed in range(20):
+            fid = find_fiducial(dim, seed=seed)
+            if isinstance(fid, Fiducial):
+                break
+        else:
+            raise FiducialSearchError(
+                f"fiducial search failed for N = {dim} over seeds 0..19")
+    return sic_from_fiducial(fid)
+
+
 def load_fiducial_cache(path: str | os.PathLike) -> Fiducial:
-    """Read a fiducial from its JSON cache file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    vector = np.array([complex(re, im) for re, im in data["vector"]])
-    return Fiducial(dim=int(data["N"]), vector=vector,
-                    provenance=Provenance(kind=OPTIMIZED, seed=int(data["seed"]),
-                                          residual=float(data["residual"])))
+    """Read a fiducial from its JSON cache file.
+
+    Malformed content raises :class:`FiducialCacheError`, an unreadable
+    file its ``OSError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        vector = np.array([complex(re, im) for re, im in data["vector"]])
+        return Fiducial(dim=int(data["N"]), vector=vector,
+                        provenance=Provenance(kind=OPTIMIZED, seed=int(data["seed"]),
+                                              residual=float(data["residual"])))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FiducialCacheError(f"fiducial cache {os.fspath(path)} is malformed: "
+                                 f"{type(exc).__name__}: {exc}") from exc
 
 
 def save_fiducial_cache(path: str | os.PathLike, f: Fiducial) -> None:
-    """Write a fiducial to its JSON cache file (17-significant-digit floats)."""
+    """Write a fiducial to its JSON cache file (17-significant-digit floats).
+
+    A temporary file next to ``path`` replaces it once written, so no reader
+    sees a partial file and a failed write keeps the previous cache.
+    """
     payload = {
         "N": f.dim,
         "vector": [[z.real, z.imag] for z in f.vector],
         "residual": float(f.provenance.residual or 0.0),
         "seed": int(f.provenance.seed or 0),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(payload))
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(dumps(payload))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def solvable_dimensions() -> list[int]:

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import SimplexStructureError
 
 DEFAULT_TOL = 1e-10
-# Simplexes inherited from numerically optimized SIC fiducials carry this
-# looser class instead.
-OPTIMIZED_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from .blochspace import DensityMatrix, su_generators
 from .errors import DimensionMismatchError, ParameterRangeError
 from .serialize import csv_row
 
+# Slack at every boundary: parameter ranges and the separable endpoints.
 RANGE_ATOL = 1e-12
 
 
@@ -285,30 +286,30 @@ def _isotropic_boundaries(n: int) -> dict:
 def classify_werner(dim: int, tau: float) -> NonlocalityClass:
     """Separable on [-2/N, 2(N-1)/N]; steerable below -2(N^2-1)/N^2.
 
-    The separable interval is closed at both ends (the explicit product
-    decompositions exist at the endpoints); the steerable region is open on
-    its inner boundary.
+    The separable interval is closed at both ends, where the explicit
+    product decompositions exist, and widened by ``RANGE_ATOL``; the
+    steerable region is open on its inner boundary.
     """
     b = _werner_boundaries(dim)
     tau = _check_range("tau", float(tau), b["tau_min"], b["tau_max"])
-    if tau >= b["tau_sep_lo"]:
+    if tau >= b["tau_sep_lo"] - RANGE_ATOL:
         label = StateClass.SEPARABLE
     elif tau >= b["tau_steer"]:
         label = StateClass.ENTANGLED_UNSTEERABLE
     else:
         label = StateClass.STEERABLE
     note = None
-    if abs(tau - b["tau_sep_lo"]) <= 1e-14:
+    if abs(tau - b["tau_sep_lo"]) <= RANGE_ATOL:
         note = ("tau sits on the lower separability endpoint -2/N; the closed "
                 "interval is used because the product decomposition exists there")
     return NonlocalityClass(label=label, boundaries=b, note=note)
 
 
 def classify_isotropic(dim: int, tau: float) -> NonlocalityClass:
-    """Separable up to 2(N-1)/N; steerable strictly above 2(H_N-1)(N+1)/N."""
+    """Separable up to 2(N-1)/N + RANGE_ATOL; steerable strictly above 2(H_N-1)(N+1)/N."""
     b = _isotropic_boundaries(dim)
     tau = _check_range("tau", float(tau), b["tau_min"], b["tau_max"])
-    if tau <= b["tau_sep_hi"]:
+    if tau <= b["tau_sep_hi"] + RANGE_ATOL:
         label = StateClass.SEPARABLE
     elif tau > b["tau_steer"]:
         label = StateClass.STEERABLE

@@ -3,8 +3,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from simplex_decomp import find_fiducial, known_fiducial, sic_from_fiducial
-from simplex_decomp.sicpovm import Fiducial
+from simplex_decomp import known_fiducial, sic_from_fiducial
+from simplex_decomp.sicpovm import obtain_sic
 
 
 def random_density(rng, dim):
@@ -29,11 +29,7 @@ def searched_sic():
     """SIC for a given N from the first succeeding seed in 0..19, cached."""
     @lru_cache(maxsize=None)
     def get(n):
-        for seed in range(20):
-            result = find_fiducial(n, seed=seed)
-            if isinstance(result, Fiducial):
-                return sic_from_fiducial(result)
-        pytest.fail(f"no SIC fiducial found for N = {n} within 20 seeds")
+        return obtain_sic(n)
     return get
 
 

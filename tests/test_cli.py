@@ -12,6 +12,9 @@ from simplex_decomp.errors import ParameterRangeError
 from simplex_decomp.states import harmonic_number
 
 
+MALFORMED_CACHES = ['{bad', '{"N": 4, "seed": 0, "residual": 0.0}']
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -62,6 +65,15 @@ class TestSic:
                                "--cache", str(cache))
         assert code == 2
         assert json.loads(out)["ok"] is False
+
+    @pytest.mark.parametrize("text", MALFORMED_CACHES, ids=["invalid-json", "missing-key"])
+    def test_verify_malformed_cache_exits_2(self, capsys, tmp_path, text):
+        cache = tmp_path / "bad.json"
+        cache.write_text(text)
+        code, out, err = run_cli(capsys, "sic", "4", "--verify", "--cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
 
     def test_env_var_overrides_cache_flag(self, capsys, tmp_path, monkeypatch):
         env_cache = tmp_path / "env.json"
@@ -172,6 +184,60 @@ class TestDecompose:
         assert "certificate failed" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text", MALFORMED_CACHES, ids=["invalid-json", "missing-key"])
+    def test_malformed_fiducial_cache_exits_2(self, capsys, tmp_path, text):
+        cache = tmp_path / "bad.json"
+        cache.write_text(text)
+        code, out, err = run_cli(capsys, "decompose", "werner", "4", "--tau", "0.3",
+                                 "--fiducial-cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
+    def test_search_failure_exits_2(self, capsys, monkeypatch):
+        module = importlib.import_module("simplex_decomp.sicpovm")
+        monkeypatch.setattr(module, "find_fiducial",
+                            lambda dim, seed=0: module.FiducialSearchFailure(
+                                dim=dim, seed=seed, iterations=1, best_residual=1.0))
+        code, out, err = run_cli(capsys, "decompose", "werner", "7", "--tau", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "fiducial search failed for N = 7 over seeds 0..19" in err
+
+    def test_endpoint_ulps_outside_is_still_separable(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "werner", "3",
+                               "--tau", "-0.66666666666666685", "--count", "2")
+        assert code == 0
+        assert all(d["report"]["separable_certificate"] for d in json.loads(out))
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("--count", "4"), 4),
+        (("--r", "1"), 1),
+    ])
+    def test_each_decomposition_is_verified_once(self, capsys, monkeypatch,
+                                                 argv, expected):
+        real = importlib.import_module("simplex_decomp.decompose").verify_decomposition
+        calls = []
+
+        def counting(d, target_tol):
+            calls.append(d.r)
+            return real(d, target_tol=target_tol)
+        # Counted wherever the package binds the name, the CLI included.
+        for name in ("decompose", "cli"):
+            monkeypatch.setattr(importlib.import_module(f"simplex_decomp.{name}"),
+                                "verify_decomposition", counting, raising=False)
+        code, out, _ = run_cli(capsys, "decompose", "werner", "3", "--tau", "0.5",
+                               *argv)
+        assert code == 0
+        assert len(calls) == expected
+
+    def test_failed_certificate_at_given_radius_writes_nothing(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "werner", "2", "--tau", "1",
+                                 "--r", "1", "--tol", "1e-30")
+        assert code == 1
+        assert out == ""
+        assert "certificate failed" in err
+
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "decompose", "werner", "3",
                              "--tau", "0.5", "--count", "3")
@@ -262,6 +328,11 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--n-max", "4")
         assert code == 0
         assert "N=4" in out
+
+    def test_passes_at_n_max_6(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--n-max", "6")
+        assert code == 0, out
+        assert "[PASS] ppt-classification-agreement" in out
 
     def test_corrupted_cache_names_overlap_check(self, capsys, tmp_path):
         cache = tmp_path / "bad.json"

@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import ortho_group
 
 from simplex_decomp.blochspace import psd_radius_bounds, su_generators
-from simplex_decomp.decompose import (_simplex_operators,
-                                      admissible_r_interval, contour_sample,
+from simplex_decomp.decompose import (Decomposition, _simplex_operators,
+                                      admissible_r_interval, certify,
+                                      contour_radii, contour_sample,
                                       decompose, reconstruct,
                                       separable_decompose, verify_decomposition)
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
@@ -135,6 +136,18 @@ class TestDecompose:
     def test_zero_radius_with_nonzero_tau_rejected(self, registry_sics):
         with pytest.raises(ParameterRangeError):
             decompose("werner", 2, 0.5, 0.0, registry_sics[2].bloch)
+
+    @pytest.mark.parametrize("r", [float("nan"), np.inf, -np.inf])
+    def test_non_finite_radius_refused(self, registry_sics, r):
+        with pytest.raises(ParameterRangeError):
+            decompose("werner", 3, 0.5, r, registry_sics[3].bloch)
+
+    def test_nan_radius_fails_the_contour_check(self, registry_sics):
+        d = decompose("werner", 2, 0.5, 1.0, registry_sics[2].bloch)
+        with pytest.raises(ParameterRangeError, match="does not match"):
+            Decomposition(kind=d.kind, dim=2, tau=0.5, r=float("nan"), s=0.5,
+                          simplex=d.simplex, factors_r=d.factors_r,
+                          factors_s=d.factors_s)
 
     def test_dimension_mismatch_rejected(self, registry_sics):
         with pytest.raises(DimensionMismatchError):
@@ -315,6 +328,24 @@ class TestContourSample:
     def test_invalid_count_rejected(self, registry_sics):
         with pytest.raises(ParameterRangeError):
             contour_sample("werner", 2, 0.5, 0, sic=registry_sics[2])
+
+    def test_radii_match_the_sampled_decompositions(self, registry_sics):
+        items = contour_sample("iso", 3, 0.7, 4, sic=registry_sics[3])
+        assert [d.r for d in items] == [float(r) for r in contour_radii(3, 0.7, 4)]
+
+    def test_certify_defaults_to_the_simplex_tolerance(self, registry_sics,
+                                                        optimized_sics, monkeypatch):
+        tols = []
+
+        def spy(d, target_tol):
+            tols.append(target_tol)
+            return verify_decomposition(d, target_tol=target_tol)
+        monkeypatch.setattr(decompose_module, "verify_decomposition", spy)
+        sics = (registry_sics[3], optimized_sics[4])
+        for sic in sics:
+            d = separable_decompose("werner", sic.dim, 0.5, 1.0, sic=sic)
+            assert certify(d).separable_certificate
+        assert tols == [sic.bloch.tol for sic in sics]
 
     def test_failed_certificate_raises(self, registry_sics, monkeypatch):
         """An explicit raise, not an assert, so it holds under python -O."""

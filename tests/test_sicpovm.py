@@ -1,14 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
-from simplex_decomp.errors import NotAFiducialError
-from simplex_decomp.sicpovm import (OPTIMIZED, Fiducial,
-                                    FiducialSearchFailure, Provenance,
+import simplex_decomp.sicpovm as sicpovm
+from simplex_decomp.errors import (FiducialCacheError, FiducialSearchError,
+                                   NotAFiducialError)
+from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
+                                    Fiducial, FiducialSearchFailure, Provenance,
                                     find_fiducial, frame_potential,
                                     frame_potential_minimum, known_fiducial,
                                     load_fiducial_cache, max_overlap_deviation,
-                                    save_fiducial_cache, sic_from_fiducial,
-                                    solvable_dimensions, wh_displacements)
+                                    obtain_sic, save_fiducial_cache,
+                                    sic_from_fiducial, solvable_dimensions,
+                                    wh_displacements)
 from simplex_decomp.simplex import verify_simplex
 
 from conftest import random_pure_state
@@ -204,6 +209,79 @@ class TestCache:
                         ' "residual": 0.0, "seed": 0}')
         with pytest.raises(ValueError):
             load_fiducial_cache(path)
+
+
+    @pytest.mark.parametrize("text", [
+        '{bad',
+        '{"N": 4, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]], "seed": 0}',
+    ], ids=["invalid-json", "missing-key"])
+    def test_malformed_cache_raises_one_error_type(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FiducialCacheError, match="malformed"):
+            load_fiducial_cache(path)
+        with pytest.raises(FiducialCacheError):
+            known_fiducial(4, cache_path=path)
+
+    def test_failed_write_keeps_the_previous_cache(self, tmp_path, monkeypatch):
+        result = find_fiducial(4, seed=0)
+        path = tmp_path / "fid4.json"
+        save_fiducial_cache(path, result)
+        before = path.read_bytes()
+        # Text that fails to encode part-way: the write raises after the
+        # target would already have been truncated by a direct write.
+        monkeypatch.setattr(sicpovm, "dumps", lambda payload: '{"N": 4, \ud800')
+        with pytest.raises(UnicodeEncodeError):
+            save_fiducial_cache(path, result)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["fid4.json"]
+
+    def test_concurrent_writers_never_expose_a_partial_file(self, tmp_path):
+        result = find_fiducial(4, seed=0)
+        path = tmp_path / "fid4.json"
+        save_fiducial_cache(path, result)
+        errors = []
+
+        def write():
+            try:
+                for _ in range(30):
+                    save_fiducial_cache(path, result)
+            except Exception as exc:  # reported through the list
+                errors.append(exc)
+        writers = [threading.Thread(target=write) for _ in range(4)]
+        for t in writers:
+            t.start()
+        while any(t.is_alive() for t in writers):
+            assert load_fiducial_cache(path).dim == 4
+        for t in writers:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert errors == []
+        assert [p.name for p in tmp_path.iterdir()] == ["fid4.json"]
+
+
+class TestObtainSic:
+    def test_registry_comes_first_with_exact_tolerances(self, tmp_path):
+        sic = obtain_sic(3, cache_path=tmp_path / "absent.json")
+        assert sic.tol == TOLERANCES[EXACT_REGISTRY].overlap
+        assert sic.bloch.tol == TOLERANCES[EXACT_REGISTRY].certificate
+
+    def test_searched_sic_carries_optimized_tolerances(self, optimized_sics):
+        sic = optimized_sics[4]
+        assert sic.tol == TOLERANCES[OPTIMIZED].overlap
+        assert sic.bloch.tol == TOLERANCES[OPTIMIZED].certificate
+
+    def test_search_failure_raises_after_twenty_seeds(self, monkeypatch):
+        seeds = []
+
+        def failing(dim, seed=0, **kwargs):
+            seeds.append(seed)
+            return FiducialSearchFailure(dim=dim, seed=seed, iterations=1,
+                                         best_residual=1.0)
+        monkeypatch.setattr(sicpovm, "find_fiducial", failing)
+        with pytest.raises(FiducialSearchError, match="seeds 0..19"):
+            obtain_sic(7)
+        assert seeds == list(range(20))
 
 
 class TestSolvableDimensions:

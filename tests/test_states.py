@@ -374,3 +374,28 @@ class TestRegionTable:
         assert lines[1].startswith("werner,2,")
         assert lines[2].startswith("isotropic,2,")
         assert len(lines[1].split(",")) == 9
+
+
+def ulps_from(x, ulps):
+    """x moved by ``ulps`` units in the last place (negative: downward)."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+class TestSeparableEndpointUlps:
+    """Classifier and PPT oracle agree within a few ULPs of the endpoint."""
+
+    @pytest.mark.parametrize("ulps", range(-3, 4))
+    @pytest.mark.parametrize("family", ["werner", "isotropic"])
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_verdict_matches_ppt(self, dim, family, ulps):
+        if family == "werner":
+            tau = ulps_from(-2.0 / dim, ulps)
+            rho, verdict = werner_density(dim, tau=tau), classify_werner(dim, tau)
+        else:
+            tau = ulps_from(2.0 * (dim - 1) / dim, ulps)
+            rho = isotropic_density(dim, tau=tau)
+            verdict = classify_isotropic(dim, tau)
+        ppt = min_eigenvalue(partial_transpose(rho)) >= -1e-9
+        assert ppt == (verdict.label is StateClass.SEPARABLE)
