@@ -166,11 +166,7 @@ def cmd_decompose(args) -> int:
     if args.r is not None:
         radii = [args.r]
     else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            radii = contour_radii(args.N, params.tau, args.count)
-        for w in caught:
-            print(str(w.message), file=sys.stderr)
+        radii = contour_radii(args.N, params.tau, args.count)
     try:
         items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
                  for r in radii]
@@ -316,16 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(str(message), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "regions" and args.family == "iso":
         args.family = "isotropic"
-    try:
-        return args.func(args)
-    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
-        print(str(exc), file=sys.stderr)
-        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+    # Each distinct warning reaches stderr once per command, as its bare message.
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
+            print(str(exc), file=sys.stderr)
+            return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def entrypoint() -> None:

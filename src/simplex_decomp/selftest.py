@@ -10,7 +10,6 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import ortho_group
 
 from .blochspace import (BlochVector, bloch_from_density, density_from_bloch,
                          min_eigenvalue, psd_radius_bounds, su_generators)
@@ -244,6 +243,8 @@ def check_factor_positivity(ctx):
 
 
 def check_simplex_universality(ctx):
+    from scipy.stats import ortho_group  # slow to import; only this check uses it
+
     rng = np.random.default_rng(16)
     worst = 0.0
     for n in range(2, min(ctx["n_max"], 3) + 1):

@@ -2,13 +2,16 @@
 
 Every float is printed with 17 significant digits, enough to reconstruct
 the exact double, so repeated runs with identical inputs produce
-byte-identical output.
+byte-identical output.  A float ``ndarray`` is written in one
+``str.format`` call through a nested template cached per shape; it
+renders each element exactly as :func:`format_float` does.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +29,24 @@ def dumps(obj) -> str:
     return _emit(obj)
 
 
+@lru_cache(maxsize=128)
+def _template(shape: tuple[int, ...]) -> str:
+    """Nested JSON list of ``{:.17g}`` fields for an array of ``shape``."""
+    if not shape:
+        return "{:.17g}"
+    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
+
+
+def _emit_floats(a: np.ndarray) -> str:
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"cannot serialize non-finite float {a[~finite][0]}")
+    return _template(a.shape).format(*a.ravel().tolist())
+
+
 def _emit(obj) -> str:
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return _emit_floats(obj)
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
@@ -45,19 +65,19 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def encode_cmatrix(m: np.ndarray) -> list:
-    """Complex matrix as nested lists of [re, im] pairs."""
+def encode_cmatrix(m: np.ndarray) -> np.ndarray:
+    """Complex array as a float array whose last axis holds [re, im]."""
     m = np.asarray(m, dtype=complex)
-    return [[[z.real, z.imag] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1)
 
 
 def decode_cmatrix(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def encode_rmatrix(m: np.ndarray) -> list:
-    """Real matrix as nested lists of floats."""
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+def encode_rmatrix(m: np.ndarray) -> np.ndarray:
+    """Real matrix as a float array, which :func:`dumps` writes in one step."""
+    return np.asarray(m, dtype=float)
 
 
 def csv_row(values) -> str:

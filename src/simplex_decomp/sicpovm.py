@@ -19,17 +19,17 @@ import contextlib
 import json
 import os
 import threading
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .blochspace import su_generators
 from .errors import (DimensionMismatchError, FiducialCacheError,
                      FiducialSearchError, NotAFiducialError)
-from .serialize import dumps
+from .serialize import dumps, encode_cmatrix
 from .simplex import DEFAULT_TOL, RegularSimplex
 
 EXACT_REGISTRY = "exact-registry"
@@ -228,6 +228,10 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
     best residual reached.  Multi-start searches are the caller's loop over
     seeds.
     """
+    # Imported here: scipy.optimize takes most of a second to load, and only
+    # the search needs it.
+    from scipy.optimize import least_squares
+
     n = dimension
     if n < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
@@ -251,11 +255,12 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
                    ) -> Fiducial | None:
     """Registry fiducial (exact, N in {2, 3}) or a cached optimized one.
 
-    Returns None when neither source covers the dimension.  Cached entries
-    are *not* trusted: a malformed file raises :class:`FiducialCacheError`,
-    and a well-formed one is revalidated by :func:`sic_from_fiducial` at
-    first use, so a wrong vector surfaces as a failed equiangularity check,
-    not as a silent wrong answer.
+    Returns None when neither source covers the dimension; a cache that
+    holds another dimension is not used, with a warning naming both.
+    Cached entries are *not* trusted: a malformed file raises
+    :class:`FiducialCacheError`, and a well-formed one is revalidated by
+    :func:`sic_from_fiducial` at first use, so a wrong vector surfaces as a
+    failed equiangularity check, not as a silent wrong answer.
     """
     if dimension == 2:
         # Bloch direction (1,1,1)/sqrt(3): the qubit tetrahedron apex.
@@ -270,6 +275,8 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
         data = load_fiducial_cache(cache_path)
         if data.dim == dimension:
             return data
+        warnings.warn(f"fiducial cache {os.fspath(cache_path)} holds N = {data.dim}, "
+                      f"not N = {dimension}; it is not used", stacklevel=2)
     return None
 
 
@@ -317,7 +324,7 @@ def save_fiducial_cache(path: str | os.PathLike, f: Fiducial) -> None:
     """
     payload = {
         "N": f.dim,
-        "vector": [[z.real, z.imag] for z in f.vector],
+        "vector": encode_cmatrix(f.vector),
         "residual": float(f.provenance.residual or 0.0),
         "seed": int(f.provenance.seed or 0),
     }

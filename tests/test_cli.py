@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from simplex_decomp.errors import ParameterRangeError
 from simplex_decomp.states import harmonic_number
 
 
+DATA = Path(__file__).parent / "data"
 MALFORMED_CACHES = ['{bad', '{"N": 4, "seed": 0, "residual": 0.0}']
 
 
@@ -140,6 +142,14 @@ class TestDecompose:
         code, out, _ = run_cli(capsys, "decompose", "iso", "4", "--eta", "0.1",
                                "--fiducial-cache", str(cache))
         assert code == 0
+        assert json.loads(out)["report"]["separable_certificate"] is True
+
+    def test_cache_for_another_dimension_warns_and_searches(self, capsys):
+        code, out, err = run_cli(capsys, "decompose", "werner", "5", "--tau", "0.1",
+                                 "--fiducial-cache", str(DATA / "fid4.json"))
+        assert code == 0
+        assert "N = 4" in err and "N = 5" in err
+        assert "Traceback" not in err
         assert json.loads(out)["report"]["separable_certificate"] is True
 
     def test_nan_radius_exits_5_without_traceback(self, capsys):
@@ -356,3 +366,43 @@ class TestInstalledEntryPoint:
             env={**os.environ, "PYTHONHASHSEED": "0"})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["class"] == "Separable"
+
+
+class TestImportHygiene:
+    """scipy's optimizer and statistics load only where they are used."""
+
+    SLOW = ("scipy.optimize", "scipy.stats")
+
+    def _slow_modules_after(self, code):
+        """Modules under SLOW loaded once ``code`` has run in a fresh interpreter."""
+        script = code + (
+            "\nimport sys\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if '.'.join(m.split('.')[:2]) in %r), file=sys.stderr)\n"
+            % (self.SLOW,))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, proc.stderr.split()
+
+    def test_cli_import_loads_neither(self):
+        _, loaded = self._slow_modules_after("import simplex_decomp.cli")
+        assert loaded == []
+
+    def test_classify_command_loads_neither(self):
+        out, loaded = self._slow_modules_after(
+            "import runpy, sys\n"
+            "sys.argv = ['simplex_decomp', 'classify', 'werner', '5', '--tau', '0.3']\n"
+            "try:\n"
+            "    runpy.run_module('simplex_decomp', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+        assert json.loads(out)["class"] == "Separable"
+        assert loaded == []
+
+    def test_search_imports_the_optimizer_when_called(self):
+        out, loaded = self._slow_modules_after(
+            "from simplex_decomp.sicpovm import Fiducial, find_fiducial\n"
+            "print(isinstance(find_fiducial(4, seed=0), Fiducial))\n")
+        assert out.strip() == "True"
+        assert "scipy.optimize" in loaded

@@ -5,7 +5,7 @@ output of these commands is fixed on one platform (Python, numpy and BLAS
 build).  Each hash is the sha256 of ``b"<exit code>\\n" + stdout``.  A
 change that alters any of these outputs is a change to the CLI contract
 and updates the hash on purpose; a refactor or speed-up must leave all of
-them alone.  The N = 4 and N = 8 commands read fiducial caches committed
+them alone.  The N = 4, 8 and 12 commands read fiducial caches committed
 under ``tests/data`` so no search runs.
 """
 
@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from simplex_decomp.cli import ENV_CACHE, main
+from simplex_decomp.sicpovm import load_fiducial_cache, save_fiducial_cache
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,6 +34,13 @@ GOLDEN = {
     ("decompose", "iso", "8", "--tau", "0.25", "--count", "2",
      "--fiducial-cache", "fid8.json"):
         "345fa5027b2982b628039f74d34f2a24edb6a0bb3e270288512ce330597d0cf2",
+    ("decompose", "werner", "12", "--tau", "0.1", "--count", "4",
+     "--fiducial-cache", "fid12.json"):
+        "eafb652ab5f50fadd04a383fcc500b4f0a5554347bd4640798b701c20f3aa2b5",
+    ("classify", "werner", "5", "--tau", "0.3"):
+        "55198593f6935e58075ce827d8ad1244fbe89a559897144404b2c47575d39393",
+    ("regions", "--family", "both", "--n-list", "2,3,...,40"):
+        "eaea1cee4826c022bcb700812ee7c104fef2110c4eda152be3281a6239107d23",
 }
 
 
@@ -46,3 +54,10 @@ def test_cli_output_is_byte_identical(command, capsys, monkeypatch):
     code = main(_argv(command))
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(b"%d\n" % code + out).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("name", ["fid4.json", "fid8.json", "fid12.json"])
+def test_fiducial_cache_rewrites_byte_identical(name, tmp_path):
+    copy = tmp_path / name
+    save_fiducial_cache(copy, load_fiducial_cache(DATA / name))
+    assert copy.read_bytes() == (DATA / name).read_bytes()

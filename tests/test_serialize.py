@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from simplex_decomp.serialize import (csv_row, decode_cmatrix, dumps,
                                       encode_cmatrix, format_float)
@@ -48,6 +51,61 @@ class TestDumps:
         a = dumps({"x": 1, "y": 2})
         b = dumps({"x": 1, "y": 2})
         assert a == b == '{"x": 1, "y": 2}'
+
+
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+def float_arrays(min_side=0):
+    shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=min_side, max_side=6)
+    return hnp.arrays(np.float64, shapes, elements=FINITE)
+
+
+def per_scalar(a) -> str:
+    """Nested-list rendering with one ``format_float`` call per scalar."""
+    if a.ndim == 1:
+        return "[" + ", ".join(format_float(x) for x in a) + "]"
+    return "[" + ", ".join(per_scalar(x) for x in a) + "]"
+
+
+class TestFloatArrays:
+    @settings(deadline=None)
+    @given(float_arrays())
+    @example(np.array(EDGE_FLOATS))
+    @example(np.zeros((2, 0, 3)))
+    @example(np.zeros((0, 4)))
+    def test_bytes_equal_per_scalar_rendering(self, a):
+        assert dumps(a) == per_scalar(a)
+        assert dumps({"a": a}) == '{"a": ' + per_scalar(a) + "}"
+
+    @settings(deadline=None)
+    @given(float_arrays())
+    @example(np.array(EDGE_FLOATS))
+    def test_json_returns_the_same_doubles(self, a):
+        # -0.0 is written "-0", which only a reader that parses integers as
+        # doubles returns with its sign.
+        back = json.loads(dumps(a), parse_int=float)
+        back = np.array(back, dtype=float).reshape(a.shape)
+        assert back.tobytes() == a.tobytes()
+
+    @settings(deadline=None)
+    @given(float_arrays(min_side=1), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.integers(min_value=0))
+    def test_non_finite_entry_raises(self, a, bad, index):
+        a.flat[index % a.size] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps(a)
+
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                            st.just(2)), elements=FINITE))
+    def test_complex_matrix_matches_nested_pairs(self, parts):
+        m = np.empty(parts.shape[:2], dtype=complex)
+        m.real, m.imag = parts[..., 0], parts[..., 1]
+        pairs = [[[z.real, z.imag] for z in row] for row in m]
+        assert dumps(encode_cmatrix(m)) == dumps(pairs)
 
 
 class TestComplexMatrices:

@@ -200,8 +200,9 @@ class TestCache:
         save_fiducial_cache(path, result)
         got = known_fiducial(5, cache_path=path)
         assert got is not None and got.dim == 5
-        # cache for another dimension stays absent
-        assert known_fiducial(6, cache_path=path) is None
+        # a cache for another dimension is not used, and says so
+        with pytest.warns(UserWarning, match="holds N = 5, not N = 6"):
+            assert known_fiducial(6, cache_path=path) is None
 
     def test_non_unit_cached_vector_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
