@@ -7,9 +7,9 @@ into explicit uniform mixtures of product states over regular Bloch-space
 simplexes, with brute-force verification of each construction.
 """
 
-from .blochspace import (BlochVector, DensityMatrix, Generators,
-                         bloch_from_density, density_from_bloch,
-                         min_eigenvalue, psd_radius_bounds, su_generators)
+from .blochspace import (BlochVector, DensityMatrix, bloch_from_density,
+                         density_from_bloch, min_eigenvalue, psd_radius_bounds,
+                         su_generators)
 from .decompose import (Decomposition, VerificationReport,
                         admissible_r_interval, contour_sample, decompose,
                         reconstruct, separable_decompose, verify_decomposition)
@@ -17,8 +17,8 @@ from .sicpovm import (Fiducial, FiducialSearchFailure, Provenance, SicPovm,
                       find_fiducial, frame_potential, frame_potential_minimum,
                       known_fiducial, obtain_sic, sic_from_fiducial,
                       solvable_dimensions, wh_displacements)
-from .simplex import (OrthogonalExtension, RegularSimplex, canonical_simplex,
-                      gram_identities, orthogonal_extension, verify_simplex)
+from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
+                      orthogonal_extension, verify_simplex)
 from .states import (NonlocalityClass, ParamSet, RegionRow, StateClass,
                      StateKind, classify, classify_isotropic, classify_werner,
                      convert_params, harmonic_number, isotropic_density,
@@ -28,10 +28,10 @@ from .states import (NonlocalityClass, ParamSet, RegionRow, StateClass,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochVector", "DensityMatrix", "Generators", "bloch_from_density",
+    "BlochVector", "DensityMatrix", "bloch_from_density",
     "density_from_bloch", "min_eigenvalue", "psd_radius_bounds",
     "su_generators",
-    "RegularSimplex", "OrthogonalExtension", "canonical_simplex",
+    "RegularSimplex", "canonical_simplex",
     "verify_simplex", "gram_identities", "orthogonal_extension",
     "Fiducial", "FiducialSearchFailure", "Provenance", "SicPovm",
     "wh_displacements", "sic_from_fiducial", "frame_potential",

@@ -31,17 +31,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Generators:
-    """Ordered traceless Hermitian basis of su(N), shape (N^2-1, N, N)."""
-
-    dimension: int
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", _readonly(self.matrices))
-
-
-@dataclass(frozen=True, eq=False)
 class BlochVector:
     """Real coordinate vector of a trace-one Hermitian matrix."""
 
@@ -112,8 +101,10 @@ def _as_matrix(m) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def su_generators(dimension: int) -> Generators:
+def su_generators(dimension: int) -> np.ndarray:
     """Generalized Gell-Mann basis of su(N), Tr[L_mu L_nu] = 2 delta_mu_nu.
+
+    Returns the read-only stack of the N^2 - 1 matrices, shape (N^2-1, N, N).
 
     Ordering is canonical: all symmetric off-diagonal matrices, then all
     antisymmetric ones (each set in lexicographic (j, k) order, j < k), then
@@ -139,19 +130,14 @@ def su_generators(dimension: int) -> Generators:
         m[np.diag_indices(l)] = 1.0
         m[l, l] = -l
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return Generators(dimension=n, matrices=np.array(mats))
+    return _readonly(mats)
 
 
-def bloch_from_density(rho, generators: Generators | None = None) -> BlochVector:
+def bloch_from_density(rho) -> BlochVector:
     """Coordinates r_mu = Tr[rho L_mu] of a trace-one Hermitian matrix."""
     m = _as_matrix(rho)
     n = m.shape[0]
-    if generators is None:
-        generators = su_generators(n)
-    if generators.dimension != n:
-        raise DimensionMismatchError(
-            f"matrix dimension {n} != generator dimension {generators.dimension}")
-    coords = np.einsum("ij,mji->m", m, generators.matrices)
+    coords = np.einsum("ij,mji->m", m, su_generators(n))
     tol = rho.herm_tol if isinstance(rho, DensityMatrix) else HERM_TOL
     imag = np.abs(coords.imag).max()
     if imag > tol:
@@ -159,21 +145,16 @@ def bloch_from_density(rho, generators: Generators | None = None) -> BlochVector
     return BlochVector(dimension=n, coords=coords.real)
 
 
-def density_from_bloch(b: BlochVector, generators: Generators | None = None) -> DensityMatrix:
+def density_from_bloch(b: BlochVector) -> DensityMatrix:
     """Trace-one Hermitian matrix with the given Bloch coordinates.
 
     The result is not guaranteed positive semidefinite; check
     :meth:`DensityMatrix.is_psd` (or :func:`min_eigenvalue`) when positivity
     matters.
     """
-    if generators is None:
-        generators = su_generators(b.dimension)
-    if generators.dimension != b.dimension:
-        raise DimensionMismatchError(
-            f"vector dimension {b.dimension} != generator dimension {generators.dimension}")
     n = b.dimension
     m = np.eye(n, dtype=complex) / n
-    m += 0.5 * np.einsum("m,mij->ij", b.coords, generators.matrices)
+    m += 0.5 * np.einsum("m,mij->ij", b.coords, su_generators(n))
     return DensityMatrix(m)
 
 

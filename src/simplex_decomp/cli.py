@@ -64,8 +64,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _simplex_dict(s) -> dict:
-    return {"ambient_dim": s.ambient_dim,
-            "vertices": serialize.encode_rmatrix(s.vertices)}
+    return {"ambient_dim": s.ambient_dim, "vertices": s.vertices}
 
 
 def _report_dict(rep: VerificationReport) -> dict:

@@ -28,10 +28,9 @@ from .blochspace import (PSD_TOL, DensityMatrix, _readonly, psd_radius_bounds,
                          su_generators)
 from .errors import (CertificateError, DimensionMismatchError,
                      InadmissibleRadiusError, NotSeparableError,
-                     ParameterRangeError, SicUnavailableError,
-                     SimplexStructureError)
+                     ParameterRangeError, SicUnavailableError)
 from .sicpovm import SicPovm, known_fiducial, sic_from_fiducial
-from .simplex import DEFAULT_TOL, RegularSimplex, verify_simplex
+from .simplex import DEFAULT_TOL, RegularSimplex
 from .states import (RANGE_ATOL, StateKind, classify, convert_params,
                      isotropic_density, werner_density)
 
@@ -62,9 +61,7 @@ class Decomposition:
             raise ParameterRangeError(
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
         for name in ("factors_r", "factors_s"):
-            a = np.array(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n_factors(self) -> int:
@@ -98,7 +95,7 @@ def _operator_plan(dim: int) -> tuple:
     entries, the generator (vertex coordinate) owning each and its value.
     """
     batches, current, taken = [], [], set()
-    for mu, g in enumerate(su_generators(dim).matrices):
+    for mu, g in enumerate(su_generators(dim)):
         rows, cols = np.nonzero(g)
         support = set(zip(rows.tolist(), cols.tolist()))
         if support & taken:
@@ -132,17 +129,14 @@ def decompose(kind, dim: int, tau: float, r: float,
     Valid for every tau in the family range and every finite r; the
     resulting factors are not required to be positive semidefinite.  ``s``
     is derived as tau/r (and set to 0 when tau is 0, where any r works).
+    The simplex is not checked again: a :class:`RegularSimplex` is regular
+    at its ``tol`` from construction.
     """
     kind = StateKind.parse(kind)
     convert_params(kind, dim, "tau", tau)
     if simplex.ambient_dim != dim * dim - 1:
         raise DimensionMismatchError(
             f"simplex ambient dimension {simplex.ambient_dim} != N^2-1 = {dim * dim - 1}")
-    report = verify_simplex(simplex)  # raises on wrong vertex count
-    if not report.ok:
-        raise SimplexStructureError(
-            f"simplex fails verification (norm dev {report.max_norm_dev:.3e}, "
-            f"dot dev {report.max_dot_dev:.3e} at tol {simplex.tol:.1e})")
     tau = float(tau)
     r = float(r)
     if not math.isfinite(r):

@@ -18,7 +18,7 @@ from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
                       Provenance, frame_potential, frame_potential_minimum,
                       load_fiducial_cache, max_overlap_deviation, obtain_sic)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
-                      orthogonal_extension, verify_simplex)
+                      orthogonal_extension)
 from .states import (StateKind, _tau_range, classify_isotropic, classify_werner,
                      convert_params, isotropic_density, partial_transpose,
                      region_table, werner_density)
@@ -44,7 +44,7 @@ def _sics(ctx):
 def check_generator_orthogonality(ctx):
     worst = 0.0
     for n in range(2, max(3, ctx["n_max"]) + 1):
-        mats = su_generators(n).matrices
+        mats = su_generators(n)
         table = np.einsum("aij,bji->ab", mats, mats)
         worst = max(worst, float(np.abs(table - 2.0 * np.eye(len(mats))).max()))
     return worst <= 1e-12, f"max trace-table deviation {worst:.3e}"
@@ -81,7 +81,7 @@ def check_antiparallel_product_bound(ctx):
             b = bloch_from_density(_random_psd(rng, n))
             if b.radius < 1e-12:
                 continue
-            direction = np.einsum("m,mij->ij", b.direction, gens.matrices)
+            direction = np.einsum("m,mij->ij", b.direction, gens)
             x_max = float(np.linalg.eigvalsh(direction)[-1])
             s_extreme = -2.0 / (n * x_max)
             worst = min(worst, b.radius * s_extreme + 2.0 / n)
@@ -106,11 +106,7 @@ def check_pure_direction_psd_window(ctx):
 def check_simplex_identities(ctx):
     worst = 0.0
     for n in range(2, ctx["n_max"] + 1):
-        s = canonical_simplex(n * n - 1)
-        rep = verify_simplex(s)
-        if not rep.ok:
-            return False, f"canonical simplex fails at M = {n * n - 1}"
-        g = gram_identities(s)
+        g = gram_identities(canonical_simplex(n * n - 1))
         worst = max(worst, g.sum_norm, g.gram_dev)
     return worst <= ctx["tol"], f"max vertex-sum/Gram deviation {worst:.3e}"
 
@@ -118,7 +114,7 @@ def check_simplex_identities(ctx):
 def check_orthogonal_extension(ctx):
     worst = 0.0
     for n in range(2, ctx["n_max"] + 1):
-        o = orthogonal_extension(canonical_simplex(n * n - 1)).matrix
+        o = orthogonal_extension(canonical_simplex(n * n - 1))
         worst = max(worst, float(np.abs(o @ o.T - np.eye(len(o))).max()))
     return worst <= 1e-10, f"max |OO^T - id| {worst:.3e}"
 
@@ -144,9 +140,6 @@ def check_sic_overlap(ctx):
 
 def check_sic_bloch_simplex(ctx):
     for n, sic in _sics(ctx).items():
-        rep = verify_simplex(sic.bloch)
-        if not rep.ok:
-            return False, f"N = {n}: Bloch directions miss the simplex conditions"
         dots = sic.bloch.vertices @ sic.bloch.vertices.T
         off = ~np.eye(n * n, dtype=bool)
         if np.abs(dots[off] + 1.0 / (n * n - 1.0)).max() > 1e-8:

@@ -75,11 +75,6 @@ def decode_cmatrix(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def encode_rmatrix(m: np.ndarray) -> np.ndarray:
-    """Real matrix as a float array, which :func:`dumps` writes in one step."""
-    return np.asarray(m, dtype=float)
-
-
 def csv_row(values) -> str:
     """One CSV line; floats rendered with 17 significant digits."""
     parts = []

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import su_generators
+from .blochspace import _readonly, su_generators
 from .errors import (DimensionMismatchError, FiducialCacheError,
                      FiducialSearchError, NotAFiducialError)
 from .serialize import dumps, encode_cmatrix
@@ -66,14 +66,13 @@ class Fiducial:
     provenance: Provenance
 
     def __post_init__(self):
-        v = np.array(np.asarray(self.vector, dtype=complex))
+        v = _readonly(np.asarray(self.vector, dtype=complex))
         if v.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"fiducial vector has shape {v.shape}, expected ({self.dim},)")
         norm = np.linalg.norm(v)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"fiducial vector norm {norm} is not 1 within 1e-12")
-        v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
     @property
@@ -91,9 +90,8 @@ class SicPovm:
     tol: float
 
     def __post_init__(self):
-        s = np.array(np.asarray(self.states, dtype=complex))
-        s.setflags(write=False)
-        object.__setattr__(self, "states", s)
+        object.__setattr__(self, "states",
+                           _readonly(np.asarray(self.states, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -122,9 +120,7 @@ def wh_displacements(dimension: int) -> np.ndarray:
     z = np.diag(omega ** np.arange(n))
     xp = [np.linalg.matrix_power(x, j) for j in range(n)]
     zp = [np.linalg.matrix_power(z, k) for k in range(n)]
-    out = np.array([xp[j] @ zp[k] for j in range(n) for k in range(n)])
-    out.setflags(write=False)
-    return out
+    return _readonly([xp[j] @ zp[k] for j in range(n) for k in range(n)])
 
 
 def frame_potential_minimum(dimension: int) -> float:
@@ -172,9 +168,8 @@ def sic_from_fiducial(f: Fiducial, tol: float | None = None) -> SicPovm:
             f"displacement orbit is not equiangular: worst squared-overlap "
             f"deviation {max_dev:.3e} exceeds {tol:.1e}", max_deviation=max_dev)
     states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
-    gens = su_generators(n)
     projectors = np.einsum("di,dj->dij", states, states.conj())
-    coords = np.einsum("dij,mji->dm", projectors, gens.matrices).real
+    coords = np.einsum("dij,mji->dm", projectors, su_generators(n)).real
     directions = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     bloch = RegularSimplex(ambient_dim=n * n - 1, vertices=directions,
                            tol=policy.certificate)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blochspace import _readonly
 from .errors import SimplexStructureError
 
 DEFAULT_TOL = 1e-10
@@ -23,8 +24,9 @@ DEFAULT_TOL = 1e-10
 class RegularSimplex:
     """Vertex list of a regular simplex: M+1 unit vectors in R^M.
 
-    ``vertices`` has one vertex per row.  Instances are plain data; use
-    :func:`verify_simplex` to check the defining conditions at ``tol``.
+    ``vertices`` has one vertex per row.  Construction runs
+    :func:`verify_simplex` and raises :class:`SimplexStructureError` unless
+    the vertices pass it, so every instance is regular at its own ``tol``.
     """
 
     ambient_dim: int
@@ -32,30 +34,22 @@ class RegularSimplex:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        v = np.array(np.asarray(self.vertices, dtype=float))
+        v = _readonly(np.asarray(self.vertices, dtype=float))
         if v.ndim != 2:
             raise SimplexStructureError(f"vertices must be a 2-D array, got ndim {v.ndim}")
         if v.shape[1] != self.ambient_dim:
             raise SimplexStructureError(
                 f"vertices live in dimension {v.shape[1]}, expected {self.ambient_dim}")
-        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        report = verify_simplex(self)  # raises on a wrong vertex count
+        if not report.ok:
+            raise SimplexStructureError(
+                f"not a regular simplex at tol {self.tol:.1e} "
+                f"(norm dev {report.max_norm_dev:.3e}, dot dev {report.max_dot_dev:.3e})")
 
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class OrthogonalExtension:
-    """Real orthogonal matrix extending a simplex by one constant row."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(np.asarray(self.matrix, dtype=float))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -115,18 +109,12 @@ def gram_identities(s: RegularSimplex) -> GramReport:
     return GramReport(sum_norm=sum_norm, gram_dev=gram_dev)
 
 
-def orthogonal_extension(s: RegularSimplex) -> OrthogonalExtension:
+def orthogonal_extension(s: RegularSimplex) -> np.ndarray:
     """Append a constant row and rescale to a real orthogonal matrix.
 
     The columns are the vertices with 1/sqrt(M) appended, scaled by
-    sqrt(M/(M+1)).  Refuses simplexes failing :func:`verify_simplex`.
+    sqrt(M/(M+1)); the result is read-only.
     """
-    report = verify_simplex(s)
-    if not report.ok:
-        raise SimplexStructureError(
-            "not a regular simplex within tolerance "
-            f"(norm dev {report.max_norm_dev:.3e}, dot dev {report.max_dot_dev:.3e})")
     m = s.ambient_dim
     bottom = np.full((1, m + 1), 1.0 / np.sqrt(m))
-    o = np.sqrt(m / (m + 1.0)) * np.vstack([s.vertices.T, bottom])
-    return OrthogonalExtension(matrix=o)
+    return _readonly(np.sqrt(m / (m + 1.0)) * np.vstack([s.vertices.T, bottom]))

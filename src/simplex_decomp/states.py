@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import DensityMatrix, su_generators
+from .blochspace import DensityMatrix, _readonly, su_generators
 from .errors import DimensionMismatchError, ParameterRangeError
 from .serialize import csv_row
 
@@ -140,11 +140,10 @@ def max_entangled_projector(dim: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _generator_pair_sum(dim: int, transpose_second: bool) -> np.ndarray:
     """sum_mu L_mu (x) L_mu (or L_mu (x) L_mu^T), cached per dimension."""
-    mats = su_generators(dim).matrices
+    mats = su_generators(dim)
     second = mats.transpose(0, 2, 1) if transpose_second else mats
     out = np.einsum("mab,mcd->acbd", mats, second).reshape(dim * dim, dim * dim)
-    out.setflags(write=False)
-    return out
+    return _readonly(out)
 
 
 def _tau_range(kind: StateKind, dim: int) -> tuple[float, float]:

@@ -168,7 +168,7 @@ def test_criterion_05_simplex_identities(registry_sics, optimized_sics):
         g = gram_identities(sic.bloch)
         worst_sum = max(worst_sum, g.sum_norm)
         worst_gram = max(worst_gram, g.gram_dev)
-        o = orthogonal_extension(sic.bloch).matrix
+        o = orthogonal_extension(sic.bloch)
         worst_orth = max(worst_orth, float(np.abs(o @ o.T - np.eye(n * n)).max()))
     assert worst_sum <= 1e-9
     assert worst_gram <= 1e-9

@@ -16,14 +16,14 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 class TestGenerators:
     def test_qubit_basis_is_the_pauli_triple(self):
-        mats = su_generators(2).matrices
+        mats = su_generators(2)
         assert mats.shape == (3, 2, 2)
         np.testing.assert_array_equal(mats[0], SX)
         np.testing.assert_array_equal(mats[1], SY)
         np.testing.assert_array_equal(mats[2], SZ)
 
     def test_qutrit_trace_table_by_direct_multiplication(self):
-        mats = su_generators(3).matrices
+        mats = su_generators(3)
         assert len(mats) == 8
         for a in range(8):
             for b in range(8):
@@ -32,7 +32,7 @@ class TestGenerators:
                 assert abs(product_trace - expected) < 1e-12
 
     def test_dim5_count_traceless_hermitian(self):
-        mats = su_generators(5).matrices
+        mats = su_generators(5)
         assert len(mats) == 24
         for m in mats:
             assert abs(np.trace(m)) < 1e-14
@@ -40,7 +40,7 @@ class TestGenerators:
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_orthogonality_invariant_up_to_dim8(self, dim):
-        mats = su_generators(dim).matrices
+        mats = su_generators(dim)
         table = np.einsum("aij,bji->ab", mats, mats)
         dev = np.abs(table - 2.0 * np.eye(dim * dim - 1)).max()
         assert dev <= 1e-12
@@ -88,10 +88,6 @@ class TestBlochConversion:
         assert not m.is_psd()
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            density_from_bloch(BlochVector(2, np.zeros(3)), su_generators(3))
-        with pytest.raises(DimensionMismatchError):
-            bloch_from_density(np.eye(3) / 3, su_generators(2))
         with pytest.raises(DimensionMismatchError):
             BlochVector(3, np.zeros(3))
 
@@ -172,7 +168,7 @@ class TestAntiparallelBound:
         gens = su_generators(dim)
         for _ in range(20):
             b = bloch_from_density(random_density(rng, dim))
-            direction_op = np.einsum("m,mij->ij", b.direction, gens.matrices)
+            direction_op = np.einsum("m,mij->ij", b.direction, gens)
             x_max = np.linalg.eigvalsh(direction_op)[-1]
             s_extreme = -2.0 / (dim * x_max)
             opposite = density_from_bloch(BlochVector(dim, s_extreme * b.direction))

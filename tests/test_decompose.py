@@ -13,6 +13,7 @@ from simplex_decomp.decompose import (Decomposition, _simplex_operators,
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
                                    InadmissibleRadiusError, NotSeparableError,
                                    ParameterRangeError, SicUnavailableError)
+from simplex_decomp.sicpovm import known_fiducial, sic_from_fiducial
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
 from simplex_decomp.states import (StateKind, isotropic_density,
                                    partial_transpose, swap_operator,
@@ -119,7 +120,7 @@ class TestDecompose:
         from simplex_decomp.blochspace import su_generators
         sic = registry_sics[3]
         d = decompose("iso", 3, 0.4, 1.1, sic.bloch)
-        gens = su_generators(3).matrices
+        gens = su_generators(3)
         for i in range(9):
             dotted = np.einsum("m,mjk->jk", sic.bloch.vertices[i], gens)
             np.testing.assert_allclose(
@@ -152,6 +153,21 @@ class TestDecompose:
     def test_dimension_mismatch_rejected(self, registry_sics):
         with pytest.raises(DimensionMismatchError):
             decompose("werner", 3, 0.5, 1.0, registry_sics[2].bloch)
+
+    def test_simplex_is_checked_once_when_built(self, monkeypatch):
+        simplex_module = importlib.import_module("simplex_decomp.simplex")
+        real, checked = simplex_module.verify_simplex, []
+
+        def counting(s):
+            checked.append(s)
+            return real(s)
+        monkeypatch.setattr(simplex_module, "verify_simplex", counting)
+        sic = sic_from_fiducial(known_fiducial(3))
+        assert checked == [sic.bloch] and sic.bloch.tol == 1e-10
+        for kind in ("werner", "isotropic"):
+            for r in (0.6, 1.1):
+                certify(separable_decompose(kind, 3, 0.5, r, sic=sic))
+        assert len(checked) == 1
 
     def test_family_range_enforced(self, registry_sics):
         with pytest.raises(ParameterRangeError):
@@ -359,7 +375,7 @@ class TestContourSample:
 
 def reference_simplex_operators(simplex, dim):
     """Dense contraction over every generator: the kernel's bitwise oracle."""
-    return np.einsum("im,mjk->ijk", simplex.vertices, su_generators(dim).matrices)
+    return np.einsum("im,mjk->ijk", simplex.vertices, su_generators(dim))
 
 
 def reference_reconstruct(d):

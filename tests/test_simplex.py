@@ -43,17 +43,33 @@ class TestVerifySimplex:
         assert report.max_dot_dev <= 1e-14
 
     def test_scaled_vertex_is_flagged(self):
-        base = canonical_simplex(3)
-        vertices = base.vertices.copy()
+        vertices = canonical_simplex(3).vertices.copy()
         vertices[0] *= 1.01
-        report = verify_simplex(RegularSimplex(ambient_dim=3, vertices=vertices))
-        assert not report.ok
-        assert abs(report.max_norm_dev - 0.01) < 1e-12
+        with pytest.raises(SimplexStructureError,
+                           match=r"at tol 1\.0e-10 \(norm dev 1\.000e-02, dot dev "):
+            RegularSimplex(ambient_dim=3, vertices=vertices)
 
     def test_wrong_vertex_count_is_structural_error(self):
-        s = RegularSimplex(ambient_dim=3, vertices=canonical_simplex(3).vertices[:3])
+        with pytest.raises(SimplexStructureError, match="needs 4 vertices, got 3"):
+            RegularSimplex(ambient_dim=3, vertices=canonical_simplex(3).vertices[:3])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_is_refused(self, bad):
+        vertices = canonical_simplex(3).vertices.copy()
+        vertices[1, 2] = bad
+        with pytest.raises(SimplexStructureError, match="not a regular simplex"):
+            RegularSimplex(ambient_dim=3, vertices=vertices)
+
+    def test_checked_at_its_own_tol(self):
+        rng = np.random.default_rng(5)
+        q = ortho_group.rvs(8, random_state=rng)
+        rotated = canonical_simplex(8).vertices @ q.T
+        report = verify_simplex(RegularSimplex(ambient_dim=8, vertices=rotated))
+        worst = max(report.max_norm_dev, report.max_dot_dev)
+        assert 0.0 < worst <= 1e-10
         with pytest.raises(SimplexStructureError):
-            verify_simplex(s)
+            RegularSimplex(ambient_dim=8, vertices=rotated, tol=worst / 2)
 
     def test_wrong_vector_length_rejected_at_construction(self):
         with pytest.raises(SimplexStructureError):
@@ -112,24 +128,24 @@ class TestGramIdentities:
 
 class TestOrthogonalExtension:
     def test_dimension_one_matrix(self):
-        o = orthogonal_extension(canonical_simplex(1)).matrix
+        o = orthogonal_extension(canonical_simplex(1))
         expected = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
         np.testing.assert_allclose(o, expected, atol=1e-15)
 
     def test_tetrahedron_by_direct_multiplication(self):
-        o = orthogonal_extension(canonical_simplex(3)).matrix
+        o = orthogonal_extension(canonical_simplex(3))
         assert o.shape == (4, 4)
         assert np.abs(o @ o.T - np.eye(4)).max() <= 1e-14
         assert np.abs(o.T @ o - np.eye(4)).max() <= 1e-14
 
     def test_dimension_eight(self):
-        o = orthogonal_extension(canonical_simplex(8)).matrix
+        o = orthogonal_extension(canonical_simplex(8))
         assert o.shape == (9, 9)
         assert np.abs(o @ o.T - np.eye(9)).max() <= 1e-10
 
     def test_scaling_rows(self):
         s = canonical_simplex(8)
-        o = orthogonal_extension(s).matrix
+        o = orthogonal_extension(s)
         scale = np.sqrt(8.0 / 9.0)
         np.testing.assert_allclose(o[:8, :], scale * s.vertices.T, atol=1e-15)
         np.testing.assert_allclose(o[8, :], scale / np.sqrt(8.0), atol=1e-15)
@@ -146,5 +162,5 @@ class TestOrthogonalExtension:
         for _ in range(3):
             q = ortho_group.rvs(m, random_state=rng)
             rotated = RegularSimplex(ambient_dim=m, vertices=base.vertices @ q.T)
-            o = orthogonal_extension(rotated).matrix
+            o = orthogonal_extension(rotated)
             assert np.abs(o @ o.T - np.eye(m + 1)).max() <= 1e-10

@@ -37,7 +37,7 @@ class TestSwapOperator:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_generator_pair_identity(self, dim):
         """V = (1/2) sum_mu L_mu (x) L_mu + id/N by direct summation."""
-        mats = su_generators(dim).matrices
+        mats = su_generators(dim)
         total = sum(np.kron(m, m) for m in mats) / 2.0
         total += np.eye(dim * dim) / dim
         assert np.abs(swap_operator(dim) - total).max() <= 1e-12
