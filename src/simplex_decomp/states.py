@@ -176,9 +176,9 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
 def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
     """Complete, mutually consistent parameter set from any single name.
 
-    All pairwise conversions round-trip to 1e-12.  Raises
-    :class:`ParameterRangeError` when the input value leaves its legal
-    interval.
+    All pairwise conversions round-trip to 1e-12, and a given tau is kept
+    as given.  Raises :class:`ParameterRangeError` when the input value
+    leaves its legal interval.
     """
     kind = StateKind.parse(kind)
     n = dim
@@ -200,7 +200,7 @@ def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
         return ParamSet(kind=kind, dim=n, phi=phi,
                         alpha=(n * phi - 1.0) / (n - phi),
                         beta=(1.0 - n * phi) / (n + 1.0),
-                        tau=2.0 * (n * phi - 1.0) / n)
+                        tau=value if name == "tau" else 2.0 * (n * phi - 1.0) / n)
     if name not in _ISO_RANGES:
         raise ParameterRangeError(f"unknown isotropic parameter {name!r}")
     _check_range(name, value, *_ISO_RANGES[name](n))
@@ -208,7 +208,8 @@ def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
         eta = value
     else:
         eta = n * value / (2.0 * (n * n - 1.0))
-    return ParamSet(kind=kind, dim=n, eta=eta, tau=2.0 * eta * (n * n - 1.0) / n)
+    return ParamSet(kind=kind, dim=n, eta=eta,
+                    tau=value if name == "tau" else 2.0 * eta * (n * n - 1.0) / n)
 
 
 def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = None,

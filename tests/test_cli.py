@@ -248,6 +248,12 @@ class TestDecompose:
         assert out == ""
         assert "certificate failed" in err
 
+    def test_given_tau_is_echoed_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "werner", "3", "--tau", "0.1",
+                               "--r", "1")
+        assert code == 0
+        assert json.loads(out)["tau"] == 0.1
+
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "decompose", "werner", "3",
                              "--tau", "0.5", "--count", "3")

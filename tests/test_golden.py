@@ -23,7 +23,7 @@ GOLDEN = {
     ("decompose", "werner", "2", "--tau", "1", "--r", "1"):
         "d2813555ea23f5d9edaf108de934cd7abf05a37eab3673b5bc5c8c0ce0405eaf",
     ("decompose", "iso", "3", "--tau", "0.7", "--count", "4"):
-        "9d697c22d87b6862c6b0418a0ee1c70d8767afeadc689e04d44c6947a029d577",
+        "4ff0cb16c15e407fb3b8b190312fbb72caec3774ce0c1a8b82aa01eb4771a21e",
     ("decompose", "werner", "3", "--tau", "-0.5", "--count", "3"):
         "ac7dd2a773c98863fffe35ed8aba66997b29d8610d0d088b6233daa86bc774d8",
     ("sic", "3", "--verify"):
@@ -36,7 +36,7 @@ GOLDEN = {
         "345fa5027b2982b628039f74d34f2a24edb6a0bb3e270288512ce330597d0cf2",
     ("decompose", "werner", "12", "--tau", "0.1", "--count", "4",
      "--fiducial-cache", "fid12.json"):
-        "eafb652ab5f50fadd04a383fcc500b4f0a5554347bd4640798b701c20f3aa2b5",
+        "5ad741abdd6f8abfddec23a789cdc5962d2f6ee59e55be4742b3ed7cade65dce",
     ("classify", "werner", "5", "--tau", "0.3"):
         "55198593f6935e58075ce827d8ad1244fbe89a559897144404b2c47575d39393",
     ("regions", "--family", "both", "--n-list", "2,3,...,40"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from simplex_decomp.blochspace import min_eigenvalue, su_generators
@@ -191,6 +193,14 @@ class TestConvertParams:
             q = convert_params("iso", dim, "tau", p.tau)
             assert abs(q.eta - eta) <= 1e-12
             assert abs(q.tau - p.tau) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["werner", "isotropic"]),
+           n=st.integers(2, 40))
+    def test_given_tau_is_kept_as_given(self, data, kind, n):
+        lo, hi = (werner_tau_range if kind == "werner" else iso_tau_range)(n)
+        tau = data.draw(st.floats(lo, hi), label="tau")
+        assert convert_params(kind, n, "tau", tau).tau == tau
 
     def test_unknown_parameter_name(self):
         with pytest.raises(ParameterRangeError):
