@@ -51,6 +51,11 @@ _EXIT_CODES = (
 )
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not 0.0 < tol < float("inf"):  # NaN fails too
+        raise ParameterRangeError(f"--tol must be positive and finite, got {tol}")
+
+
 def _resolve_cache(flag_value: str | None) -> str | None:
     return os.environ.get(ENV_CACHE) or flag_value
 
@@ -114,8 +119,13 @@ def _given_param(args, kind: StateKind) -> tuple[str, float]:
 
 
 def cmd_sic(args) -> int:
+    _check_tol(args.tol)
     cache_path = _resolve_cache(args.cache)
     if args.find:
+        if args.seed < 0:
+            raise ParameterRangeError(f"--seed must be >= 0, got {args.seed}")
+        if args.max_iters < 1:
+            raise ParameterRangeError(f"--max-iters must be >= 1, got {args.max_iters}")
         residual_tol = {} if args.tol is None else {"tol": args.tol}
         result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters,
                                **residual_tol)
@@ -151,6 +161,7 @@ def cmd_sic(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    _check_tol(args.tol)
     kind = StateKind.parse(args.kind)
     name, value = _given_param(args, kind)
     params = convert_params(kind, args.N, name, value)
@@ -198,6 +209,13 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _dimension(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParameterRangeError(f"{token!r} is not an integer dimension") from None
+
+
 def parse_n_list(text: str) -> list[int]:
     """Comma-separated dimensions with range sugar: '2,3,...,100' or '2-100'."""
     tokens = [t.strip() for t in text.split(",") if t.strip()]
@@ -211,12 +229,12 @@ def parse_n_list(text: str) -> list[int]:
             continue
         if "-" in tok and not tok.lstrip().startswith("-"):
             lo_s, hi_s = tok.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _dimension(lo_s), _dimension(hi_s)
             if hi < lo:
                 raise ParameterRangeError(f"bad range {tok!r}")
             chunk = list(range(lo, hi + 1))
         else:
-            chunk = [int(tok)]
+            chunk = [_dimension(tok)]
         if ellipsis_pending:
             step = values[-1] - values[-2] if len(values) >= 2 else 1
             if step < 1:
@@ -252,6 +270,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    _check_tol(args.tol)
     return selftest_mod.run_selftest(
         n_max=args.n_max, tol=args.tol,
         fiducial_cache=_resolve_cache(args.fiducial_cache), writer=sys.stdout)

@@ -236,7 +236,7 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
     res = least_squares(fun, x0, jac=jac, method="trf",
                         xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
     residual = max(float(np.sum(res.fun ** 2)), 0.0)
-    if residual > tol:
+    if not residual <= tol:  # a NaN tolerance accepts nothing
         return FiducialSearchFailure(dim=n, seed=seed, iterations=int(res.nfev),
                                      best_residual=residual)
     z = res.x[:n] + 1j * res.x[n:]

@@ -1,14 +1,19 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplex_decomp.cli import main, parse_n_list
+from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
 from simplex_decomp.errors import ParameterRangeError
 from simplex_decomp.states import harmonic_number
 
@@ -361,6 +366,97 @@ class TestSelftest:
         assert code == 1
         assert "[FAIL] sic-overlap" in out
         assert "first failing invariant: sic-overlap" in out
+
+
+class TestBadInput:
+    """Malformed values of well-typed flags exit 5 without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("regions", "--n-list", "abc"),
+        ("regions", "--n-list", "3-x"),
+        ("sic", "3", "--find", "--max-iters", "0"),
+        ("sic", "2", "--find", "--seed", "-1"),
+        ("sic", "3", "--verify", "--tol", "nan"),
+        ("sic", "5", "--find", "--seed", "0", "--max-iters", "1", "--tol", "nan"),
+        ("sic", "5", "--find", "--seed", "0", "--max-iters", "1", "--tol", "inf"),
+        ("sic", "2", "--find", "--tol", "0"),
+        ("decompose", "werner", "3", "--tau", "0.1", "--tol", "nan"),
+        ("decompose", "werner", "3", "--tau", "0.1", "--tol=-1e-9"),
+        ("selftest", "--tol", "inf"),
+        ("selftest", "--tol", "-1"),
+    ], ids=" ".join)
+    def test_exits_5_without_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert "Traceback" not in err and err.strip()
+
+    def test_nan_tolerance_writes_no_cache(self, capsys, tmp_path):
+        cache = tmp_path / "fid5.json"
+        code, _, _ = run_cli(capsys, "sic", "5", "--find", "--max-iters", "1",
+                             "--tol", "nan", "--cache", str(cache))
+        assert code == 5
+        assert not cache.exists()
+
+
+FID4 = str(DATA / "fid4.json")
+PARAMS = ("tau", "phi", "alpha", "beta", "eta")
+
+
+def _flag(name, value):
+    # "--name=value" keeps argparse from reading "-inf" or "-1e-05" as a flag.
+    return f"--{name}={value!r}"
+
+
+@st.composite
+def cli_argv(draw):
+    """Well-typed argv for classify, decompose, sic and regions.
+
+    Costs stay small: N <= 4 (N = 4 reads fid4.json), at most 4 samples,
+    50 search iterations and dimensions up to 60 in --n-list.
+    """
+    floats = st.floats()  # NaN, +-inf, subnormals and +-max included
+    command = draw(st.sampled_from(["classify", "decompose", "sic", "regions"]))
+    if command == "regions":
+        token = st.one_of(
+            st.integers(-3, 60).map(str),
+            st.tuples(st.integers(-3, 60), st.integers(-3, 60)).map("%d-%d".__mod__),
+            st.sampled_from(["...", "..", "abc", "3-x", "", "2.5"]))
+        n_list = ",".join(draw(st.lists(token, max_size=6)))
+        family = draw(st.sampled_from(["both", "werner", "iso", "isotropic"]))
+        return ["regions", f"--family={family}", f"--n-list={n_list}"]
+    n = str(draw(st.integers(-1, 4)))
+    if command == "sic":
+        if draw(st.booleans()):
+            argv = ["sic", n, "--verify", f"--cache={FID4}"]
+        else:
+            argv = ["sic", n, "--find", f"--seed={draw(st.integers(-2, 2**40))}",
+                    f"--max-iters={draw(st.integers(-1, 50))}"]
+    else:
+        kind = draw(st.sampled_from(["werner", "iso", "isotropic"]))
+        argv = [command, kind, n, _flag(draw(st.sampled_from(PARAMS)), draw(floats))]
+        if command == "classify":
+            return argv
+        if draw(st.booleans()):
+            argv.append(_flag("r", draw(floats)))
+        else:
+            argv.append(f"--count={draw(st.integers(-1, 4))}")
+        argv.append(f"--fiducial-cache={FID4}")
+    if draw(st.booleans()):
+        argv.append(_flag("tol", draw(floats)))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argv())
+def test_every_invocation_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(ENV_CACHE, None)
+        code = main(argv)
+    assert code in range(6), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestInstalledEntryPoint:

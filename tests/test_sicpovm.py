@@ -160,6 +160,11 @@ class TestFindFiducial:
         assert result.best_residual > 0
         assert result.iterations >= 1
 
+    def test_nan_tolerance_accepts_nothing(self):
+        # Seed 5 converges at N = 3 (see the next test).
+        result = find_fiducial(3, seed=5, tol=float("nan"))
+        assert isinstance(result, FiducialSearchFailure)
+
     def test_deterministic_per_seed(self):
         a = find_fiducial(3, seed=5)
         b = find_fiducial(3, seed=5)
