@@ -93,9 +93,11 @@ def verify_simplex(s: RegularSimplex) -> SimplexReport:
             f"regular simplex in R^{m} needs {m + 1} vertices, got {s.n_vertices}")
     norms = np.linalg.norm(s.vertices, axis=1)
     max_norm_dev = float(np.abs(norms - 1.0).max())
+    # In place: each SIC's Bloch simplex, N^2 vertices, is checked when built.
     dots = s.vertices @ s.vertices.T
-    off = ~np.eye(m + 1, dtype=bool)
-    max_dot_dev = float(np.abs(dots[off] + 1.0 / m).max())
+    dots += 1.0 / m
+    np.fill_diagonal(dots, 0.0)  # the norms, checked above
+    max_dot_dev = float(np.abs(dots, out=dots).max())
     ok = max_norm_dev <= s.tol and max_dot_dev <= s.tol
     return SimplexReport(max_norm_dev=max_norm_dev, max_dot_dev=max_dot_dev, ok=ok)
 
