@@ -16,14 +16,14 @@ from .decompose import (Decomposition, VerificationReport,
 from .sicpovm import (Fiducial, FiducialSearchFailure, Provenance, SicPovm,
                       find_fiducial, frame_potential, frame_potential_minimum,
                       known_fiducial, obtain_sic, sic_from_fiducial,
-                      solvable_dimensions, wh_displacements)
+                      wh_displacements)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
                       orthogonal_extension, verify_simplex)
 from .states import (NonlocalityClass, ParamSet, RegionRow, StateClass,
                      StateKind, classify, classify_isotropic, classify_werner,
                      convert_params, harmonic_number, isotropic_density,
                      max_entangled_projector, partial_transpose, region_table,
-                     swap_operator, werner_density)
+                     separable_interval, swap_operator, werner_density)
 
 __version__ = "0.1.0"
 
@@ -35,13 +35,12 @@ __all__ = [
     "verify_simplex", "gram_identities", "orthogonal_extension",
     "Fiducial", "FiducialSearchFailure", "Provenance", "SicPovm",
     "wh_displacements", "sic_from_fiducial", "frame_potential",
-    "frame_potential_minimum", "find_fiducial", "known_fiducial",
-    "obtain_sic", "solvable_dimensions",
+    "frame_potential_minimum", "find_fiducial", "known_fiducial", "obtain_sic",
     "StateKind", "StateClass", "NonlocalityClass", "ParamSet", "RegionRow",
     "swap_operator", "max_entangled_projector", "werner_density",
     "isotropic_density", "convert_params", "classify", "classify_werner",
     "classify_isotropic", "partial_transpose", "region_table",
-    "harmonic_number",
+    "separable_interval", "harmonic_number",
     "Decomposition", "VerificationReport", "decompose", "reconstruct",
     "admissible_r_interval", "separable_decompose", "verify_decomposition",
     "contour_sample",

@@ -24,7 +24,11 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """Read-only array of ``a``: kept when it is already a read-only array
+    owning its data, which nothing else can write to, else a frozen copy."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata:
+        return a
     a = np.array(a)
     a.setflags(write=False)
     return a
@@ -62,25 +66,23 @@ class BlochVector:
 class DensityMatrix:
     """Trace-one Hermitian matrix with tolerance-tagged positivity status.
 
-    Construction enforces Hermiticity and unit trace within ``herm_tol``;
+    Construction enforces Hermiticity and unit trace within ``HERM_TOL``;
     positive semidefiniteness is *not* enforced (several operations in this
     package deliberately produce indefinite trace-one matrices) and is
     queried through :meth:`is_psd`.
     """
 
     entries: np.ndarray
-    herm_tol: float = HERM_TOL
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         dev = np.abs(m - m.conj().T).max()
-        if dev > self.herm_tol:
+        if dev > HERM_TOL:
             raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > self.herm_tol:
+        if abs(tr - 1.0) > HERM_TOL:
             raise HermiticityError(f"matrix trace {tr} is not 1")
         object.__setattr__(self, "entries", _readonly(m))
 
@@ -93,7 +95,7 @@ class DensityMatrix:
         return min_eigenvalue(self)
 
     def is_psd(self) -> bool:
-        return self.min_eigenvalue >= -self.psd_tol
+        return self.min_eigenvalue >= -PSD_TOL
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -138,9 +140,8 @@ def bloch_from_density(rho) -> BlochVector:
     m = _as_matrix(rho)
     n = m.shape[0]
     coords = np.einsum("ij,mji->m", m, su_generators(n))
-    tol = rho.herm_tol if isinstance(rho, DensityMatrix) else HERM_TOL
     imag = np.abs(coords.imag).max()
-    if imag > tol:
+    if imag > HERM_TOL:
         raise HermiticityError(f"Bloch coordinates have imaginary part {imag:.3e}")
     return BlochVector(dimension=n, coords=coords.real)
 
@@ -158,16 +159,15 @@ def density_from_bloch(b: BlochVector) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def min_eigenvalue(m, herm_tol: float = HERM_TOL) -> float:
+def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of the symmetrized matrix (m + m^dag)/2.
 
     Raises :class:`HermiticityError` when the input deviates from Hermitian
     beyond tolerance; the symmetrization only guards round-off.
     """
     a = _as_matrix(m)
-    tol = m.herm_tol if isinstance(m, DensityMatrix) else herm_tol
     dev = np.abs(a - a.conj().T).max()
-    if dev > tol:
+    if dev > HERM_TOL:
         raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
 

@@ -25,7 +25,7 @@ from .errors import (CertificateError, DimensionMismatchError,
                      FiducialCacheError, FiducialSearchError,
                      InadmissibleRadiusError, NotAFiducialError,
                      NotSeparableError, ParameterRangeError,
-                     SicUnavailableError, SimplexStructureError)
+                     SimplexStructureError)
 from .sicpovm import (TOLERANCES, FiducialSearchFailure, find_fiducial,
                       known_fiducial, max_overlap_deviation, obtain_sic,
                       save_fiducial_cache)
@@ -45,8 +45,8 @@ _EXIT_CODES = (
     ((NotSeparableError,), EXIT_NOT_SEPARABLE),
     ((CertificateError,), EXIT_SELFTEST),
     ((NotAFiducialError, FiducialSearchError, FiducialCacheError), EXIT_SEARCH),
-    ((ParameterRangeError, DimensionMismatchError, SimplexStructureError,
-      SicUnavailableError), EXIT_BAD_PARAMETER),
+    ((ParameterRangeError, DimensionMismatchError, SimplexStructureError),
+     EXIT_BAD_PARAMETER),
     ((OSError,), EXIT_IO),
 )
 

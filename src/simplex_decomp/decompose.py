@@ -28,11 +28,11 @@ from .blochspace import (PSD_TOL, DensityMatrix, _readonly, psd_radius_bounds,
                          su_generators)
 from .errors import (CertificateError, DimensionMismatchError,
                      InadmissibleRadiusError, NotSeparableError,
-                     ParameterRangeError, SicUnavailableError)
-from .sicpovm import SicPovm, known_fiducial, sic_from_fiducial
-from .simplex import DEFAULT_TOL, RegularSimplex
+                     ParameterRangeError)
+from .sicpovm import SicPovm
+from .simplex import RegularSimplex
 from .states import (RANGE_ATOL, StateKind, classify, convert_params,
-                     isotropic_density, werner_density)
+                     isotropic_density, separable_interval, werner_density)
 
 # Slack for radius membership at interval endpoints; a radius admitted this
 # far outside still yields factor eigenvalues within the PSD tolerance.
@@ -44,7 +44,8 @@ class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
 
     ``factors_r`` and ``factors_s`` stack the N^2 left and right factors;
-    the mixture weight of every pair is 1/N^2.
+    the mixture weight of every pair is 1/N^2.  A stack is kept when it is
+    read-only and owns its data, and copied otherwise.
     """
 
     kind: StateKind
@@ -149,9 +150,13 @@ def decompose(kind, dim: int, tau: float, r: float,
     else:
         s = tau / r
     ops = _simplex_operators(simplex, dim)
-    eye = np.eye(dim, dtype=complex)
-    factors_r = eye / dim + (r / 2.0) * ops
-    factors_s = eye / dim + (s / 2.0) * ops
+    mixed = np.eye(dim, dtype=complex) / dim
+    factors_r = mixed + (r / 2.0) * ops
+    # The operator stack becomes the right factors in place: the same
+    # operations, in the same operand order, as mixed + (s / 2.0) * ops.
+    factors_s = np.add(mixed, np.multiply(s / 2.0, ops, out=ops), out=ops)
+    factors_r.setflags(write=False)
+    factors_s.setflags(write=False)
     return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex,
                          factors_r=factors_r, factors_s=factors_s)
 
@@ -179,24 +184,6 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     return DensityMatrix(term)
 
 
-def _separable_range(dim: int) -> tuple[float, float]:
-    return (-2.0 / dim, 2.0 * (dim - 1.0) / dim)
-
-
-def _refuse_not_separable(dim: int, tau: float):
-    # Below the interval only Werner states exist, above it only isotropic.
-    lo, hi = _separable_range(dim)
-    werner = tau < lo
-    try:
-        cls = classify(StateKind.WERNER if werner else StateKind.ISOTROPIC, dim, tau)
-        hint = f"; as {'a Werner' if werner else 'an isotropic'} state it is {cls.name}"
-    except ParameterRangeError:
-        cls, hint = None, ""
-    raise NotSeparableError(
-        f"tau = {tau} is outside the separable interval [{lo}, {hi}]{hint}",
-        classification=cls)
-
-
 def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
     """Closed intervals of r with both r and s = tau/r in the PSD interval.
 
@@ -204,10 +191,19 @@ def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
     tau = 0 the whole PSD interval is admissible.  Degenerate branches
     collapse to single points at the separable-interval endpoints.
     """
-    lo, hi = _separable_range(dim)
+    lo, hi = separable_interval(dim)
     tau = float(tau)
     if not (lo - RANGE_ATOL <= tau <= hi + RANGE_ATOL):
-        _refuse_not_separable(dim, tau)
+        # Below the interval only Werner states exist, above it only isotropic.
+        werner = tau < lo
+        try:
+            cls = classify(StateKind.WERNER if werner else StateKind.ISOTROPIC, dim, tau)
+            hint = f"; as {'a Werner' if werner else 'an isotropic'} state it is {cls.name}"
+        except ParameterRangeError:
+            cls, hint = None, ""
+        raise NotSeparableError(
+            f"tau = {tau} is outside the separable interval [{lo}, {hi}]{hint}",
+            classification=cls)
     neg_min, r_max = psd_radius_bounds(dim)
     if tau == 0.0:
         return [(neg_min, r_max)]
@@ -241,35 +237,21 @@ def _nearest_admissible(r: float, intervals) -> float:
     return best
 
 
-def _contains(r: float, intervals, atol: float = ADMISSIBLE_ATOL) -> bool:
-    return any(a - atol <= r <= b + atol for a, b in intervals)
-
-
-def _auto_sic(dim: int) -> SicPovm:
-    fid = known_fiducial(dim)
-    if fid is None:
-        raise SicUnavailableError(
-            f"no SIC-POVM registered for N = {dim}; run find_fiducial "
-            f"(or pass a cached fiducial) and supply the result")
-    return sic_from_fiducial(fid)
-
-
 def separable_decompose(kind, dim: int, tau: float, r: float,
-                        sic: SicPovm | None = None) -> Decomposition:
+                        sic: SicPovm) -> Decomposition:
     """Explicit separable decomposition over a SIC Bloch simplex.
 
     Requires tau in the separable interval and r in the admissible set, so
-    every factor is positive semidefinite by construction.  With ``sic``
-    omitted, the exact registry (N = 2, 3) is used.  +-inf is inadmissible
+    every factor is positive semidefinite by construction.  The SIC comes
+    from :func:`~simplex_decomp.sicpovm.obtain_sic`.  +-inf is inadmissible
     with the nearest endpoint; :func:`decompose` refuses a NaN radius.
     """
     kind = StateKind.parse(kind)
-    if sic is None:
-        sic = _auto_sic(dim)
     if sic.dim != dim:
         raise DimensionMismatchError(f"SIC dimension {sic.dim} != requested {dim}")
     intervals = admissible_r_interval(dim, tau)
-    if not (math.isnan(r) or _contains(r, intervals)):
+    inside = any(a - ADMISSIBLE_ATOL <= r <= b + ADMISSIBLE_ATOL for a, b in intervals)
+    if not (math.isnan(r) or inside):
         nearest = _nearest_admissible(r, intervals)
         raise InadmissibleRadiusError(
             f"r = {r} leaves the admissible set {intervals} for tau = {tau}; "
@@ -278,15 +260,19 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
     return decompose(kind, dim, tau, r, sic.bloch)
 
 
-def verify_decomposition(d: Decomposition, target_tol: float = DEFAULT_TOL
+def verify_decomposition(d: Decomposition, target_tol: float | None = None
                          ) -> VerificationReport:
     """Compare the Kronecker reconstruction with the closed-form state.
 
     The closed form is built through the swap-operator (Werner) or
     maximally-entangled-projector (isotropic) formula, a code path disjoint
     from the Bloch sums used here, so agreement is a genuine two-route
-    check.  The separable certificate also demands every factor be PSD.
+    check.  The separable certificate also demands PSD factors and an error
+    of at most ``target_tol``, by default the simplex's ``tol`` (over a SIC,
+    the certificate tolerance of its provenance).
     """
+    if target_tol is None:
+        target_tol = d.simplex.tol
     params = convert_params(d.kind, d.dim, "tau", d.tau)
     if d.kind is StateKind.WERNER:
         closed = werner_density(d.dim, phi=params.phi)
@@ -308,11 +294,9 @@ def verify_decomposition(d: Decomposition, target_tol: float = DEFAULT_TOL
 def certify(d: Decomposition, target_tol: float | None = None) -> VerificationReport:
     """Verify ``d`` once; raise :class:`CertificateError` unless certified.
 
-    ``target_tol`` defaults to the tolerance of the decomposition's simplex;
-    over a SIC that is the certificate tolerance of its provenance.
+    ``target_tol`` is passed to :func:`verify_decomposition` as given.
     """
-    report = verify_decomposition(
-        d, target_tol=d.simplex.tol if target_tol is None else target_tol)
+    report = verify_decomposition(d, target_tol=target_tol)
     if not report.separable_certificate:
         raise CertificateError(f"certificate failed at r = {d.r}: {report}",
                                report=report)
@@ -351,15 +335,12 @@ def contour_radii(dim: int, tau: float, k: int) -> list[float]:
     return radii
 
 
-def contour_sample(kind, dim: int, tau: float, k: int,
-                   sic: SicPovm | None = None,
+def contour_sample(kind, dim: int, tau: float, k: int, sic: SicPovm,
                    target_tol: float | None = None) -> list[Decomposition]:
     """k decompositions at :func:`contour_radii`, each passed through
     :func:`certify`."""
     kind = StateKind.parse(kind)
     radii = contour_radii(dim, tau, k)
-    if sic is None:
-        sic = _auto_sic(dim)
     out = [decompose(kind, dim, tau, r, sic.bloch) for r in radii]
     for d in out:
         certify(d, target_tol)

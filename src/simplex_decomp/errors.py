@@ -58,10 +58,6 @@ class InadmissibleRadiusError(ParameterRangeError):
         self.intervals = intervals
 
 
-class SicUnavailableError(LookupError):
-    """No SIC-POVM is known for this dimension; run a fiducial search."""
-
-
 class FiducialSearchError(LookupError):
     """Every seed of a multi-start fiducial search failed."""
 

@@ -6,7 +6,6 @@ prints a PASS/FAIL line; the exit status names the first failing check.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +20,7 @@ from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
                       orthogonal_extension)
 from .states import (StateKind, _tau_range, classify_isotropic, classify_werner,
                      convert_params, isotropic_density, partial_transpose,
-                     region_table, werner_density)
+                     region_table, separable_interval, werner_density)
 
 
 def _random_psd(rng, n):
@@ -208,7 +207,7 @@ def check_reconstruction_fidelity(ctx):
     worst = {policy.certificate: 0.0 for policy in TOLERANCES.values()}
     for n, sic in sics.items():
         for kind in (StateKind.WERNER, StateKind.ISOTROPIC):
-            for tau in np.linspace(-2.0 / n, 2.0 * (n - 1) / n, 7):
+            for tau in np.linspace(*separable_interval(n), 7):
                 intervals = admissible_r_interval(n, tau)
                 lo, hi = intervals[-1]
                 for r in np.linspace(lo, hi, 3):
@@ -257,7 +256,8 @@ def check_pt_duality(ctx):
     sics = _sics(ctx)
     worst = 0.0
     for n, sic in sics.items():
-        for tau in (-2.0 / n, 0.3, 2.0 * (n - 1) / n):
+        lo, hi = separable_interval(n)
+        for tau in (lo, 0.3, hi):
             r = admissible_r_interval(n, tau)[-1][1]
             w = reconstruct(decompose(StateKind.WERNER, n, tau, r, sic.bloch))
             i = reconstruct(decompose(StateKind.ISOTROPIC, n, tau, r, sic.bloch))
@@ -299,11 +299,8 @@ CHECKS = [
 ]
 
 
-def run_selftest(n_max: int = 3, tol: float = 1e-9,
-                 fiducial_cache: str | None = None, writer=None) -> int:
-    """Run every check; print one PASS/FAIL line each; 0 iff all pass."""
-    if writer is None:
-        writer = sys.stdout
+def run_selftest(n_max: int, tol: float, fiducial_cache: str | None, writer) -> int:
+    """Run every check; write one PASS/FAIL line each to ``writer``; 0 iff all pass."""
     ctx = {"n_max": max(2, n_max), "tol": tol, "fiducial_cache": fiducial_cache,
            "sic": lru_cache(maxsize=None)(obtain_sic),
            "probe_prov": Provenance(kind=OPTIMIZED)}

@@ -149,31 +149,30 @@ def max_overlap_deviation(f: Fiducial) -> float:
     return float(np.abs(overlaps - target).max())
 
 
-def sic_from_fiducial(f: Fiducial, tol: float | None = None) -> SicPovm:
+def sic_from_fiducial(f: Fiducial) -> SicPovm:
     """Displacement orbit of a fiducial, checked for equiangularity.
 
-    ``tol`` bounds the allowed deviation of every squared overlap from
-    (N delta_ij + 1)/(N + 1); it defaults to the overlap tolerance of the
-    fiducial's provenance in :data:`TOLERANCES`.  The returned Bloch
-    simplex holds the unit Bloch directions of the N^2 projectors and
+    Every squared overlap may deviate from (N delta_ij + 1)/(N + 1) by at
+    most the overlap tolerance of the fiducial's provenance in
+    :data:`TOLERANCES`, which the result keeps as ``tol``.  The returned
+    Bloch simplex holds the unit Bloch directions of the N^2 projectors and
     carries the certificate tolerance of that provenance.
     """
     n = f.dim
     policy = TOLERANCES[f.provenance.kind]
-    if tol is None:
-        tol = policy.overlap
     max_dev = max_overlap_deviation(f)
-    if max_dev > tol:
+    if max_dev > policy.overlap:
         raise NotAFiducialError(
             f"displacement orbit is not equiangular: worst squared-overlap "
-            f"deviation {max_dev:.3e} exceeds {tol:.1e}", max_deviation=max_dev)
+            f"deviation {max_dev:.3e} exceeds {policy.overlap:.1e}",
+            max_deviation=max_dev)
     states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
     projectors = np.einsum("di,dj->dij", states, states.conj())
     coords = np.einsum("dij,mji->dm", projectors, su_generators(n)).real
     directions = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     bloch = RegularSimplex(ambient_dim=n * n - 1, vertices=directions,
                            tol=policy.certificate)
-    return SicPovm(dim=n, states=states, bloch=bloch, tol=tol)
+    return SicPovm(dim=n, states=states, bloch=bloch, tol=policy.overlap)
 
 
 def _overlap_residuals(dimension: int):
@@ -333,9 +332,3 @@ def save_fiducial_cache(path: str | os.PathLike, f: Fiducial) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-
-
-def solvable_dimensions() -> list[int]:
-    """Dimensions with known definite SIC solutions (exact or numerical)."""
-    return list(range(2, 25)) + [28, 30, 31, 35, 37, 39, 43, 48, 124,
-                                 143, 147, 168, 172, 195, 199, 228, 259, 323]

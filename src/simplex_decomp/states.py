@@ -148,9 +148,10 @@ def _generator_pair_sum(dim: int, transpose_second: bool) -> np.ndarray:
 
 def _tau_range(kind: StateKind, dim: int) -> tuple[float, float]:
     n = dim
+    lo, hi = separable_interval(n)
     if kind is StateKind.WERNER:
-        return (-2.0 * (n + 1) / n, 2.0 * (n - 1) / n)
-    return (-2.0 / n, 2.0 * (n * n - 1) / n)
+        return (-2.0 * (n + 1) / n, hi)
+    return (lo, 2.0 * (n * n - 1) / n)
 
 
 _WERNER_RANGES = {
@@ -261,22 +262,31 @@ def isotropic_density(dim: int, *, eta: float | None = None,
     return DensityMatrix(m)
 
 
+def separable_interval(dim: int) -> tuple[float, float]:
+    """Closed tau interval [-2/N, 2(N-1)/N] of the separable states of both families."""
+    if dim < 2:
+        raise DimensionMismatchError(f"dimension must be >= 2, got {dim}")
+    return (-2.0 / dim, 2.0 * (dim - 1) / dim)
+
+
 def _werner_boundaries(n: int) -> dict:
+    lo, hi = separable_interval(n)
     return {
         "tau_min": -2.0 * (n + 1) / n,
         "tau_steer": -2.0 * (n * n - 1.0) / n**2,
-        "tau_sep_lo": -2.0 / n,
-        "tau_sep_hi": 2.0 * (n - 1) / n,
-        "tau_max": 2.0 * (n - 1) / n,
+        "tau_sep_lo": lo,
+        "tau_sep_hi": hi,
+        "tau_max": hi,
     }
 
 
 def _isotropic_boundaries(n: int) -> dict:
+    lo, hi = separable_interval(n)
     h = harmonic_number(n)
     return {
-        "tau_min": -2.0 / n,
-        "tau_sep_lo": -2.0 / n,
-        "tau_sep_hi": 2.0 * (n - 1) / n,
+        "tau_min": lo,
+        "tau_sep_lo": lo,
+        "tau_sep_hi": hi,
         "tau_steer": 2.0 * (h - 1.0) * (n + 1) / n,
         "tau_max": 2.0 * (n * n - 1.0) / n,
         "harmonic_number": h,
@@ -325,11 +335,11 @@ def classify(kind, dim: int, tau: float) -> NonlocalityClass:
     return classify_isotropic(dim, tau)
 
 
-def partial_transpose(m, subsystem: str = "second") -> np.ndarray:
-    """Transpose one tensor factor of an N^2 x N^2 matrix.
+def partial_transpose(m) -> np.ndarray:
+    """Transpose the second tensor factor of an N^2 x N^2 matrix.
 
     A linear involution; on product operators it acts as
-    PT_2(A (x) B) = A (x) B^T (and symmetrically for the first factor).
+    PT_2(A (x) B) = A (x) B^T.
     """
     a = np.asarray(m.entries if isinstance(m, DensityMatrix) else m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -338,14 +348,7 @@ def partial_transpose(m, subsystem: str = "second") -> np.ndarray:
     if n * n != a.shape[0]:
         raise DimensionMismatchError(
             f"matrix side {a.shape[0]} is not a perfect square")
-    t = a.reshape(n, n, n, n)
-    if subsystem == "second":
-        t = t.transpose(0, 3, 2, 1)
-    elif subsystem == "first":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        raise ParameterRangeError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return t.reshape(n * n, n * n)
+    return a.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
 
 
 def region_table(dim: int) -> list[RegionRow]:
@@ -357,8 +360,6 @@ def region_table(dim: int) -> list[RegionRow]:
     (N+1)(N-H_N)/N^2, which approaches 1 as N grows.
     """
     n = dim
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
     wb = _werner_boundaries(n)
     frac_steer_w = (n + 1.0) / (2.0 * n * n)
     werner = RegionRow(

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from simplex_decomp.decompose import (Decomposition, _simplex_operators,
                                       separable_decompose, verify_decomposition)
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
                                    InadmissibleRadiusError, NotSeparableError,
-                                   ParameterRangeError, SicUnavailableError)
+                                   ParameterRangeError)
 from simplex_decomp.sicpovm import known_fiducial, sic_from_fiducial
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
 from simplex_decomp.states import (StateKind, isotropic_density,
@@ -154,6 +155,31 @@ class TestDecompose:
         with pytest.raises(DimensionMismatchError):
             decompose("werner", 3, 0.5, 1.0, registry_sics[2].bloch)
 
+    def test_caller_arrays_are_copied(self, registry_sics):
+        d = decompose("werner", 2, 0.5, 1.0, registry_sics[2].bloch)
+        left, right = np.array(d.factors_r), np.array(d.factors_s)
+        frozen_view = right.view()
+        frozen_view.setflags(write=False)
+        own = Decomposition(kind=d.kind, dim=2, tau=0.5, r=1.0, s=0.5,
+                            simplex=d.simplex, factors_r=left, factors_s=frozen_view)
+        left[:] = 0.0
+        right[:] = 0.0
+        assert_bitwise_equal(own.factors_r, d.factors_r)
+        assert_bitwise_equal(own.factors_s, d.factors_s)
+        assert not own.factors_r.flags.writeable and not own.factors_s.flags.writeable
+
+    def test_factor_stacks_are_built_without_copies(self, searched_sic):
+        """At N = 12 the peak is the operator plan's scratch, not extra stacks."""
+        simplex = searched_sic(12).bloch
+        decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached plan
+        tracemalloc.start()
+        try:
+            d = decompose("werner", 12, 0.1, 1.0, simplex)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * (d.factors_r.nbytes + d.factors_s.nbytes)
+
     def test_simplex_is_checked_once_when_built(self, monkeypatch):
         simplex_module = importlib.import_module("simplex_decomp.simplex")
         real, checked = simplex_module.verify_simplex, []
@@ -251,14 +277,6 @@ class TestSeparableDecompose:
         expected = intervals[-1][1] if sign > 0 else intervals[0][0]
         assert err.value.nearest == expected
 
-    def test_registry_lookup_when_sic_missing(self):
-        d = separable_decompose("werner", 2, 0.5, 1.0)
-        assert verify_decomposition(d).separable_certificate
-
-    def test_unavailable_dimension_points_to_search(self):
-        with pytest.raises(SicUnavailableError):
-            separable_decompose("werner", 7, 0.1, 0.5)
-
     @pytest.mark.parametrize("dim", [4, 5])
     def test_optimized_fiducial_dimensions(self, optimized_sics, dim):
         sic = optimized_sics[dim]
@@ -349,19 +367,17 @@ class TestContourSample:
         items = contour_sample("iso", 3, 0.7, 4, sic=registry_sics[3])
         assert [d.r for d in items] == [float(r) for r in contour_radii(3, 0.7, 4)]
 
-    def test_certify_defaults_to_the_simplex_tolerance(self, registry_sics,
-                                                        optimized_sics, monkeypatch):
-        tols = []
-
-        def spy(d, target_tol):
-            tols.append(target_tol)
-            return verify_decomposition(d, target_tol=target_tol)
-        monkeypatch.setattr(decompose_module, "verify_decomposition", spy)
-        sics = (registry_sics[3], optimized_sics[4])
-        for sic in sics:
-            d = separable_decompose("werner", sic.dim, 0.5, 1.0, sic=sic)
-            assert certify(d).separable_certificate
-        assert tols == [sic.bloch.tol for sic in sics]
+    def test_certify_defaults_to_the_simplex_tolerance(self):
+        """Both verify and certify default to the simplex's ``tol``: here a
+        reconstruction error between 1e-10 and 1e-7 certifies at 1e-7."""
+        base = canonical_simplex(8).vertices
+        jitter = np.random.default_rng(0).standard_normal(base.shape)
+        simplex = RegularSimplex(ambient_dim=8, vertices=base + 1e-8 * jitter, tol=1e-7)
+        d = decompose("werner", 3, 0.25, 0.5, simplex)
+        assert 1e-10 < verify_decomposition(d).reconstruction_error <= 1e-7
+        assert verify_decomposition(d).separable_certificate
+        assert certify(d).separable_certificate
+        assert not verify_decomposition(d, target_tol=1e-10).separable_certificate
 
     def test_failed_certificate_raises(self, registry_sics, monkeypatch):
         """An explicit raise, not an assert, so it holds under python -O."""

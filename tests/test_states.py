@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from simplex_decomp.blochspace import min_eigenvalue, su_generators
-from simplex_decomp.errors import DimensionMismatchError, ParameterRangeError
-from simplex_decomp.states import (REGION_CSV_HEADER, StateClass,
+from simplex_decomp.decompose import admissible_r_interval
+from simplex_decomp.errors import (DimensionMismatchError, NotSeparableError,
+                                   ParameterRangeError)
+from simplex_decomp.states import (REGION_CSV_HEADER, StateClass, classify,
                                    classify_isotropic, classify_werner,
                                    convert_params, harmonic_number,
                                    isotropic_density, max_entangled_projector,
                                    partial_transpose, region_csv, region_table,
-                                   swap_operator, werner_density)
+                                   separable_interval, swap_operator,
+                                   werner_density)
 
 
 def werner_tau_range(n):
@@ -305,8 +308,6 @@ class TestPartialTranspose:
         m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         np.testing.assert_allclose(partial_transpose(partial_transpose(m)), m,
                                    atol=1e-15)
-        np.testing.assert_allclose(
-            partial_transpose(partial_transpose(m, "first"), "first"), m, atol=1e-15)
 
     def test_product_operator_rule(self):
         rng = np.random.default_rng(6)
@@ -314,8 +315,6 @@ class TestPartialTranspose:
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         np.testing.assert_allclose(partial_transpose(np.kron(a, b)),
                                    np.kron(a, b.T), atol=1e-15)
-        np.testing.assert_allclose(partial_transpose(np.kron(a, b), "first"),
-                                   np.kron(a.T, b), atol=1e-15)
 
     def test_swap_maps_to_scaled_projector(self):
         for n in (2, 3, 4):
@@ -409,3 +408,27 @@ class TestSeparableEndpointUlps:
             verdict = classify_isotropic(dim, tau)
         ppt = min_eigenvalue(partial_transpose(rho)) >= -1e-9
         assert ppt == (verdict.label is StateClass.SEPARABLE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(["werner", "isotropic"]),
+           n=st.integers(2, 16))
+    def test_classifier_ppt_and_admissible_interval_agree(self, data, family, n):
+        """One separable interval: the verdict, the PPT oracle and the
+        decomposition's admissible set agree at and away from the endpoint."""
+        lo, hi = separable_interval(n)
+        endpoint = lo if family == "werner" else hi
+        if data.draw(st.booleans(), label="near the endpoint"):
+            tau = ulps_from(endpoint, data.draw(st.integers(-8, 8), label="ulps"))
+        else:
+            f_lo, f_hi = (werner_tau_range if family == "werner" else iso_tau_range)(n)
+            tau = data.draw(st.floats(f_lo, f_hi).filter(
+                lambda t: abs(t - endpoint) >= 1e-6), label="tau")
+        rho = (werner_density if family == "werner" else isotropic_density)(n, tau=tau)
+        ppt = min_eigenvalue(partial_transpose(rho)) >= -1e-9
+        separable = classify(family, n, tau).label is StateClass.SEPARABLE
+        try:
+            admissible_r_interval(n, tau)
+            admissible = True
+        except NotSeparableError:
+            admissible = False
+        assert ppt == separable == admissible, (ppt, separable, admissible)
