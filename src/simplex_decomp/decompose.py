@@ -171,7 +171,9 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     # acc[(a, b), (c, d)] sums R_i[a, b] * S_i[c, d] in index order from
     # zero, as the sum of np.kron products does in its (a, c), (b, d)
     # order; the final division writes it back into the term buffer in
-    # that order, so no array beyond the two buffers is allocated.
+    # that order, so no array beyond the two buffers is allocated.  The
+    # accumulator is freed before `DensityMatrix` checks Hermiticity, and the
+    # frozen term buffer is kept by it as it is, not copied.
     acc = np.zeros((n * n, n * n), dtype=complex)
     term = np.empty_like(acc)
     transpose = d.kind is StateKind.ISOTROPIC
@@ -181,6 +183,8 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
         acc += term
     np.divide(acc.reshape(n, n, n, n).transpose(0, 2, 1, 3), d.n_factors,
               out=term.reshape(n, n, n, n))
+    del acc
+    term.setflags(write=False)
     return DensityMatrix(term)
 
 

@@ -175,8 +175,43 @@ def sic_from_fiducial(f: Fiducial) -> SicPovm:
     return SicPovm(dim=n, states=states, bloch=bloch, tol=policy.overlap)
 
 
+def _pair_rows(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """One displacement index per pair {p, -p}, p != 0, and its row weight.
+
+    D_{-p} is a phase times D_p^dagger, so both give the same squared
+    overlap for every vector.  The lexicographically smaller index of each
+    pair is kept with weight sqrt(2), a self-paired index (only for even N:
+    the three with j, k in {0, N/2}) with weight 1; the weighted rows then
+    have the same sum of squares, J^T J and J^T f as all N^2 - 1 rows.
+    """
+    n = dimension
+    p = np.arange(1, n * n)
+    j, k = np.divmod(p, n)
+    partner = (-j % n) * n + (-k % n)
+    keep = p <= partner
+    return p[keep], np.where(p[keep] == partner[keep], 1.0, np.sqrt(2.0))
+
+
+def _displacement_gathers(dimension: int, rows: np.ndarray) -> tuple:
+    """Gather tables for D_p z and D_p^dagger z over displacement indices p.
+
+    D_jk = X^j Z^k is a monomial matrix: (D_jk z)_i = ph[k, i-j] z_{i-j} and
+    (D_jk^dagger z)_i = conj(ph[k, i]) z_{i+j}, indices mod N, with ph[k]
+    the diagonal of Z^k.  Returns ``(back, ph_back, fwd, ph_fwd)``, each of
+    shape (len(rows), N), so that ``ph_back * z[back]`` stacks the D_p z and
+    ``ph_fwd * z[fwd]`` the D_p^dagger z.
+    """
+    n = dimension
+    ph = np.diagonal(wh_displacements(n)[:n], axis1=1, axis2=2)
+    j, k = np.divmod(rows, n)
+    i = np.arange(n)
+    back = (i - j[:, None]) % n
+    fwd = (i + j[:, None]) % n
+    return back, ph[k[:, None], back], fwd, ph[k].conj()
+
+
 def _overlap_residuals(dimension: int):
-    """Residual vector f_d = |<psi|D_d|psi>|^2 - 1/(N+1) and its Jacobian.
+    """Residual vector f_p = |<psi|D_p|psi>|^2 - 1/(N+1) and its Jacobian.
 
     The parameter vector stacks real and imaginary parts of the (not
     necessarily normalized) fiducial; normalization happens inside, so the
@@ -184,10 +219,16 @@ def _overlap_residuals(dimension: int):
     the frame-potential excess identically, but the residual form lets the
     solver converge to overlap deviations near machine precision instead of
     stalling at the square root of it.
+
+    There is one weighted row per pair {p, -p} (see :func:`_pair_rows`),
+    (N^2 - 1 + s)/2 rows with s = 3 for even N and 0 for odd N, so the
+    Gauss-Newton steps are those of the full system.  Each row is gathered
+    from the monomial structure of D_p (see :func:`_displacement_gathers`):
+    a call costs O(N^3), and the kernel holds no N^4 tensor.
     """
     n = dimension
-    displ = wh_displacements(n)[1:]
-    displ_h = displ.conj().transpose(0, 2, 1)
+    rows, weight = _pair_rows(n)
+    back, ph_back, fwd, ph_fwd = _displacement_gathers(n, rows)
     target = 1.0 / (n + 1.0)
 
     def unpack(x):
@@ -196,17 +237,18 @@ def _overlap_residuals(dimension: int):
     def fun(x):
         z = unpack(x)
         u = np.real(np.vdot(z, z))
-        c = np.einsum("i,dij,j->d", z.conj(), displ, z) / u
-        return np.abs(c) ** 2 - target
+        c = ((ph_back * z[back]) @ z.conj()) / u
+        return weight * (np.abs(c) ** 2 - target)
 
     def jac(x):
         z = unpack(x)
         u = np.real(np.vdot(z, z))
-        dz = np.einsum("dij,j->di", displ, z)
-        dhz = np.einsum("dij,j->di", displ_h, z)
-        c = (z.conj() @ dz.T) / u
+        dz = ph_back * z[back]
+        dhz = ph_fwd * z[fwd]
+        c = (dz @ z.conj()) / u
+        scale = (weight / u)[:, None]
         g = (c.conj()[:, None] * (dz - c[:, None] * z[None, :])
-             + c[:, None] * (dhz - c.conj()[:, None] * z[None, :])) / u
+             + c[:, None] * (dhz - c.conj()[:, None] * z[None, :])) * scale
         return np.hstack([2.0 * g.real, 2.0 * g.imag])
 
     return fun, jac

@@ -180,6 +180,17 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak <= 2.1 * (d.factors_r.nbytes + d.factors_s.nbytes)
 
+    def test_reconstruction_is_built_without_copies(self, searched_sic):
+        """At N = 12 the peak is the Hermiticity check's scratch, not copies."""
+        d = decompose("werner", 12, 0.1, 1.0, searched_sic(12).bloch)
+        tracemalloc.start()
+        try:
+            rho = reconstruct(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * rho.entries.nbytes
+
     def test_simplex_is_checked_once_when_built(self, monkeypatch):
         simplex_module = importlib.import_module("simplex_decomp.simplex")
         real, checked = simplex_module.verify_simplex, []

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,88 @@ class TestFindFiducial:
             xm[k] -= eps
             col = (fun(xp) - fun(xm)) / (2 * eps)
             np.testing.assert_allclose(j[:, k], col, atol=5e-7)
+
+
+def dense_overlap_residuals(n):
+    """Reference: one residual row per non-identity displacement, by einsum
+    over the full (N^2 - 1, N, N) stack, as the search once computed them."""
+    displ = wh_displacements(n)[1:]
+    displ_h = displ.conj().transpose(0, 2, 1)
+    target = 1.0 / (n + 1.0)
+
+    def unpack(x):
+        return x[:n] + 1j * x[n:]
+
+    def fun(x):
+        z = unpack(x)
+        u = np.real(np.vdot(z, z))
+        c = np.einsum("i,dij,j->d", z.conj(), displ, z) / u
+        return np.abs(c) ** 2 - target
+
+    def jac(x):
+        z = unpack(x)
+        u = np.real(np.vdot(z, z))
+        dz = np.einsum("dij,j->di", displ, z)
+        dhz = np.einsum("dij,j->di", displ_h, z)
+        c = (z.conj() @ dz.T) / u
+        g = (c.conj()[:, None] * (dz - c[:, None] * z[None, :])
+             + c[:, None] * (dhz - c.conj()[:, None] * z[None, :])) / u
+        return np.hstack([2.0 * g.real, 2.0 * g.imag])
+
+    return fun, jac
+
+
+class TestResidualKernel:
+    """The paired, gathered kernel against the dense full-row reference."""
+
+    @pytest.mark.parametrize("dim", range(2, 21))
+    def test_one_row_per_pair_with_the_dense_normal_equations(self, dim):
+        x = np.random.default_rng(dim).standard_normal(2 * dim)
+        fun, jac = sicpovm._overlap_residuals(dim)
+        ref_fun, ref_jac = dense_overlap_residuals(dim)
+        f, j = fun(x), jac(x)
+        ref_f, ref_j = ref_fun(x), ref_jac(x)
+        self_paired = 3 if dim % 2 == 0 else 0
+        assert j.shape == ((dim * dim - 1 + self_paired) // 2, 2 * dim)
+        assert f.shape == j.shape[:1]
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+        assert rel(f @ f, ref_f @ ref_f) <= 1e-13
+        assert rel(j.T @ j, ref_j.T @ ref_j) <= 1e-13
+        assert rel(j.T @ f, ref_j.T @ ref_f) <= 1e-13
+
+    @pytest.mark.parametrize("dim", range(2, 21))
+    def test_gathers_equal_the_displacement_products(self, dim):
+        rng = np.random.default_rng(dim)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        displ = wh_displacements(dim)
+        back, ph_back, fwd, ph_fwd = sicpovm._displacement_gathers(
+            dim, np.arange(dim * dim))
+        for p, d in enumerate(displ):
+            for got, want in ((ph_back[p] * z[back[p]], d @ z),
+                              (ph_fwd[p] * z[fwd[p]], d.conj().T @ z)):
+                ulps = np.abs(got - want) / (np.finfo(float).eps * np.abs(want))
+                assert ulps.max() <= 4.0, (p, ulps.max())
+
+    def test_search_does_not_depend_on_blas_threads(self):
+        """N = 21 puts the Jacobian above OpenBLAS's one-thread gemv size."""
+        script = ("from simplex_decomp.sicpovm import Fiducial, find_fiducial\n"
+                  "for n, seed in ((17, 7), (21, 6)):\n"
+                  "    r = find_fiducial(n, seed=seed, max_iters=60)\n"
+                  "    print(r.provenance if isinstance(r, Fiducial) else r)\n")
+        src = str(Path(sicpovm.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2
 
 
 class TestCache:
