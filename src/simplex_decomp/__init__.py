@@ -16,7 +16,7 @@ from .decompose import (Decomposition, VerificationReport,
 from .sicpovm import (Fiducial, FiducialSearchFailure, Provenance, SicPovm,
                       find_fiducial, frame_potential, frame_potential_minimum,
                       known_fiducial, obtain_sic, sic_from_fiducial,
-                      wh_displacements)
+                      wh_displacements, zauner_unitary)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
                       orthogonal_extension, verify_simplex)
 from .states import (NonlocalityClass, ParamSet, RegionRow, StateClass,
@@ -34,7 +34,7 @@ __all__ = [
     "RegularSimplex", "canonical_simplex",
     "verify_simplex", "gram_identities", "orthogonal_extension",
     "Fiducial", "FiducialSearchFailure", "Provenance", "SicPovm",
-    "wh_displacements", "sic_from_fiducial", "frame_potential",
+    "wh_displacements", "zauner_unitary", "sic_from_fiducial", "frame_potential",
     "frame_potential_minimum", "find_fiducial", "known_fiducial", "obtain_sic",
     "StateKind", "StateClass", "NonlocalityClass", "ParamSet", "RegionRow",
     "swap_operator", "max_entangled_projector", "werner_density",

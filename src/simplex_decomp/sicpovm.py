@@ -8,7 +8,9 @@ form a regular N^2-simplex, which is what the decomposition machinery
 consumes.
 
 The search minimizes the squared-overlap residuals directly with a
-Gauss-Newton least-squares solver; the frame potential (quartic overlap
+Gauss-Newton least-squares solver, first within the eigenvalue-1
+eigenspace of Zauner's order-3 Clifford unitary, then, when that fails,
+over the full space; the frame potential (quartic overlap
 sum) is exposed as the certifying objective, with known global minimum
 (N^2-1)/(N+1)^2 attained exactly on SIC fiducials.
 """
@@ -121,6 +123,42 @@ def wh_displacements(dimension: int) -> np.ndarray:
     xp = [np.linalg.matrix_power(x, j) for j in range(n)]
     zp = [np.linalg.matrix_power(z, k) for k in range(n)]
     return _readonly([xp[j] @ zp[k] for j in range(n) for k in range(n)])
+
+
+@lru_cache(maxsize=None)
+def zauner_unitary(dimension: int) -> np.ndarray:
+    """Zauner's order-3 Clifford unitary U_Z, shape (N, N).
+
+    U_Z = exp(i pi (N-1)/12)/sqrt(N) sum_{r,s} tau^(s^2 + 2rs) |r><s| with
+    tau = -exp(i pi/N), the exponent taken mod 2N (tau^(2N) = 1).  With this
+    phase U_Z^3 = I, and U_Z maps each displacement D_(j,k) to a phase times
+    D_(F(j,k)) with F = [[-1, -1], [1, 0]] mod N.
+    """
+    n = dimension
+    if n < 2:
+        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    r = np.arange(n)
+    power = (r[None, :] ** 2 + 2 * r[:, None] * r[None, :]) % (2 * n)
+    # tau = exp(i pi (N+1)/N); reduce the angle's numerator mod 2N exactly.
+    tau_power = np.exp(1j * np.pi * (power * (n + 1) % (2 * n)) / n)
+    return _readonly(np.exp(1j * np.pi * (n - 1) / 12) / np.sqrt(n) * tau_power)
+
+
+@lru_cache(maxsize=None)
+def _zauner_lift(dimension: int) -> np.ndarray:
+    """Real (2N, 2k) map from Zauner-subspace coordinates to [Re z, Im z].
+
+    The columns of B (N x k, orthonormal) span the eigenvalue-1 eigenspace
+    of :func:`zauner_unitary`; as U_Z^3 = I, U_Z^2 = U_Z^dagger and
+    P = (I + U_Z + U_Z^dagger)/3 is the Hermitian projector onto it, whose
+    eigenvalue-1 eigenvectors are B.  k = floor((N + 3)/3).  The lift sends
+    x = [a, b] to z = B (a + i b), written over the reals.
+    """
+    n = dimension
+    u = zauner_unitary(n)
+    w, v = np.linalg.eigh((np.eye(n) + u + u.conj().T) / 3.0)
+    b = v[:, w > 0.5]
+    return _readonly(np.block([[b.real, -b.imag], [b.imag, b.real]]))
 
 
 def frame_potential_minimum(dimension: int) -> float:
@@ -254,37 +292,55 @@ def _overlap_residuals(dimension: int):
     return fun, jac
 
 
-def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
-                  tol: float = 1e-10) -> Fiducial | FiducialSearchFailure:
-    """Search for a SIC fiducial from one seeded random start.
-
-    Deterministic given (dimension, seed).  Succeeds when the residual
-    (frame-potential excess over its global minimum) drops to ``tol`` or
-    below; otherwise returns a :class:`FiducialSearchFailure` carrying the
-    best residual reached.  Multi-start searches are the caller's loop over
-    seeds.
-    """
+def _least_squares(fun, jac, size: int, seed: int, max_iters: int):
+    """One ``trf`` run from ``default_rng(seed)``; returns (x, nfev, residual)."""
     # Imported here: scipy.optimize takes most of a second to load, and only
     # the search needs it.
     from scipy.optimize import least_squares
 
+    x0 = np.random.default_rng(seed).standard_normal(size)
+    res = least_squares(fun, x0, jac=jac, method="trf",
+                        xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
+    return res.x, int(res.nfev), max(float(np.sum(res.fun ** 2)), 0.0)
+
+
+def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
+                  tol: float = 1e-10) -> Fiducial | FiducialSearchFailure:
+    """Search for a SIC fiducial from one seeded start, in two stages.
+
+    Stage 1 searches the Zauner subspace, the eigenvalue-1 eigenspace of
+    :func:`zauner_unitary` (about N/3 complex unknowns), from
+    ``default_rng(seed)``.  Only when it fails does stage 2 search the full
+    space from a fresh ``default_rng(seed)``, exactly as a full-space-only
+    search would, so every seed that succeeds there still succeeds, with
+    the same vector and provenance.  Each stage runs at most ``max_iters``
+    evaluations and succeeds when the residual (frame-potential excess over
+    its global minimum) drops to ``tol`` or below.  Deterministic given
+    (dimension, seed).  A :class:`FiducialSearchFailure` carries the
+    evaluations of both stages and the better of their best residuals.
+    Multi-start searches are the caller's loop over seeds.
+    """
     n = dimension
     if n < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal(2 * n)
     fun, jac = _overlap_residuals(n)
-    res = least_squares(fun, x0, jac=jac, method="trf",
-                        xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
-    residual = max(float(np.sum(res.fun ** 2)), 0.0)
-    if not residual <= tol:  # a NaN tolerance accepts nothing
-        return FiducialSearchFailure(dim=n, seed=seed, iterations=int(res.nfev),
-                                     best_residual=residual)
-    z = res.x[:n] + 1j * res.x[n:]
+    lift = _zauner_lift(n)
+    x, nfev, residual = _least_squares(
+        lambda y: fun(lift @ y), lambda y: jac(lift @ y) @ lift,
+        lift.shape[1], seed, max_iters)
+    if residual <= tol:
+        x = lift @ x
+    else:
+        x, full_nfev, full_residual = _least_squares(fun, jac, 2 * n, seed, max_iters)
+        if not full_residual <= tol:  # a NaN tolerance accepts nothing
+            return FiducialSearchFailure(dim=n, seed=seed, iterations=nfev + full_nfev,
+                                         best_residual=min(residual, full_residual))
+        nfev, residual = full_nfev, full_residual
+    z = x[:n] + 1j * x[n:]
     z = z / np.linalg.norm(z)
     return Fiducial(dim=n, vector=z,
                     provenance=Provenance(kind=OPTIMIZED, seed=seed,
-                                          iterations=int(res.nfev), residual=residual))
+                                          iterations=nfev, residual=residual))
 
 
 def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
@@ -319,8 +375,10 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
 def obtain_sic(dim: int, cache_path: str | os.PathLike | None = None) -> SicPovm:
     """SIC from the registry, else the cache, else a multi-start search.
 
-    The search keeps the first success over seeds 0..19, so the result is
-    deterministic; :class:`FiducialSearchError` when every seed fails.
+    The search keeps the first success of :func:`find_fiducial` over seeds
+    0..19, so the result is deterministic; each seed tries the Zauner
+    subspace, then the full space.  :class:`FiducialSearchError` when every
+    seed fails.
     """
     fid = known_fiducial(dim, cache_path)
     if fid is None:

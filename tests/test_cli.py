@@ -49,7 +49,9 @@ class TestSic:
         assert payload["provenance"] == "exact-registry"
 
     def test_find_failure_with_single_iteration(self, capsys):
-        code, out, _ = run_cli(capsys, "sic", "2", "--find", "--max-iters", "1")
+        # Not N = 2: its Zauner subspace is the fiducial's own ray, so any
+        # start succeeds at once.
+        code, out, _ = run_cli(capsys, "sic", "3", "--find", "--max-iters", "1")
         assert code == 2
         payload = json.loads(out)
         assert payload["success"] is False
