@@ -135,11 +135,81 @@ def su_generators(dimension: int) -> np.ndarray:
     return _readonly(mats)
 
 
+@lru_cache(maxsize=None)
+def _operator_plan(dim: int) -> tuple:
+    """Sparse schedule of the Gell-Mann basis, per dimension.
+
+    Almost every entry of a generator is zero: an off-diagonal entry is
+    touched by one symmetric and one antisymmetric generator, a diagonal
+    entry only by the diagonal ones.  The plan groups consecutive
+    generators with disjoint supports into batches, kept in generator
+    order.  Each batch holds ``(rows, cols, owner, coef)``: the nonzero
+    entries in row-major order per generator, the generator (coordinate)
+    owning each and its value.  :func:`_bloch_operators` and
+    :func:`_bloch_coordinates` read it in the two directions.
+    """
+    batches, current, taken = [], [], set()
+    for mu, g in enumerate(su_generators(dim)):
+        rows, cols = np.nonzero(g)
+        support = set(zip(rows.tolist(), cols.tolist()))
+        if support & taken:
+            batches.append(current)
+            current, taken = [], set()
+        current.append((rows, cols, np.full(rows.size, mu), g[rows, cols]))
+        taken |= support
+    batches.append(current)
+    return tuple(tuple(_readonly(np.concatenate(col)) for col in zip(*batch))
+                 for batch in batches)
+
+
+def _bloch_operators(coords: np.ndarray, dim: int) -> np.ndarray:
+    """Stack of c_k . L for the rows c_k of ``coords``, shape (K, N, N).
+
+    Equal bit for bit to ``einsum("km,mij->kij", coords, su_generators(N))``:
+    the skipped products are exact zeros, the kept ones are added to +0 in
+    generator order, and each product is the same complex multiplication
+    of a real coordinate.
+    """
+    ops = np.zeros((coords.shape[0], dim, dim), dtype=complex)
+    for rows, cols, owner, coef in _operator_plan(dim):
+        ops[:, rows, cols] += coords[:, owner] * coef
+    return ops
+
+
+def _bloch_coordinates(m: np.ndarray) -> np.ndarray:
+    """Complex Tr[m_k L_mu] for a stack of N x N matrices, shape (K, N^2 - 1).
+
+    Equal bit for bit to ``einsum("kij,mji->km", m, su_generators(N))``.
+    Pass r adds the r-th nonzero entry of every generator that has one, so
+    each coordinate adds its products to +0 in row-major order, the
+    einsum's own: two for an off-diagonal generator, whose sum does not
+    depend on their order, and the diagonal terms in increasing index for
+    a diagonal one.  The skipped products are exact zeros, and each kept
+    one has an operand with a zero component, so no fused multiply-add
+    changes its rounding.
+    """
+    k, n = m.shape[0], m.shape[-1]
+    flat = m.reshape(k, n * n)
+    rows, cols, owner, coef = (np.concatenate(c) for c in zip(*_operator_plan(n)))
+    # Position of each entry within its generator; owners ascend.
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    out = np.zeros((k, n * n - 1), dtype=complex)
+    for r in range(rank.max() + 1):
+        e = rank == r
+        term = np.take(flat, cols[e] * n + rows[e], axis=1)
+        term *= coef[e]
+        # The generators with an r-th entry are a tail of the basis: every
+        # off-diagonal one has two entries, diagonal l has l + 1.
+        out[:, owner[e][0]:] += term
+        del term  # freed before the next gather: one pass of scratch at most
+    return out
+
+
 def bloch_from_density(rho) -> BlochVector:
     """Coordinates r_mu = Tr[rho L_mu] of a trace-one Hermitian matrix."""
     m = _as_matrix(rho)
     n = m.shape[0]
-    coords = np.einsum("ij,mji->m", m, su_generators(n))
+    coords = _bloch_coordinates(m[None])[0]
     imag = np.abs(coords.imag).max()
     if imag > HERM_TOL:
         raise HermiticityError(f"Bloch coordinates have imaginary part {imag:.3e}")
@@ -155,7 +225,7 @@ def density_from_bloch(b: BlochVector) -> DensityMatrix:
     """
     n = b.dimension
     m = np.eye(n, dtype=complex) / n
-    m += 0.5 * np.einsum("m,mij->ij", b.coords, su_generators(n))
+    m += 0.5 * _bloch_operators(b.coords[None], n)[0]
     return DensityMatrix(m)
 
 

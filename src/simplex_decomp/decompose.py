@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import (PSD_TOL, DensityMatrix, _readonly, psd_radius_bounds,
-                         su_generators)
+from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators, _readonly,
+                         psd_radius_bounds)
 from .errors import (CertificateError, DimensionMismatchError,
                      InadmissibleRadiusError, NotSeparableError,
                      ParameterRangeError)
@@ -84,45 +83,6 @@ class VerificationReport:
     separable_certificate: bool
 
 
-@lru_cache(maxsize=None)
-def _operator_plan(dim: int) -> tuple:
-    """Sparse schedule of the contraction sum_mu a_mu L_mu, per dimension.
-
-    Almost every entry of a generator is zero: an off-diagonal entry is
-    touched by one symmetric and one antisymmetric generator, a diagonal
-    entry only by the diagonal ones.  The plan groups consecutive
-    generators with disjoint supports into batches, kept in generator
-    order.  Each batch holds ``(rows, cols, owner, coef)``: the nonzero
-    entries, the generator (vertex coordinate) owning each and its value.
-    """
-    batches, current, taken = [], [], set()
-    for mu, g in enumerate(su_generators(dim)):
-        rows, cols = np.nonzero(g)
-        support = set(zip(rows.tolist(), cols.tolist()))
-        if support & taken:
-            batches.append(current)
-            current, taken = [], set()
-        current.append((rows, cols, np.full(rows.size, mu), g[rows, cols]))
-        taken |= support
-    batches.append(current)
-    return tuple(tuple(_readonly(np.concatenate(col)) for col in zip(*batch))
-                 for batch in batches)
-
-
-def _simplex_operators(s: RegularSimplex, dim: int) -> np.ndarray:
-    """Stack of a_i . L for every vertex, shape (N^2, N, N).
-
-    Equal bit for bit to ``einsum("im,mjk->ijk", vertices, generators)``:
-    the skipped products are exact zeros, the kept ones are added to +0 in
-    generator order, and each product is the same complex multiplication
-    of a real coordinate.
-    """
-    ops = np.zeros((s.vertices.shape[0], dim, dim), dtype=complex)
-    for rows, cols, owner, coef in _operator_plan(dim):
-        ops[:, rows, cols] += s.vertices[:, owner] * coef
-    return ops
-
-
 def decompose(kind, dim: int, tau: float, r: float,
               simplex: RegularSimplex) -> Decomposition:
     """Build the product mixture over an arbitrary regular N^2-simplex.
@@ -149,7 +109,7 @@ def decompose(kind, dim: int, tau: float, r: float,
         raise ParameterRangeError(f"r = 0 cannot realize tau = {tau} on the contour r*s = tau")
     else:
         s = tau / r
-    ops = _simplex_operators(simplex, dim)
+    ops = _bloch_operators(simplex.vertices, dim)
     mixed = np.eye(dim, dtype=complex) / dim
     factors_r = mixed + (r / 2.0) * ops
     # The operator stack becomes the right factors in place: the same

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import _readonly, su_generators
+from .blochspace import _bloch_coordinates, _readonly
 from .errors import (DimensionMismatchError, FiducialCacheError,
                      FiducialSearchError, NotAFiducialError)
 from .serialize import dumps, encode_cmatrix
@@ -178,13 +178,19 @@ def frame_potential(f: Fiducial) -> float:
     return float(np.sum(np.abs(c) ** 4))
 
 
-def max_overlap_deviation(f: Fiducial) -> float:
-    """Worst deviation of the orbit's squared overlaps from equiangularity."""
+def _orbit(f: Fiducial) -> tuple[np.ndarray, float]:
+    """Displacement orbit of ``f``, shape (N^2, N), and the worst deviation
+    of its squared overlaps from equiangularity."""
     n = f.dim
     states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
     overlaps = np.abs(states.conj() @ states.T) ** 2
     target = (n * np.eye(n * n) + 1.0) / (n + 1.0)
-    return float(np.abs(overlaps - target).max())
+    return states, float(np.abs(overlaps - target).max())
+
+
+def max_overlap_deviation(f: Fiducial) -> float:
+    """Worst deviation of the orbit's squared overlaps from equiangularity."""
+    return _orbit(f)[1]
 
 
 def sic_from_fiducial(f: Fiducial) -> SicPovm:
@@ -198,15 +204,16 @@ def sic_from_fiducial(f: Fiducial) -> SicPovm:
     """
     n = f.dim
     policy = TOLERANCES[f.provenance.kind]
-    max_dev = max_overlap_deviation(f)
+    states, max_dev = _orbit(f)
     if max_dev > policy.overlap:
         raise NotAFiducialError(
             f"displacement orbit is not equiangular: worst squared-overlap "
             f"deviation {max_dev:.3e} exceeds {policy.overlap:.1e}",
             max_deviation=max_dev)
-    states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
+    # The projectors stay an einsum: a plain multiply rounds some entries
+    # differently, and the coordinates must keep every bit.
     projectors = np.einsum("di,dj->dij", states, states.conj())
-    coords = np.einsum("dij,mji->dm", projectors, su_generators(n)).real
+    coords = _bloch_coordinates(projectors).real
     directions = coords / np.linalg.norm(coords, axis=1, keepdims=True)
     bloch = RegularSimplex(ambient_dim=n * n - 1, vertices=directions,
                            tol=policy.certificate)

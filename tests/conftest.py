@@ -14,6 +14,15 @@ def random_density(rng, dim):
     return m / m.trace()
 
 
+def assert_bitwise_equal(got, expected):
+    """Same dtype, shape and bits, the sign of every zero included."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)),
+                              np.signbit(getattr(expected, part))), part
+
+
 def random_pure_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from simplex_decomp.blochspace import (BlochVector, DensityMatrix,
-                                       bloch_from_density, density_from_bloch,
-                                       min_eigenvalue, psd_radius_bounds,
-                                       su_generators)
+from simplex_decomp.blochspace import (HERM_TOL, BlochVector, DensityMatrix,
+                                       _bloch_coordinates, bloch_from_density,
+                                       density_from_bloch, min_eigenvalue,
+                                       psd_radius_bounds, su_generators)
 from simplex_decomp.errors import (DimensionMismatchError, HermiticityError)
 
-from conftest import random_density, random_pure_state
+from conftest import assert_bitwise_equal, random_density, random_pure_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -97,6 +100,62 @@ class TestBlochConversion:
         cap = np.sqrt(2.0 * (dim - 1) / dim)
         for _ in range(25):
             assert bloch_from_density(random_density(rng, dim)).radius <= cap + 1e-10
+
+
+def reference_coordinates(m):
+    """Dense Tr[m L_mu] over every generator, as bloch_from_density once
+    computed it: the coordinate kernel's bitwise oracle."""
+    return np.einsum("ij,mji->m", m, su_generators(m.shape[0]))
+
+
+def reference_density(coords, n):
+    """Dense id/N + (1/2) sum_mu r_mu L_mu, as density_from_bloch once
+    computed it."""
+    m = np.eye(n, dtype=complex) / n
+    m += 0.5 * np.einsum("m,mij->ij", coords, su_generators(n))
+    return m
+
+
+@st.composite
+def square_matrices(draw):
+    """Complex N x N matrices, N in 2..8, with zeros of both signs and
+    possibly a zero row."""
+    n = draw(st.integers(2, 8), label="n")
+    m = draw(hnp.arrays(np.complex128, (n, n), elements=st.complex_numbers(
+        max_magnitude=4.0, allow_nan=False, allow_infinity=False)))
+    row = draw(st.integers(-1, n - 1), label="zero row")
+    if row >= 0:
+        m[row] = draw(st.sampled_from([0.0, -0.0, complex(-0.0, -0.0)]))
+    return m
+
+
+class TestConversionKernelsBitwise:
+    """Both conversions return the bits of their dense contractions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_coordinates_of_any_matrix(self, m):
+        assert_bitwise_equal(_bloch_coordinates(m[None])[0], reference_coordinates(m))
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_matrices())
+    def test_bloch_from_density(self, m):
+        # Exactly Hermitian, positive semidefinite, and as drawn.
+        for rho in (m + m.conj().T, m @ m.conj().T, m):
+            ref = reference_coordinates(rho)
+            if np.abs(ref.imag).max() > HERM_TOL:
+                with pytest.raises(HermiticityError):
+                    bloch_from_density(rho)
+            else:
+                assert_bitwise_equal(bloch_from_density(rho).coords, ref.real)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: hnp.arrays(
+        np.float64, n * n - 1, elements=st.floats(-2.0, 2.0))))
+    def test_density_from_bloch(self, coords):
+        n = int(round(np.sqrt(coords.size + 1)))
+        assert_bitwise_equal(density_from_bloch(BlochVector(n, coords)).entries,
+                             reference_density(coords, n))
 
 
 class TestMinEigenvalue:

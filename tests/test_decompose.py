@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from simplex_decomp.blochspace import psd_radius_bounds, su_generators
-from simplex_decomp.decompose import (Decomposition, _simplex_operators,
-                                      admissible_r_interval, certify,
-                                      contour_radii, contour_sample,
+from simplex_decomp.blochspace import (_bloch_operators, psd_radius_bounds,
+                                       su_generators)
+from simplex_decomp.decompose import (Decomposition, admissible_r_interval,
+                                      certify, contour_radii, contour_sample,
                                       decompose, reconstruct,
                                       separable_decompose, verify_decomposition)
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
@@ -19,6 +19,8 @@ from simplex_decomp.simplex import RegularSimplex, canonical_simplex
 from simplex_decomp.states import (StateKind, isotropic_density,
                                    partial_transpose, swap_operator,
                                    werner_density)
+
+from conftest import assert_bitwise_equal
 
 decompose_module = importlib.import_module("simplex_decomp.decompose")
 
@@ -415,14 +417,6 @@ def reference_reconstruct(d):
     return out / d.n_factors
 
 
-def assert_bitwise_equal(got, expected):
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert np.array_equal(got, expected)
-    for part in ("real", "imag"):
-        assert np.array_equal(np.signbit(getattr(got, part)),
-                              np.signbit(getattr(expected, part))), part
-
-
 def contour_points(dim):
     """(tau, r) inside, at the ends of and on the negative branch of the contour."""
     neg_min, r_max = psd_radius_bounds(dim)
@@ -445,7 +439,7 @@ class TestKernelsBitwise:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_simplex_operators(self, sics, dim):
         simplex = sics[dim].bloch
-        assert_bitwise_equal(_simplex_operators(simplex, dim),
+        assert_bitwise_equal(_bloch_operators(simplex.vertices, dim),
                              reference_simplex_operators(simplex, dim))
 
     @pytest.mark.parametrize("dim", [2, 3, 16])
@@ -454,7 +448,7 @@ class TestKernelsBitwise:
         rot = ortho_group.rvs(m, random_state=dim)
         simplex = RegularSimplex(ambient_dim=m,
                                  vertices=canonical_simplex(m).vertices @ rot.T)
-        assert_bitwise_equal(_simplex_operators(simplex, dim),
+        assert_bitwise_equal(_bloch_operators(simplex.vertices, dim),
                              reference_simplex_operators(simplex, dim))
 
     @pytest.mark.parametrize("kind", ["werner", "isotropic"])

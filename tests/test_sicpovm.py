@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import simplex_decomp.sicpovm as sicpovm
+from simplex_decomp.blochspace import _bloch_coordinates, su_generators
 from simplex_decomp.errors import (FiducialCacheError, FiducialSearchError,
                                    NotAFiducialError)
 from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
@@ -20,7 +22,7 @@ from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
                                     zauner_unitary)
 from simplex_decomp.simplex import verify_simplex
 
-from conftest import random_pure_state
+from conftest import assert_bitwise_equal, random_pure_state
 
 
 def overlap_table(states):
@@ -390,6 +392,100 @@ class TestResidualKernel:
         n21 = outputs[0].splitlines()[1]
         assert n21.startswith("FiducialSearchFailure(dim=21, seed=6,")
         assert int(n21.split("iterations=")[1].split(",")[0]) > 60
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def orbit_projectors(states):
+    """The projector stack of ``sic_from_fiducial``, built the same way."""
+    return np.einsum("di,dj->dij", states, states.conj())
+
+
+def reference_bloch_coordinates(projectors):
+    """Dense contraction over every generator: the coordinate kernel's
+    bitwise oracle, as ``sic_from_fiducial`` once computed it."""
+    n = projectors.shape[-1]
+    return np.einsum("dij,mji->dm", projectors, su_generators(n))
+
+
+def reference_orbit(vector):
+    """Orbit states and worst overlap deviation by the dense formulas."""
+    n = vector.size
+    states = np.einsum("dij,j->di", wh_displacements(n), vector)
+    overlaps = np.abs(states.conj() @ states.T) ** 2
+    target = (n * np.eye(n * n) + 1.0) / (n + 1.0)
+    return states, float(np.abs(overlaps - target).max())
+
+
+def certified_fiducial(source):
+    return (known_fiducial(source) if isinstance(source, int)
+            else load_fiducial_cache(DATA / source))
+
+
+CERTIFIED = [2, 3, "fid4.json", "fid8.json", "fid12.json"]
+
+
+class TestBlochCoordinatesBitwise:
+    """The sparse coordinate kernel returns the bits of the dense einsum."""
+
+    @pytest.mark.parametrize("source", CERTIFIED)
+    def test_certified_fiducials_and_their_sic(self, source):
+        fid = certified_fiducial(source)
+        states, max_dev = reference_orbit(fid.vector)
+        projectors = orbit_projectors(states)
+        coords = reference_bloch_coordinates(projectors)
+        assert_bitwise_equal(_bloch_coordinates(projectors), coords)
+        dense = coords.real / np.linalg.norm(coords.real, axis=1, keepdims=True)
+        sic = sic_from_fiducial(fid)
+        assert_bitwise_equal(sic.bloch.vertices, dense)
+        assert_bitwise_equal(sic.states, states)
+        assert max_overlap_deviation(fid) == max_dev
+
+    def test_searched_sic(self, searched_sic):
+        projectors = orbit_projectors(searched_sic(16).states)
+        assert_bitwise_equal(_bloch_coordinates(projectors),
+                             reference_bloch_coordinates(projectors))
+
+    @pytest.mark.parametrize("dim", [*range(2, 21), 24])
+    def test_random_unit_vectors(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        plain = random_pure_state(rng, dim)
+        # Exact zeros and negative zeros in both components.
+        signed = random_pure_state(rng, dim)
+        signed[rng.permutation(dim)[:max(1, dim // 3)]] = 0.0
+        signed[0] = complex(-0.0, signed[0].imag)
+        signed[-1] = complex(signed[-1].real, -0.0)
+        if dim > 2:
+            signed[1] = complex(-0.0, -0.0)
+        signed /= np.linalg.norm(signed)
+        for vector in (plain, signed):
+            projectors = orbit_projectors(reference_orbit(vector)[0])
+            assert_bitwise_equal(_bloch_coordinates(projectors),
+                                 reference_bloch_coordinates(projectors))
+
+    def test_kernel_scratch_is_one_pass(self, searched_sic):
+        """At N = 16 the peak is the result plus one pass's products (two
+        passes alive would put it near 3 results)."""
+        projectors = orbit_projectors(searched_sic(16).states)
+        _bloch_coordinates(projectors)  # builds the cached plan
+        tracemalloc.start()
+        try:
+            coords = _bloch_coordinates(projectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * coords.nbytes
+
+    def test_orbit_is_built_once_per_certification(self, monkeypatch):
+        real, calls = sicpovm._orbit, []
+
+        def counting(f):
+            calls.append(f.dim)
+            return real(f)
+        monkeypatch.setattr(sicpovm, "_orbit", counting)
+        sic_from_fiducial(known_fiducial(3))
+        assert calls == [3]
 
 
 class TestCache:
