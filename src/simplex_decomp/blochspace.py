@@ -103,6 +103,44 @@ def _as_matrix(m) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _gell_mann_table(n: int) -> tuple:
+    """Nonzero entries of the Gell-Mann basis, from their closed form.
+
+    Returns ``(rows, cols, owner, coef, rank, batches)``.  The first five
+    list every nonzero entry in generator order, row-major within a
+    generator: its position, the generator (coordinate) owning it, its
+    value and its rank within that generator.  Symmetric generator (j, k)
+    holds 1 at (j, k) and (k, j), its antisymmetric partner -i and i there,
+    and diagonal generator l holds sqrt(2/(l(l+1))) at (i, i) for i < l and
+    -l times that at (l, l).  ``batches`` splits the entries into runs of
+    generators with disjoint supports, in generator order, for
+    :func:`_bloch_operators`: all symmetric generators; all antisymmetric
+    ones, which share their supports, with the first diagonal one, which
+    holds only (0, 0) and (1, 1); then one per further diagonal generator,
+    since every diagonal one holds (0, 0).
+    """
+    j, k = np.triu_indices(n, 1)
+    pairs = j.size
+    diag = np.concatenate([np.arange(l + 1) for l in range(1, n)])
+    level = np.repeat(np.arange(1, n), np.arange(2, n + 1))
+    off_rows = np.stack([j, k], axis=1).ravel()
+    off_cols = np.stack([k, j], axis=1).ravel()
+    rows = np.concatenate([off_rows, off_rows, diag])
+    cols = np.concatenate([off_cols, off_cols, diag])
+    owner = np.concatenate([np.repeat(np.arange(2 * pairs), 2), 2 * pairs - 1 + level])
+    # -1.0j is complex(-0.0, -1.0): su_generators keeps that sign bit.
+    coef = np.concatenate([np.ones(2 * pairs), np.tile([-1.0j, 1.0j], pairs),
+                           np.sqrt(2.0 / (level * (level + 1)))
+                           * np.where(diag == level, -level, 1)])
+    rank = np.concatenate([np.tile([0, 1], 2 * pairs), diag])
+    table = [_readonly(a) for a in (rows, cols, owner, coef, rank)]
+    ends = np.cumsum([2 * pairs, 2 * pairs + 2, *range(3, n + 1)])
+    batches = tuple(tuple(a[start:end] for a in table[:4])
+                    for start, end in zip([0, *ends[:-1]], ends))
+    return (*table, batches)
+
+
+@lru_cache(maxsize=None)
 def su_generators(dimension: int) -> np.ndarray:
     """Generalized Gell-Mann basis of su(N), Tr[L_mu L_nu] = 2 delta_mu_nu.
 
@@ -115,51 +153,11 @@ def su_generators(dimension: int) -> np.ndarray:
     n = dimension
     if n < 2:
         raise DimensionMismatchError(f"generator basis needs dimension >= 2, got {n}")
-    mats = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = m[k, j] = 1.0
-            mats.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-    for l in range(1, n):
-        m = np.zeros((n, n), dtype=complex)
-        m[np.diag_indices(l)] = 1.0
-        m[l, l] = -l
-        mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return _readonly(mats)
-
-
-@lru_cache(maxsize=None)
-def _operator_plan(dim: int) -> tuple:
-    """Sparse schedule of the Gell-Mann basis, per dimension.
-
-    Almost every entry of a generator is zero: an off-diagonal entry is
-    touched by one symmetric and one antisymmetric generator, a diagonal
-    entry only by the diagonal ones.  The plan groups consecutive
-    generators with disjoint supports into batches, kept in generator
-    order.  Each batch holds ``(rows, cols, owner, coef)``: the nonzero
-    entries in row-major order per generator, the generator (coordinate)
-    owning each and its value.  :func:`_bloch_operators` and
-    :func:`_bloch_coordinates` read it in the two directions.
-    """
-    batches, current, taken = [], [], set()
-    for mu, g in enumerate(su_generators(dim)):
-        rows, cols = np.nonzero(g)
-        support = set(zip(rows.tolist(), cols.tolist()))
-        if support & taken:
-            batches.append(current)
-            current, taken = [], set()
-        current.append((rows, cols, np.full(rows.size, mu), g[rows, cols]))
-        taken |= support
-    batches.append(current)
-    return tuple(tuple(_readonly(np.concatenate(col)) for col in zip(*batch))
-                 for batch in batches)
+    rows, cols, owner, coef, _, _ = _gell_mann_table(n)
+    mats = np.zeros((n * n - 1, n, n), dtype=complex)
+    mats[owner, rows, cols] = coef
+    mats.setflags(write=False)
+    return mats
 
 
 def _bloch_operators(coords: np.ndarray, dim: int) -> np.ndarray:
@@ -170,8 +168,9 @@ def _bloch_operators(coords: np.ndarray, dim: int) -> np.ndarray:
     generator order, and each product is the same complex multiplication
     of a real coordinate.
     """
+    *_, batches = _gell_mann_table(dim)
     ops = np.zeros((coords.shape[0], dim, dim), dtype=complex)
-    for rows, cols, owner, coef in _operator_plan(dim):
+    for rows, cols, owner, coef in batches:
         ops[:, rows, cols] += coords[:, owner] * coef
     return ops
 
@@ -190,9 +189,7 @@ def _bloch_coordinates(m: np.ndarray) -> np.ndarray:
     """
     k, n = m.shape[0], m.shape[-1]
     flat = m.reshape(k, n * n)
-    rows, cols, owner, coef = (np.concatenate(c) for c in zip(*_operator_plan(n)))
-    # Position of each entry within its generator; owners ascend.
-    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    rows, cols, owner, coef, rank, _ = _gell_mann_table(n)
     out = np.zeros((k, n * n - 1), dtype=complex)
     for r in range(rank.max() + 1):
         e = rank == r

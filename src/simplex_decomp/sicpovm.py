@@ -184,8 +184,13 @@ def _orbit(f: Fiducial) -> tuple[np.ndarray, float]:
     n = f.dim
     states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
     overlaps = np.abs(states.conj() @ states.T) ** 2
-    target = (n * np.eye(n * n) + 1.0) / (n + 1.0)
-    return states, float(np.abs(overlaps - target).max())
+    # The target (N delta_ij + 1)/(N + 1) is exactly 1 on the diagonal and
+    # 1/(N + 1) off it: compared in place, with no dense target.
+    diagonal = overlaps.diagonal().copy()
+    overlaps -= 1.0 / (n + 1.0)
+    np.abs(overlaps, out=overlaps)
+    np.fill_diagonal(overlaps, np.abs(diagonal - 1.0))
+    return states, float(overlaps.max())
 
 
 def max_overlap_deviation(f: Fiducial) -> float:

@@ -23,6 +23,33 @@ def assert_bitwise_equal(got, expected):
                               np.signbit(getattr(expected, part))), part
 
 
+@lru_cache(maxsize=None)
+def reference_su_generators(n):
+    """Gell-Mann basis built matrix by matrix from its definition, in the
+    order of ``su_generators``: an oracle independent of the entry table
+    that the library's generators and Bloch kernels share."""
+    mats = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = m[k, j] = 1.0
+            mats.append(m)
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(m)
+    for l in range(1, n):
+        m = np.zeros((n, n), dtype=complex)
+        m[np.diag_indices(l)] = 1.0
+        m[l, l] = -l
+        mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
+    out = np.array(mats)
+    out.setflags(write=False)
+    return out
+
+
 def random_pure_state(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import simplex_decomp.blochspace as blochspace
 from simplex_decomp.blochspace import (HERM_TOL, BlochVector, DensityMatrix,
                                        _bloch_coordinates, bloch_from_density,
                                        density_from_bloch, min_eigenvalue,
                                        psd_radius_bounds, su_generators)
+from simplex_decomp.decompose import decompose
 from simplex_decomp.errors import (DimensionMismatchError, HermiticityError)
+from simplex_decomp.sicpovm import load_fiducial_cache, sic_from_fiducial
 
-from conftest import assert_bitwise_equal, random_density, random_pure_state
+from conftest import (assert_bitwise_equal, random_density, random_pure_state,
+                      reference_su_generators)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,6 +57,19 @@ class TestGenerators:
     def test_rejects_dimension_below_two(self):
         with pytest.raises(DimensionMismatchError):
             su_generators(1)
+
+    @pytest.mark.parametrize("dim", range(2, 31))
+    def test_equal_to_the_reference_construction(self, dim):
+        assert_bitwise_equal(su_generators(dim), reference_su_generators(dim))
+
+    def test_kernels_build_no_dense_stack(self):
+        """Certification and decomposition read the entry table alone."""
+        fid = load_fiducial_cache(Path(__file__).parent / "data" / "fid8.json")
+        su_generators.cache_clear()
+        blochspace._gell_mann_table.cache_clear()
+        sic = sic_from_fiducial(fid)
+        decompose("werner", 8, 0.1, 1.0, sic.bloch)
+        assert su_generators.cache_info().currsize == 0
 
 
 class TestBlochConversion:
@@ -105,14 +124,14 @@ class TestBlochConversion:
 def reference_coordinates(m):
     """Dense Tr[m L_mu] over every generator, as bloch_from_density once
     computed it: the coordinate kernel's bitwise oracle."""
-    return np.einsum("ij,mji->m", m, su_generators(m.shape[0]))
+    return np.einsum("ij,mji->m", m, reference_su_generators(m.shape[0]))
 
 
 def reference_density(coords, n):
     """Dense id/N + (1/2) sum_mu r_mu L_mu, as density_from_bloch once
     computed it."""
     m = np.eye(n, dtype=complex) / n
-    m += 0.5 * np.einsum("m,mij->ij", coords, su_generators(n))
+    m += 0.5 * np.einsum("m,mij->ij", coords, reference_su_generators(n))
     return m
 
 

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from simplex_decomp.blochspace import (_bloch_operators, psd_radius_bounds,
-                                       su_generators)
+from simplex_decomp.blochspace import _bloch_operators, psd_radius_bounds
 from simplex_decomp.decompose import (Decomposition, admissible_r_interval,
                                       certify, contour_radii, contour_sample,
                                       decompose, reconstruct,
@@ -20,7 +19,7 @@ from simplex_decomp.states import (StateKind, isotropic_density,
                                    partial_transpose, swap_operator,
                                    werner_density)
 
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, reference_su_generators
 
 decompose_module = importlib.import_module("simplex_decomp.decompose")
 
@@ -171,9 +170,9 @@ class TestDecompose:
         assert not own.factors_r.flags.writeable and not own.factors_s.flags.writeable
 
     def test_factor_stacks_are_built_without_copies(self, searched_sic):
-        """At N = 12 the peak is the operator plan's scratch, not extra stacks."""
+        """At N = 12 the peak is the operator kernel's scratch, not extra stacks."""
         simplex = searched_sic(12).bloch
-        decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached plan
+        decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached entry table
         tracemalloc.start()
         try:
             d = decompose("werner", 12, 0.1, 1.0, simplex)
@@ -404,7 +403,7 @@ class TestContourSample:
 
 def reference_simplex_operators(simplex, dim):
     """Dense contraction over every generator: the kernel's bitwise oracle."""
-    return np.einsum("im,mjk->ijk", simplex.vertices, su_generators(dim))
+    return np.einsum("im,mjk->ijk", simplex.vertices, reference_su_generators(dim))
 
 
 def reference_reconstruct(d):

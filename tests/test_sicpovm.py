@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import simplex_decomp.sicpovm as sicpovm
-from simplex_decomp.blochspace import _bloch_coordinates, su_generators
+from simplex_decomp.blochspace import _bloch_coordinates
 from simplex_decomp.errors import (FiducialCacheError, FiducialSearchError,
                                    NotAFiducialError)
 from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
@@ -22,7 +22,7 @@ from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
                                     zauner_unitary)
 from simplex_decomp.simplex import verify_simplex
 
-from conftest import assert_bitwise_equal, random_pure_state
+from conftest import assert_bitwise_equal, random_pure_state, reference_su_generators
 
 
 def overlap_table(states):
@@ -406,7 +406,7 @@ def reference_bloch_coordinates(projectors):
     """Dense contraction over every generator: the coordinate kernel's
     bitwise oracle, as ``sic_from_fiducial`` once computed it."""
     n = projectors.shape[-1]
-    return np.einsum("dij,mji->dm", projectors, su_generators(n))
+    return np.einsum("dij,mji->dm", projectors, reference_su_generators(n))
 
 
 def reference_orbit(vector):
@@ -468,7 +468,7 @@ class TestBlochCoordinatesBitwise:
         """At N = 16 the peak is the result plus one pass's products (two
         passes alive would put it near 3 results)."""
         projectors = orbit_projectors(searched_sic(16).states)
-        _bloch_coordinates(projectors)  # builds the cached plan
+        _bloch_coordinates(projectors)  # builds the cached entry table
         tracemalloc.start()
         try:
             coords = _bloch_coordinates(projectors)
@@ -486,6 +486,21 @@ class TestBlochCoordinatesBitwise:
         monkeypatch.setattr(sicpovm, "_orbit", counting)
         sic_from_fiducial(known_fiducial(3))
         assert calls == [3]
+
+    def test_orbit_peak_holds_no_dense_target(self):
+        """At N = 18 the peak is the complex Gram matrix and its float
+        moduli, about 1.5 complex N^4 arrays; a dense target adds more."""
+        n = 18
+        fid = Fiducial(dim=n, vector=np.full(n, n ** -0.5, dtype=complex),
+                       provenance=Provenance(kind=OPTIMIZED))
+        sicpovm._orbit(fid)  # builds the cached displacements
+        tracemalloc.start()
+        try:
+            sicpovm._orbit(fid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 16 * n ** 4
 
 
 class TestCache:
