@@ -20,14 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators, _readonly,
                          psd_radius_bounds)
 from .errors import (CertificateError, DimensionMismatchError,
-                     InadmissibleRadiusError, NotSeparableError,
-                     ParameterRangeError)
+                     HermiticityError, InadmissibleRadiusError,
+                     NotSeparableError, ParameterRangeError)
 from .sicpovm import SicPovm
 from .simplex import RegularSimplex
 from .states import (RANGE_ATOL, StateKind, classify, convert_params,
@@ -121,31 +122,79 @@ def decompose(kind, dim: int, tau: float, r: float,
                          factors_r=factors_r, factors_s=factors_s)
 
 
+@lru_cache(maxsize=None)
+def _hermitian_half(n: int) -> tuple:
+    """Index tables of :func:`reconstruct` at dimension ``n``.
+
+    Returns ``(a, b, upper, lower, source, swap)``: the factor entries
+    (a_k, b_k) with a_k <= b_k in row-major order and their flat rows
+    a_k n + b_k, which are summed; the flat rows (a, b) with a > b in
+    ascending order and, for each, the index k of the summed row (b, a)
+    it mirrors; and the column permutation (c, d) -> (d, c).
+    """
+    a, b = np.triu_indices(n)
+    k = np.empty((n, n), dtype=np.intp)
+    k[a, b] = np.arange(a.size)
+    low_a, low_b = np.tril_indices(n, -1)
+    swap = np.arange(n * n).reshape(n, n).T.ravel()
+    return tuple(_readonly(x) for x in
+                 (a, b, a * n + b, low_a * n + low_b, k[low_b, low_a], swap))
+
+
+def _check_exactly_hermitian(name: str, stack: np.ndarray) -> None:
+    # Real part symmetric and imaginary part antisymmetric, bit for bit (a
+    # zero's sign aside); only boolean and real temporaries are made.
+    flipped = stack.transpose(0, 2, 1)
+    if not (np.array_equal(stack.real, flipped.real)
+            and np.array_equal(stack.imag, -flipped.imag)):
+        dev = np.abs(stack - flipped.conj()).max()
+        raise HermiticityError(
+            f"{name} is not exactly Hermitian: deviation {dev:.3e}")
+
+
 def reconstruct(d: Decomposition) -> DensityMatrix:
     """Explicit weighted Kronecker sum of the factor pairs.
 
     Deliberately kept as the term-by-term sum (no closed form) so it can
-    serve as an independent oracle against the state constructors.
+    serve as an independent oracle against the state constructors.  Both
+    factor stacks must be exactly Hermitian, as :func:`decompose` builds
+    them; :class:`HermiticityError` is raised otherwise.
     """
     n = d.dim
-    # acc[(a, b), (c, d)] sums R_i[a, b] * S_i[c, d] in index order from
-    # zero, as the sum of np.kron products does in its (a, c), (b, d)
-    # order; the final division writes it back into the term buffer in
-    # that order, so no array beyond the two buffers is allocated.  The
-    # accumulator is freed before `DensityMatrix` checks Hermiticity, and the
-    # frozen term buffer is kept by it as it is, not copied.
-    acc = np.zeros((n * n, n * n), dtype=complex)
+    # Exact Hermiticity gives term[(b, a), (d, c)] = conj(term[(a, b), (c, d)])
+    # for every term R_i (x) S_i, and the complex product and sum keep that
+    # identity in value.  So only the rows (a, b) with a <= b are summed, in
+    # index order from zero as the sum of np.kron products does; each row
+    # (b, a) is the conjugate of row (a, b) with columns (c, d) read at
+    # (d, c).  The sums never hold -0, while the conjugate of a +0 is -0, so
+    # the mirror adds +0.0.  The final division writes the (a, c), (b, d)
+    # order into a buffer of its own, which `DensityMatrix` keeps as it is;
+    # everything else is freed before that checks Hermiticity.
+    for name in ("factors_r", "factors_s"):
+        _check_exactly_hermitian(name, getattr(d, name))
+    a, b, upper, lower, source, swap = _hermitian_half(n)
+    left = d.factors_r[:, a, b]
+    acc = np.zeros((a.size, n * n), dtype=complex)
     term = np.empty_like(acc)
     transpose = d.kind is StateKind.ISOTROPIC
-    for left, right in zip(d.factors_r, d.factors_s):
-        np.multiply.outer(left.ravel(), (right.T if transpose else right).ravel(),
+    for i, right in enumerate(d.factors_s):
+        np.multiply.outer(left[i], (right.T if transpose else right).ravel(),
                           out=term)
         acc += term
-    np.divide(acc.reshape(n, n, n, n).transpose(0, 2, 1, 3), d.n_factors,
-              out=term.reshape(n, n, n, n))
+    del left, term
+    full = np.empty((n * n, n * n), dtype=complex)
+    full[upper] = acc
+    mirrored = acc[np.ix_(source, swap)]
     del acc
-    term.setflags(write=False)
-    return DensityMatrix(term)
+    np.conjugate(mirrored, out=mirrored)
+    full[lower] = np.add(mirrored, 0.0, out=mirrored)
+    del mirrored
+    rho = np.empty_like(full)
+    np.divide(full.reshape(n, n, n, n).transpose(0, 2, 1, 3), d.n_factors,
+              out=rho.reshape(n, n, n, n))
+    del full
+    rho.setflags(write=False)
+    return DensityMatrix(rho)
 
 
 def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
@@ -277,7 +326,10 @@ def contour_radii(dim: int, tau: float, k: int) -> list[float]:
     if k < 1:
         raise ParameterRangeError(f"sample count must be >= 1, got {k}")
     intervals = admissible_r_interval(dim, tau)
-    assert intervals, "admissible set cannot be empty inside the separable interval"
+    if not intervals:  # an explicit raise, so it holds under python -O
+        raise NotSeparableError(
+            f"no admissible radius for tau = {tau} inside the separable interval "
+            f"{list(separable_interval(dim))}")
     lengths = [b - a for a, b in intervals]
     total = sum(lengths)
     if total <= RANGE_ATOL:

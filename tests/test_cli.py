@@ -111,6 +111,14 @@ class TestDecompose:
         assert code == 4
         assert json.loads(out)["class"] == "Steerable"
 
+    def test_empty_admissible_set_exits_4(self, capsys, monkeypatch):
+        """Under python -O too: no empty list on stdout with exit code 0."""
+        monkeypatch.setattr(importlib.import_module("simplex_decomp.decompose"),
+                            "admissible_r_interval", lambda dim, tau: [])
+        code, out, err = run_cli(capsys, "decompose", "werner", "3", "--tau", "0.5")
+        assert code == 4
+        assert out == "" and "no admissible radius" in err
+
     def test_invalid_radius_exits_5_with_intervals(self, capsys):
         code, out, err = run_cli(capsys, "decompose", "werner", "2",
                                  "--tau", "1", "--r", "0.5")

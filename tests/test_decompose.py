@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
 from simplex_decomp.blochspace import _bloch_operators, psd_radius_bounds
@@ -11,8 +13,8 @@ from simplex_decomp.decompose import (Decomposition, admissible_r_interval,
                                       decompose, reconstruct,
                                       separable_decompose, verify_decomposition)
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
-                                   InadmissibleRadiusError, NotSeparableError,
-                                   ParameterRangeError)
+                                   HermiticityError, InadmissibleRadiusError,
+                                   NotSeparableError, ParameterRangeError)
 from simplex_decomp.sicpovm import known_fiducial, sic_from_fiducial
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
 from simplex_decomp.states import (StateKind, isotropic_density,
@@ -391,6 +393,13 @@ class TestContourSample:
         assert certify(d).separable_certificate
         assert not verify_decomposition(d, target_tol=1e-10).separable_certificate
 
+    def test_empty_admissible_set_raises(self, monkeypatch):
+        """An explicit raise, not an assert, so python -O cannot return []."""
+        monkeypatch.setattr(decompose_module, "admissible_r_interval",
+                            lambda dim, tau: [])
+        with pytest.raises(NotSeparableError, match="no admissible radius"):
+            contour_radii(3, 0.5, 2)
+
     def test_failed_certificate_raises(self, registry_sics, monkeypatch):
         """An explicit raise, not an assert, so it holds under python -O."""
         real = verify_decomposition
@@ -461,3 +470,70 @@ class TestKernelsBitwise:
             assert_bitwise_equal(d.factors_r, eye / dim + (d.r / 2.0) * ops)
             assert_bitwise_equal(d.factors_s, eye / dim + (d.s / 2.0) * ops)
             assert_bitwise_equal(reconstruct(d).entries, reference_reconstruct(d))
+
+    @pytest.mark.parametrize("kind", ["werner", "isotropic"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    def test_reconstruct_on_rotated_simplex(self, dim, kind):
+        """Non-SIC regular simplexes: points on both branches of the contour
+        and radii whose factors are not positive semidefinite."""
+        m = dim * dim - 1
+        rot = ortho_group.rvs(m, random_state=100 + dim)
+        simplex = RegularSimplex(ambient_dim=m,
+                                 vertices=canonical_simplex(m).vertices @ rot.T)
+        neg_min, r_max = psd_radius_bounds(dim)
+        points = contour_points(dim) + [(0.0, r_max), (-1.0 / dim, 3.0),
+                                         (0.5, -2.5), (-1.5 / dim, 1.7 * neg_min)]
+        for tau, r in points:
+            d = decompose(kind, dim, tau, r, simplex)
+            assert_bitwise_equal(reconstruct(d).entries, reference_reconstruct(d))
+
+
+def hermitian_stack(rng, count, dim, zeros):
+    """``count`` exactly Hermitian trace-one matrices X + X^H.
+
+    A share ``zeros`` of the entries of X is zero, and the sign of every
+    zero part of the sum is then drawn at random: the sign of a zero is
+    free in an exactly Hermitian matrix, so the sum must not depend on it.
+    """
+    x = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    x[rng.random(x.shape) < zeros] = 0.0
+    h = x + x.conj().transpose(0, 2, 1)
+    idx = np.arange(dim)
+    h[:, idx, idx] += (1.0 - h.trace(axis1=1, axis2=2).real)[:, None] / dim
+    for part in (h.real, h.imag):
+        flip = (part == 0.0) & (rng.random(part.shape) < 0.5)
+        part[flip] = np.negative(part[flip])
+    return h
+
+
+class TestReconstructHermitianHalf:
+    """`reconstruct` sums the rows a <= b and mirrors the others exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 6), kind=st.sampled_from(["werner", "isotropic"]),
+           zeros=st.sampled_from([0.0, 0.3, 0.9]), extra=st.integers(-1, 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_over_random_hermitian_stacks(self, dim, kind, zeros, extra, seed):
+        rng = np.random.default_rng(seed)
+        count = dim * dim + extra
+        d = Decomposition(kind=StateKind.parse(kind), dim=dim, tau=0.5, r=1.0, s=0.5,
+                          simplex=canonical_simplex(dim * dim - 1),
+                          factors_r=hermitian_stack(rng, count, dim, zeros),
+                          factors_s=hermitian_stack(rng, count, dim, zeros))
+        assert_bitwise_equal(reconstruct(d).entries, reference_reconstruct(d))
+
+    @pytest.mark.parametrize("stack", ["factors_r", "factors_s"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_factor_off_by_one_ulp_is_refused(self, registry_sics, stack, part):
+        """The mirror assumes exact Hermiticity, so it refuses a factor that
+        misses it by one ulp instead of hiding the entry it would not read."""
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        factors = {"factors_r": np.array(d.factors_r), "factors_s": np.array(d.factors_s)}
+        entry = getattr(factors[stack][4, 2, 0:1], part)
+        entry[0] = np.nextafter(entry[0], np.inf)
+        bad = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s,
+                            simplex=d.simplex, **factors)
+        with pytest.raises(HermiticityError, match=stack):
+            reconstruct(bad)
+        with pytest.raises(HermiticityError):
+            verify_decomposition(bad)
