@@ -34,8 +34,9 @@ from .simplex import RegularSimplex
 from .states import (RANGE_ATOL, StateKind, classify, convert_params,
                      isotropic_density, separable_interval, werner_density)
 
-# Slack for radius membership at interval endpoints; a radius admitted this
-# far outside still yields factor eigenvalues within the PSD tolerance.
+# Slack for the membership of r, and of s = tau/r, in their intervals at the
+# endpoints.  Both need it: for |tau| below this slack, the slack on r alone
+# admits radii near 0, whose s = tau/r lies far outside the PSD interval.
 ADMISSIBLE_ATOL = 1e-9
 
 
@@ -242,12 +243,10 @@ def _nearest_admissible(r: float, intervals) -> float:
     # Clamp to the hull first so that r = +-inf picks the extreme endpoint
     # instead of tying at infinite distance with every interval.
     r = min(max(r, intervals[0][0]), intervals[-1][1])
-    best = None
-    for a, b in intervals:
-        c = min(max(r, a), b)
-        if best is None or abs(c - r) < abs(best - r):
-            best = c
-    return best
+    # A tie, as for a radius near 0 between the two branches of a tiny tau,
+    # goes to the branch on the radius's own side of 0.
+    return min((min(max(r, a), b) for a, b in intervals),
+               key=lambda c: (abs(c - r), (c < 0) != (r < 0)))
 
 
 def separable_decompose(kind, dim: int, tau: float, r: float,
@@ -264,6 +263,10 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
         raise DimensionMismatchError(f"SIC dimension {sic.dim} != requested {dim}")
     intervals = admissible_r_interval(dim, tau)
     inside = any(a - ADMISSIBLE_ATOL <= r <= b + ADMISSIBLE_ATOL for a, b in intervals)
+    if inside and tau != 0.0:
+        neg_min, r_max = psd_radius_bounds(dim)
+        s = tau / r if r != 0.0 else math.inf
+        inside = neg_min - ADMISSIBLE_ATOL <= s <= r_max + ADMISSIBLE_ATOL
     if not (math.isnan(r) or inside):
         nearest = _nearest_admissible(r, intervals)
         raise InadmissibleRadiusError(

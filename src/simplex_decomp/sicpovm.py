@@ -8,11 +8,11 @@ form a regular N^2-simplex, which is what the decomposition machinery
 consumes.
 
 The search minimizes the squared-overlap residuals directly with a
-Gauss-Newton least-squares solver, first within the eigenvalue-1
-eigenspace of Zauner's order-3 Clifford unitary, then, when that fails,
-over the full space; the frame potential (quartic overlap
-sum) is exposed as the certifying objective, with known global minimum
-(N^2-1)/(N+1)^2 attained exactly on SIC fiducials.
+Gauss-Newton least-squares solver within the eigenvalue-1 eigenspace of
+Zauner's order-3 Clifford unitary, where numerical SIC fiducials lie; the
+frame potential (quartic overlap sum) is exposed as the certifying
+objective, with known global minimum (N^2-1)/(N+1)^2 attained exactly on
+SIC fiducials.
 """
 
 from __future__ import annotations
@@ -304,50 +304,37 @@ def _overlap_residuals(dimension: int):
     return fun, jac
 
 
-def _least_squares(fun, jac, size: int, seed: int, max_iters: int):
-    """One ``trf`` run from ``default_rng(seed)``; returns (x, nfev, residual)."""
-    # Imported here: scipy.optimize takes most of a second to load, and only
-    # the search needs it.
-    from scipy.optimize import least_squares
-
-    x0 = np.random.default_rng(seed).standard_normal(size)
-    res = least_squares(fun, x0, jac=jac, method="trf",
-                        xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
-    return res.x, int(res.nfev), max(float(np.sum(res.fun ** 2)), 0.0)
-
-
 def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
                   tol: float = 1e-10) -> Fiducial | FiducialSearchFailure:
-    """Search for a SIC fiducial from one seeded start, in two stages.
+    """Search for a SIC fiducial in the Zauner subspace from one seeded start.
 
-    Stage 1 searches the Zauner subspace, the eigenvalue-1 eigenspace of
-    :func:`zauner_unitary` (about N/3 complex unknowns), from
-    ``default_rng(seed)``.  Only when it fails does stage 2 search the full
-    space from a fresh ``default_rng(seed)``, exactly as a full-space-only
-    search would, so every seed that succeeds there still succeeds, with
-    the same vector and provenance.  Each stage runs at most ``max_iters``
-    evaluations and succeeds when the residual (frame-potential excess over
-    its global minimum) drops to ``tol`` or below.  Deterministic given
-    (dimension, seed).  A :class:`FiducialSearchFailure` carries the
-    evaluations of both stages and the better of their best residuals.
-    Multi-start searches are the caller's loop over seeds.
+    The Zauner subspace is the eigenvalue-1 eigenspace of
+    :func:`zauner_unitary` (about N/3 complex unknowns).  One ``trf``
+    least-squares run starts from ``default_rng(seed)``, takes at most
+    ``max_iters`` evaluations and succeeds when the residual
+    (frame-potential excess over its global minimum) drops to ``tol`` or
+    below.  Deterministic given (dimension, seed).  A
+    :class:`FiducialSearchFailure` carries that run's evaluations and
+    residual.  Multi-start searches are the caller's loop over seeds.
     """
     n = dimension
     if n < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    # Imported here: scipy.optimize takes most of a second to load, and only
+    # the search needs it.
+    from scipy.optimize import least_squares
+
     fun, jac = _overlap_residuals(n)
     lift = _zauner_lift(n)
-    x, nfev, residual = _least_squares(
-        lambda y: fun(lift @ y), lambda y: jac(lift @ y) @ lift,
-        lift.shape[1], seed, max_iters)
-    if residual <= tol:
-        x = lift @ x
-    else:
-        x, full_nfev, full_residual = _least_squares(fun, jac, 2 * n, seed, max_iters)
-        if not full_residual <= tol:  # a NaN tolerance accepts nothing
-            return FiducialSearchFailure(dim=n, seed=seed, iterations=nfev + full_nfev,
-                                         best_residual=min(residual, full_residual))
-        nfev, residual = full_nfev, full_residual
+    y0 = np.random.default_rng(seed).standard_normal(lift.shape[1])
+    res = least_squares(lambda y: fun(lift @ y), y0,
+                        jac=lambda y: jac(lift @ y) @ lift, method="trf",
+                        xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
+    nfev, residual = int(res.nfev), max(float(np.sum(res.fun ** 2)), 0.0)
+    if not residual <= tol:  # a NaN tolerance accepts nothing
+        return FiducialSearchFailure(dim=n, seed=seed, iterations=nfev,
+                                     best_residual=residual)
+    x = lift @ res.x
     z = x[:n] + 1j * x[n:]
     z = z / np.linalg.norm(z)
     return Fiducial(dim=n, vector=z,
@@ -388,9 +375,8 @@ def obtain_sic(dim: int, cache_path: str | os.PathLike | None = None) -> SicPovm
     """SIC from the registry, else the cache, else a multi-start search.
 
     The search keeps the first success of :func:`find_fiducial` over seeds
-    0..19, so the result is deterministic; each seed tries the Zauner
-    subspace, then the full space.  :class:`FiducialSearchError` when every
-    seed fails.
+    0..19, so the result is deterministic; each seed is one search in the
+    Zauner subspace.  :class:`FiducialSearchError` when every seed fails.
     """
     fid = known_fiducial(dim, cache_path)
     if fid is None:

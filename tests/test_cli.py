@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
@@ -459,6 +459,9 @@ def cli_argv(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(argv=cli_argv())
+# s = tau/r far outside the PSD interval once crashed with a HermiticityError.
+@example(argv=["decompose", "werner", "2", "--tau=1e-10",
+               "--r=2.00088116740105e-262", f"--fiducial-cache={FID4}"])
 def test_every_invocation_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), \

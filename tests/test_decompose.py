@@ -266,6 +266,15 @@ class TestSeparableDecompose:
             separable_decompose("werner", 2, 1.0, 0.5, sic=registry_sics[2])
         assert abs(err.value.nearest - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("r", [1e-11, 2.00088116740105e-262, 0.0])
+    def test_tiny_tau_refuses_a_radius_whose_s_leaves_the_psd_interval(
+            self, registry_sics, r):
+        # r lies within ADMISSIBLE_ATOL of the interval [1e-10, 1], but
+        # s = tau/r does not lie within it of [-1, 1].
+        with pytest.raises(InadmissibleRadiusError) as err:
+            separable_decompose("werner", 2, 1e-10, r, sic=registry_sics[2])
+        assert err.value.nearest == 1e-10
+
     def test_tau_zero_still_bounds_the_left_radius(self, registry_sics):
         lo, hi = psd_radius_bounds(2)
         d = separable_decompose("werner", 2, 0.0, hi, sic=registry_sics[2])
