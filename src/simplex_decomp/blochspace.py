@@ -79,10 +79,10 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         dev = np.abs(m - m.conj().T).max()
-        if dev > HERM_TOL:
+        if not dev <= HERM_TOL:  # NaN fails too
             raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
         tr = m.trace()
-        if abs(tr - 1.0) > HERM_TOL:
+        if not abs(tr - 1.0) <= HERM_TOL:
             raise HermiticityError(f"matrix trace {tr} is not 1")
         object.__setattr__(self, "entries", _readonly(m))
 
@@ -208,7 +208,7 @@ def bloch_from_density(rho) -> BlochVector:
     n = m.shape[0]
     coords = _bloch_coordinates(m[None])[0]
     imag = np.abs(coords.imag).max()
-    if imag > HERM_TOL:
+    if not imag <= HERM_TOL:  # NaN fails too
         raise HermiticityError(f"Bloch coordinates have imaginary part {imag:.3e}")
     return BlochVector(dimension=n, coords=coords.real)
 
@@ -234,7 +234,7 @@ def min_eigenvalue(m) -> float:
     """
     a = _as_matrix(m)
     dev = np.abs(a - a.conj().T).max()
-    if dev > HERM_TOL:
+    if not dev <= HERM_TOL:  # NaN fails too
         raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
 

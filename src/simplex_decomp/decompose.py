@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,13 +39,26 @@ from .states import (RANGE_ATOL, StateKind, classify, convert_params,
 ADMISSIBLE_ATOL = 1e-9
 
 
+def _check_exactly_hermitian(name: str, stack: np.ndarray) -> None:
+    # Real part symmetric and imaginary part antisymmetric, bit for bit (a
+    # zero's sign aside); only boolean and real temporaries are made.
+    flipped = stack.transpose(0, 2, 1)
+    if not (np.array_equal(stack.real, flipped.real)
+            and np.array_equal(stack.imag, -flipped.imag)):
+        dev = np.abs(stack - flipped.conj()).max()
+        raise HermiticityError(
+            f"{name} is not exactly Hermitian: deviation {dev:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
 
     ``factors_r`` and ``factors_s`` stack the N^2 left and right factors;
     the mixture weight of every pair is 1/N^2.  A stack is kept when it is
-    read-only and owns its data, and copied otherwise.
+    read-only and owns its data, and copied otherwise.  Construction raises
+    :class:`HermiticityError` unless both stacks are exactly Hermitian, bit
+    for bit, so every instance is; the stacks :func:`decompose` builds are.
     """
 
     kind: StateKind
@@ -63,7 +75,9 @@ class Decomposition:
             raise ParameterRangeError(
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
         for name in ("factors_r", "factors_s"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+            stack = _readonly(getattr(self, name))
+            _check_exactly_hermitian(name, stack)
+            object.__setattr__(self, name, stack)
 
     @property
     def n_factors(self) -> int:
@@ -123,57 +137,23 @@ def decompose(kind, dim: int, tau: float, r: float,
                          factors_r=factors_r, factors_s=factors_s)
 
 
-@lru_cache(maxsize=None)
-def _hermitian_half(n: int) -> tuple:
-    """Index tables of :func:`reconstruct` at dimension ``n``.
-
-    Returns ``(a, b, upper, lower, source, swap)``: the factor entries
-    (a_k, b_k) with a_k <= b_k in row-major order and their flat rows
-    a_k n + b_k, which are summed; the flat rows (a, b) with a > b in
-    ascending order and, for each, the index k of the summed row (b, a)
-    it mirrors; and the column permutation (c, d) -> (d, c).
-    """
-    a, b = np.triu_indices(n)
-    k = np.empty((n, n), dtype=np.intp)
-    k[a, b] = np.arange(a.size)
-    low_a, low_b = np.tril_indices(n, -1)
-    swap = np.arange(n * n).reshape(n, n).T.ravel()
-    return tuple(_readonly(x) for x in
-                 (a, b, a * n + b, low_a * n + low_b, k[low_b, low_a], swap))
-
-
-def _check_exactly_hermitian(name: str, stack: np.ndarray) -> None:
-    # Real part symmetric and imaginary part antisymmetric, bit for bit (a
-    # zero's sign aside); only boolean and real temporaries are made.
-    flipped = stack.transpose(0, 2, 1)
-    if not (np.array_equal(stack.real, flipped.real)
-            and np.array_equal(stack.imag, -flipped.imag)):
-        dev = np.abs(stack - flipped.conj()).max()
-        raise HermiticityError(
-            f"{name} is not exactly Hermitian: deviation {dev:.3e}")
-
-
 def reconstruct(d: Decomposition) -> DensityMatrix:
     """Explicit weighted Kronecker sum of the factor pairs.
 
     Deliberately kept as the term-by-term sum (no closed form) so it can
-    serve as an independent oracle against the state constructors.  Both
-    factor stacks must be exactly Hermitian, as :func:`decompose` builds
-    them; :class:`HermiticityError` is raised otherwise.
+    serve as an independent oracle against the state constructors.  Only
+    the blocks (a, b) with a <= b are summed; the others are mirrored,
+    which the exact Hermiticity of every :class:`Decomposition` allows.
     """
     n = d.dim
-    # Exact Hermiticity gives term[(b, a), (d, c)] = conj(term[(a, b), (c, d)])
-    # for every term R_i (x) S_i, and the complex product and sum keep that
-    # identity in value.  So only the rows (a, b) with a <= b are summed, in
-    # index order from zero as the sum of np.kron products does; each row
-    # (b, a) is the conjugate of row (a, b) with columns (c, d) read at
-    # (d, c).  The sums never hold -0, while the conjugate of a +0 is -0, so
-    # the mirror adds +0.0.  The final division writes the (a, c), (b, d)
-    # order into a buffer of its own, which `DensityMatrix` keeps as it is;
-    # everything else is freed before that checks Hermiticity.
-    for name in ("factors_r", "factors_s"):
-        _check_exactly_hermitian(name, getattr(d, name))
-    a, b, upper, lower, source, swap = _hermitian_half(n)
+    # Block (a, b) of R_i (x) S_i is R_i[a, b] S_i, and exact Hermiticity
+    # makes block (b, a) the conjugate transpose of block (a, b); the complex
+    # product and sum keep that identity in value.  So only the blocks with
+    # a <= b are summed, in index order from zero as the sum of np.kron
+    # products does, divided by M and copied into the result's blocks.  The
+    # sums never hold -0, while the conjugate of a +0 is -0, so the mirror
+    # adds +0.0; conjugation and +0.0 commute with the division by M > 0.
+    a, b = np.triu_indices(n)
     left = d.factors_r[:, a, b]
     acc = np.zeros((a.size, n * n), dtype=complex)
     term = np.empty_like(acc)
@@ -183,17 +163,15 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
                           out=term)
         acc += term
     del left, term
-    full = np.empty((n * n, n * n), dtype=complex)
-    full[upper] = acc
-    mirrored = acc[np.ix_(source, swap)]
+    acc /= d.n_factors
+    rho = np.empty((n * n, n * n), dtype=complex)
+    blocks = rho.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [a, b, c, d]
+    blocks[a, b] = acc.reshape(-1, n, n)
     del acc
-    np.conjugate(mirrored, out=mirrored)
-    full[lower] = np.add(mirrored, 0.0, out=mirrored)
-    del mirrored
-    rho = np.empty_like(full)
-    np.divide(full.reshape(n, n, n, n).transpose(0, 2, 1, 3), d.n_factors,
-              out=rho.reshape(n, n, n, n))
-    del full
+    for row in range(1, n):
+        lower = blocks[row, :row]
+        np.conjugate(blocks[:row, row].transpose(0, 2, 1), out=lower)
+        np.add(lower, 0.0, out=lower)
     rho.setflags(write=False)
     return DensityMatrix(rho)
 
@@ -285,7 +263,8 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     from the Bloch sums used here, so agreement is a genuine two-route
     check.  The separable certificate also demands PSD factors and an error
     of at most ``target_tol``, by default the simplex's ``tol`` (over a SIC,
-    the certificate tolerance of its provenance).
+    the certificate tolerance of its provenance).  The factor eigenvalues
+    come from the stacks as built, which are exactly Hermitian.
     """
     if target_tol is None:
         target_tol = d.simplex.tol
@@ -296,10 +275,8 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
         closed = isotropic_density(d.dim, eta=params.eta)
     rec = reconstruct(d)
     err = float(np.abs(rec.entries - closed.entries).max())
-    herm_r = 0.5 * (d.factors_r + d.factors_r.conj().transpose(0, 2, 1))
-    herm_s = 0.5 * (d.factors_s + d.factors_s.conj().transpose(0, 2, 1))
-    min_eig_r = float(np.linalg.eigvalsh(herm_r)[:, 0].min())
-    min_eig_s = float(np.linalg.eigvalsh(herm_s)[:, 0].min())
+    min_eig_r = float(np.linalg.eigvalsh(d.factors_r)[:, 0].min())
+    min_eig_s = float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
     all_psd = min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL
     return VerificationReport(
         reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,

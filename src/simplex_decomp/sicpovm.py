@@ -73,7 +73,7 @@ class Fiducial:
             raise DimensionMismatchError(
                 f"fiducial vector has shape {v.shape}, expected ({self.dim},)")
         norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"fiducial vector norm {norm} is not 1 within 1e-12")
         object.__setattr__(self, "vector", v)
 

@@ -271,24 +271,26 @@ def separable_interval(dim: int) -> tuple[float, float]:
 
 def _werner_boundaries(n: int) -> dict:
     lo, hi = separable_interval(n)
+    tau_min, tau_max = _tau_range(StateKind.WERNER, n)
     return {
-        "tau_min": -2.0 * (n + 1) / n,
+        "tau_min": tau_min,
         "tau_steer": -2.0 * (n * n - 1.0) / n**2,
         "tau_sep_lo": lo,
         "tau_sep_hi": hi,
-        "tau_max": hi,
+        "tau_max": tau_max,
     }
 
 
 def _isotropic_boundaries(n: int) -> dict:
     lo, hi = separable_interval(n)
+    tau_min, tau_max = _tau_range(StateKind.ISOTROPIC, n)
     h = harmonic_number(n)
     return {
-        "tau_min": lo,
+        "tau_min": tau_min,
         "tau_sep_lo": lo,
         "tau_sep_hi": hi,
         "tau_steer": 2.0 * (h - 1.0) * (n + 1) / n,
-        "tau_max": 2.0 * (n * n - 1.0) / n,
+        "tau_max": tau_max,
         "harmonic_number": h,
     }
 

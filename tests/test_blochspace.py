@@ -91,6 +91,10 @@ class TestBlochConversion:
             b = bloch_from_density(np.outer(v, v.conj()))
             assert abs(b.radius - np.sqrt(2.0 * (dim - 1) / dim)) < 1e-12
 
+    def test_nan_matrix_is_rejected(self):
+        with pytest.raises(HermiticityError):
+            bloch_from_density(np.full((2, 2), np.nan))
+
     def test_zero_vector_gives_maximally_mixed(self):
         m = density_from_bloch(BlochVector(3, np.zeros(8)))
         np.testing.assert_allclose(m.entries, np.eye(3) / 3, atol=1e-15)
@@ -195,6 +199,8 @@ class TestMinEigenvalue:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             min_eigenvalue(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(HermiticityError):
+            min_eigenvalue(np.full((2, 2), np.nan))
 
 
 class TestPsdRadiusBounds:
@@ -258,6 +264,8 @@ class TestDensityMatrixType:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermiticityError):
             DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        with pytest.raises(HermiticityError):
+            DensityMatrix(np.full((2, 2), np.nan))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(HermiticityError):

@@ -409,6 +409,28 @@ class TestBadInput:
         assert not cache.exists()
 
 
+class TestNanCache:
+    """A cached vector holding NaN is refused, never certified."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("sic", "4", "--verify", "--cache"), 2),
+        (("decompose", "werner", "4", "--tau", "0.1", "--r", "0.5",
+          "--fiducial-cache"), 2),
+        (("selftest", "--n-max", "2", "--fiducial-cache"), 1),
+    ], ids=["sic", "decompose", "selftest"])
+    def test_exits_with_its_code(self, capsys, tmp_path, argv, expected):
+        cache = tmp_path / "nan.json"
+        cache.write_text('{"N": 4, "vector": [[NaN, 0], [0.5, 0], [0.5, 0], [0.5, 0]],'
+                         ' "residual": 0, "seed": 0}')
+        code, out, err = run_cli(capsys, *argv, str(cache))
+        assert code == expected
+        assert "Traceback" not in err
+        if expected == 2:
+            assert out == "" and "malformed" in err
+        else:
+            assert "[FAIL] sic-overlap" in out and "selftest passed" not in out
+
+
 FID4 = str(DATA / "fid4.json")
 PARAMS = ("tau", "phi", "alpha", "beta", "eta")
 

@@ -194,6 +194,33 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak <= 3.5 * rho.entries.nbytes
 
+    def test_verification_is_built_without_copies(self, searched_sic):
+        """At N = 12 the peak is the closed form's plus the reconstruction's:
+        the factor stacks are read as built.  (The Werner closed form alone
+        peaks higher, so this uses the isotropic family.)"""
+        d = decompose("isotropic", 12, 0.1, 1.0, searched_sic(12).bloch)
+        verify_decomposition(d)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            verify_decomposition(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * d.factors_r.nbytes  # N^4 entries, as the state
+
+    def test_decomposition_is_checked_once_when_built(self, registry_sics, monkeypatch):
+        real, checked = decompose_module._check_exactly_hermitian, []
+
+        def counting(name, stack):
+            checked.append(name)
+            return real(name, stack)
+        monkeypatch.setattr(decompose_module, "_check_exactly_hermitian", counting)
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        assert verify_decomposition(d).separable_certificate
+        assert checked == ["factors_r", "factors_s"]
+        reconstruct(d)
+        assert len(checked) == 2
+
     def test_simplex_is_checked_once_when_built(self, monkeypatch):
         simplex_module = importlib.import_module("simplex_decomp.simplex")
         real, checked = simplex_module.verify_simplex, []
@@ -534,15 +561,13 @@ class TestReconstructHermitianHalf:
     @pytest.mark.parametrize("stack", ["factors_r", "factors_s"])
     @pytest.mark.parametrize("part", ["real", "imag"])
     def test_factor_off_by_one_ulp_is_refused(self, registry_sics, stack, part):
-        """The mirror assumes exact Hermiticity, so it refuses a factor that
-        misses it by one ulp instead of hiding the entry it would not read."""
+        """The mirror assumes exact Hermiticity, so a `Decomposition` refuses,
+        when built, a factor that misses it by one ulp instead of hiding the
+        entry `reconstruct` would not read."""
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
         factors = {"factors_r": np.array(d.factors_r), "factors_s": np.array(d.factors_s)}
         entry = getattr(factors[stack][4, 2, 0:1], part)
         entry[0] = np.nextafter(entry[0], np.inf)
-        bad = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s,
-                            simplex=d.simplex, **factors)
         with pytest.raises(HermiticityError, match=stack):
-            reconstruct(bad)
-        with pytest.raises(HermiticityError):
-            verify_decomposition(bad)
+            Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s,
+                          simplex=d.simplex, **factors)

@@ -515,7 +515,9 @@ class TestCache:
     @pytest.mark.parametrize("text", [
         '{bad',
         '{"N": 4, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]], "seed": 0}',
-    ], ids=["invalid-json", "missing-key"])
+        '{"N": 4, "vector": [[NaN, 0], [0.5, 0], [0.5, 0], [0.5, 0]],'
+        ' "residual": 0, "seed": 0}',
+    ], ids=["invalid-json", "missing-key", "nan-vector"])
     def test_malformed_cache_raises_one_error_type(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
