@@ -7,7 +7,9 @@ a reduced version of the full invariant suite.  All numeric output uses
 byte-identical output on one platform.
 
 Exit codes (stable contract): 0 success, 1 selftest/certificate failure,
-2 search failure, 3 I/O error, 4 non-separable input, 5 bad parameter.
+2 search failure, 3 I/O error, 4 non-separable input, 5 bad parameter
+(a usage error or a request too large to allocate included).  Commands
+print their stdout payload and raise; ``main`` maps the error to its code.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ _EXIT_CODES = (
     ((NotSeparableError,), EXIT_NOT_SEPARABLE),
     ((CertificateError,), EXIT_SELFTEST),
     ((NotAFiducialError, FiducialSearchError, FiducialCacheError), EXIT_SEARCH),
-    ((ParameterRangeError, DimensionMismatchError, SimplexStructureError),
-     EXIT_BAD_PARAMETER),
+    ((ParameterRangeError, DimensionMismatchError, SimplexStructureError,
+      MemoryError), EXIT_BAD_PARAMETER),
     ((OSError,), EXIT_IO),
 )
 
@@ -68,32 +70,18 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _simplex_dict(s) -> dict:
-    return {"ambient_dim": s.ambient_dim, "vertices": s.vertices}
-
-
-def _report_dict(rep: VerificationReport) -> dict:
-    return {
-        "reconstruction_error": rep.reconstruction_error,
-        "min_eig_R": rep.min_eig_r,
-        "min_eig_S": rep.min_eig_s,
-        "all_factors_psd": rep.all_factors_psd,
-        "separable_certificate": rep.separable_certificate,
-    }
-
-
 def _decomposition_dict(d: Decomposition, rep: VerificationReport) -> dict:
     return {
-        "kind": d.kind.value,
-        "N": d.dim,
-        "tau": d.tau,
-        "r": d.r,
-        "s": d.s,
-        "simplex": _simplex_dict(d.simplex),
+        "kind": d.kind.value, "N": d.dim, "tau": d.tau, "r": d.r, "s": d.s,
+        "simplex": {"ambient_dim": d.simplex.ambient_dim,
+                    "vertices": d.simplex.vertices},
         "factors": [{"R": serialize.encode_cmatrix(d.factors_r[i]),
                      "S": serialize.encode_cmatrix(d.factors_s[i])}
                     for i in range(d.n_factors)],
-        "report": _report_dict(rep),
+        "report": {"reconstruction_error": rep.reconstruction_error,
+                   "min_eig_R": rep.min_eig_r, "min_eig_S": rep.min_eig_s,
+                   "all_factors_psd": rep.all_factors_psd,
+                   "separable_certificate": rep.separable_certificate},
     }
 
 
@@ -122,25 +110,17 @@ def cmd_sic(args) -> int:
     _check_tol(args.tol)
     cache_path = _resolve_cache(args.cache)
     if args.find:
-        if args.seed < 0:
-            raise ParameterRangeError(f"--seed must be >= 0, got {args.seed}")
-        if args.max_iters < 1:
-            raise ParameterRangeError(f"--max-iters must be >= 1, got {args.max_iters}")
         residual_tol = {} if args.tol is None else {"tol": args.tol}
         result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters,
                                **residual_tol)
         if isinstance(result, FiducialSearchFailure):
-            payload = {"N": result.dim, "seed": result.seed,
-                       "iterations": result.iterations,
-                       "residual": result.best_residual, "success": False}
-            print(serialize.dumps(payload))
-            return EXIT_SEARCH
+            print(serialize.dumps({"N": result.dim, "seed": result.seed,
+                                   "iterations": result.iterations,
+                                   "residual": result.best_residual, "success": False}))
+            raise FiducialSearchError(f"fiducial search failed for N = {result.dim} "
+                                      f"at seed {result.seed}")
         if cache_path is not None:
-            try:
-                save_fiducial_cache(cache_path, result)
-            except OSError as exc:
-                print(f"cannot write fiducial cache {cache_path}: {exc}", file=sys.stderr)
-                return EXIT_IO
+            save_fiducial_cache(cache_path, result)
         payload = {"N": result.dim, "seed": result.provenance.seed,
                    "iterations": result.provenance.iterations,
                    "residual": result.provenance.residual, "success": True,
@@ -150,14 +130,16 @@ def cmd_sic(args) -> int:
     # --verify
     fid = known_fiducial(args.N, cache_path)
     if fid is None:
-        print(f"no fiducial known for N = {args.N}; run --find first", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
+        raise ParameterRangeError(f"no fiducial known for N = {args.N}; run --find first")
     deviation = max_overlap_deviation(fid)
     tol = TOLERANCES[fid.provenance.kind].overlap if args.tol is None else args.tol
     payload = {"N": args.N, "max_overlap_deviation": deviation, "tol": tol,
                "provenance": fid.provenance.kind, "ok": deviation <= tol}
     print(serialize.dumps(payload))
-    return EXIT_OK if deviation <= tol else EXIT_SEARCH
+    if not deviation <= tol:
+        raise NotAFiducialError(f"displacement orbit is not equiangular: deviation "
+                                f"{deviation:.3e} exceeds {tol:.1e}", deviation)
+    return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
@@ -169,9 +151,8 @@ def cmd_decompose(args) -> int:
     if cls.name != "Separable":
         print(serialize.dumps({"class": cls.name, "boundaries": cls.boundaries,
                                "params": params.as_dict()}))
-        print(f"state is {cls.name}, not separable: no product decomposition exists",
-              file=sys.stderr)
-        return EXIT_NOT_SEPARABLE
+        raise NotSeparableError(f"state is {cls.name}, not separable: no product "
+                                f"decomposition exists", classification=cls)
     sic = obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
     if args.r is not None:
         radii = [args.r]
@@ -181,18 +162,13 @@ def cmd_decompose(args) -> int:
         items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
                  for r in radii]
     except InadmissibleRadiusError as exc:
-        print(str(exc), file=sys.stderr)
         print(serialize.dumps({"admissible_r_intervals":
                                [[a, b] for a, b in exc.intervals],
                                "nearest": exc.nearest}))
-        return EXIT_BAD_PARAMETER
+        raise
     dicts = [_decomposition_dict(d, certify(d, args.tol)) for d in items]
-    body = dicts[0] if len(dicts) == 1 else dicts
-    try:
-        _write_output(serialize.dumps(body) + "\n", args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_output(serialize.dumps(dicts[0] if len(dicts) == 1 else dicts) + "\n",
+                  args.out)
     return EXIT_OK
 
 
@@ -236,36 +212,23 @@ def parse_n_list(text: str) -> list[int]:
         else:
             chunk = [_dimension(tok)]
         if ellipsis_pending:
-            step = values[-1] - values[-2] if len(values) >= 2 else 1
-            if step < 1:
-                step = 1
+            step = max(values[-1] - values[-2], 1) if len(values) >= 2 else 1
             values.extend(range(values[-1] + step, chunk[0], step))
             ellipsis_pending = False
         values.extend(chunk)
     if ellipsis_pending:
         raise ParameterRangeError("'...' needs a number after it")
-    seen, out = set(), []
     for v in values:
         if v < 2:
             raise ParameterRangeError(f"dimension {v} must be >= 2")
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+    return list(dict.fromkeys(values))  # first occurrences, in order
 
 
 def cmd_regions(args) -> int:
-    dims = parse_n_list(args.n_list)
-    rows = []
-    for n in dims:
-        for row in region_table(n):
-            if args.family == "both" or row.family == args.family:
-                rows.append(row)
-    try:
-        _write_output(region_csv(rows), args.out)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    family = "isotropic" if args.family == "iso" else args.family
+    rows = [row for n in parse_n_list(args.n_list) for row in region_table(n)
+            if family in ("both", row.family)]
+    _write_output(region_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -276,8 +239,16 @@ def cmd_selftest(args) -> int:
         fiducial_cache=_resolve_cache(args.fiducial_cache), writer=sys.stdout)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error, so that ``main``'s table gives its exit code."""
+
+    def error(self, message):
+        raise ParameterRangeError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Subparsers are built with the parser's own class.
+    parser = _Parser(
         prog="simplex-decomp",
         description="Werner/isotropic state toolkit: SIC-POVM construction, "
                     "separable decompositions, nonlocality regions.")
@@ -335,15 +306,12 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "regions" and args.family == "iso":
-        args.family = "isotropic"
     # Each distinct warning reaches stderr once per command, as its bare message.
     with warnings.catch_warnings():
         warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
         except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
             print(str(exc), file=sys.stderr)

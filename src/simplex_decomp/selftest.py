@@ -13,6 +13,7 @@ import numpy as np
 from .blochspace import (BlochVector, bloch_from_density, density_from_bloch,
                          min_eigenvalue, psd_radius_bounds, su_generators)
 from .decompose import admissible_r_interval, decompose, reconstruct, verify_decomposition
+from .errors import ParameterRangeError
 from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
                       Provenance, frame_potential, frame_potential_minimum,
                       load_fiducial_cache, max_overlap_deviation, obtain_sic)
@@ -203,8 +204,10 @@ def check_ppt_classification_agreement(ctx):
 
 def check_reconstruction_fidelity(ctx):
     sics = _sics(ctx)
-    # Worst error per certificate tolerance, i.e. per SIC provenance.
+    # Worst error and smallest factor eigenvalue per certificate tolerance,
+    # i.e. per SIC provenance.
     worst = {policy.certificate: 0.0 for policy in TOLERANCES.values()}
+    floor = dict.fromkeys(worst, 0.0)
     for n, sic in sics.items():
         for kind in (StateKind.WERNER, StateKind.ISOTROPIC):
             for tau in np.linspace(*separable_interval(n), 7):
@@ -217,9 +220,9 @@ def check_reconstruction_fidelity(ctx):
                         decompose(kind, n, tau, r, sic.bloch))
                     worst[sic.bloch.tol] = max(worst[sic.bloch.tol],
                                                rep.reconstruction_error)
-                    ctx.setdefault("factor_floor", 0.0)
-                    ctx["factor_floor"] = min(ctx["factor_floor"],
-                                              rep.min_eig_r, rep.min_eig_s)
+                    floor[sic.bloch.tol] = min(floor[sic.bloch.tol],
+                                               rep.min_eig_r, rep.min_eig_s)
+    ctx["factor_floor"] = floor
     ok = all(err <= tol for tol, err in worst.items())
     exact, optimized = (worst[TOLERANCES[k].certificate]
                         for k in (EXACT_REGISTRY, OPTIMIZED))
@@ -227,11 +230,18 @@ def check_reconstruction_fidelity(ctx):
                 f"{optimized:.3e} (optimized)")
 
 
+# Smallest factor eigenvalue allowed per certificate tolerance: exact SICs
+# are held to the acceptance bound, optimized ones to their search's precision.
+_FACTOR_FLOORS = {TOLERANCES[EXACT_REGISTRY].certificate: -1e-9,
+                  TOLERANCES[OPTIMIZED].certificate: -1e-6}
+
+
 def check_factor_positivity(ctx):
-    floor = ctx.get("factor_floor")
-    if floor is None:
+    floors = ctx.get("factor_floor")
+    if floors is None:
         return False, "reconstruction check did not run"
-    return floor >= -1e-6, f"min factor eigenvalue {floor:.3e}"
+    ok = all(floors[tol] >= gate for tol, gate in _FACTOR_FLOORS.items())
+    return ok, f"min factor eigenvalue {min(floors.values()):.3e}"
 
 
 def check_simplex_universality(ctx):
@@ -300,8 +310,13 @@ CHECKS = [
 
 
 def run_selftest(n_max: int, tol: float, fiducial_cache: str | None, writer) -> int:
-    """Run every check; write one PASS/FAIL line each to ``writer``; 0 iff all pass."""
-    ctx = {"n_max": max(2, n_max), "tol": tol, "fiducial_cache": fiducial_cache,
+    """Run every check; write one PASS/FAIL line each to ``writer``; 0 iff all pass.
+
+    ``n_max`` below 2 raises :class:`ParameterRangeError` before any check runs.
+    """
+    if n_max < 2:
+        raise ParameterRangeError(f"n_max must be >= 2, got {n_max}")
+    ctx = {"n_max": n_max, "tol": tol, "fiducial_cache": fiducial_cache,
            "sic": lru_cache(maxsize=None)(obtain_sic),
            "probe_prov": Provenance(kind=OPTIMIZED)}
     first_failure = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from .blochspace import _bloch_coordinates, _readonly
 from .errors import (DimensionMismatchError, FiducialCacheError,
-                     FiducialSearchError, NotAFiducialError)
+                     FiducialSearchError, NotAFiducialError, ParameterRangeError)
 from .serialize import dumps, encode_cmatrix
 from .simplex import DEFAULT_TOL, RegularSimplex
 
@@ -316,10 +316,18 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
     below.  Deterministic given (dimension, seed).  A
     :class:`FiducialSearchFailure` carries that run's evaluations and
     residual.  Multi-start searches are the caller's loop over seeds.
+
+    ``dimension`` must be at least 2 (:class:`DimensionMismatchError`),
+    ``seed`` at least 0 and ``max_iters`` at least 1
+    (:class:`ParameterRangeError`); each is checked before scipy loads.
     """
     n = dimension
     if n < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    if seed < 0:
+        raise ParameterRangeError(f"seed must be >= 0, got {seed}")
+    if max_iters < 1:
+        raise ParameterRangeError(f"max_iters must be >= 1, got {max_iters}")
     # Imported here: scipy.optimize takes most of a second to load, and only
     # the search needs it.
     from scipy.optimize import least_squares
@@ -412,7 +420,8 @@ def save_fiducial_cache(path: str | os.PathLike, f: Fiducial) -> None:
     """Write a fiducial to its JSON cache file (17-significant-digit floats).
 
     A temporary file next to ``path`` replaces it once written, so no reader
-    sees a partial file and a failed write keeps the previous cache.
+    sees a partial file and a failed write keeps the previous cache.  A
+    write that fails raises an ``OSError`` whose message names ``path``.
     """
     payload = {
         "N": f.dim,
@@ -426,7 +435,9 @@ def save_fiducial_cache(path: str | os.PathLike, f: Fiducial) -> None:
             fh.write(dumps(payload))
             fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write fiducial cache {os.fspath(path)}: {exc}") from exc
         raise

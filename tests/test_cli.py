@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -51,11 +52,12 @@ class TestSic:
     def test_find_failure_with_single_iteration(self, capsys):
         # Not N = 2: its Zauner subspace is the fiducial's own ray, so any
         # start succeeds at once.
-        code, out, _ = run_cli(capsys, "sic", "3", "--find", "--max-iters", "1")
+        code, out, err = run_cli(capsys, "sic", "3", "--find", "--max-iters", "1")
         assert code == 2
         payload = json.loads(out)
         assert payload["success"] is False
         assert payload["residual"] > 0
+        assert "fiducial search failed for N = 3 at seed 0" in err
 
     def test_unwritable_cache_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "sic", "2", "--find",
@@ -70,10 +72,11 @@ class TestSic:
         cache.write_text(json.dumps({
             "N": 5, "vector": [[z.real, z.imag] for z in v],
             "residual": 0.0, "seed": 0}))
-        code, out, _ = run_cli(capsys, "sic", "5", "--verify",
-                               "--cache", str(cache))
+        code, out, err = run_cli(capsys, "sic", "5", "--verify",
+                                 "--cache", str(cache))
         assert code == 2
         assert json.loads(out)["ok"] is False
+        assert "not equiangular" in err
 
     @pytest.mark.parametrize("text", MALFORMED_CACHES, ids=["invalid-json", "missing-key"])
     def test_verify_malformed_cache_exits_2(self, capsys, tmp_path, text):
@@ -269,6 +272,28 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["tau"] == 0.1
 
+    def test_unallocatable_request_exits_5(self, capsys, monkeypatch):
+        def too_large(dim, tau, k):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                              "(10000000000000,) and data type float64")
+        monkeypatch.setattr(importlib.import_module("simplex_decomp.cli"),
+                            "contour_radii", too_large)
+        code, out, err = run_cli(capsys, "decompose", "werner", "3", "--tau", "0.1",
+                                 "--count", "10000000000000")
+        assert code == 5
+        assert out == ""
+        assert "Unable to allocate 72.8 TiB" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "werner", "2", "--tau", "1", "--r", "1"),
+        ("regions", "--n-list", "2"),
+    ], ids=["decompose", "regions"])
+    def test_unwritable_out_is_io_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", "/nonexistent-dir/out")
+        assert code == 3
+        assert out == ""
+        assert "/nonexistent-dir/out" in err
+
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run_cli(capsys, "decompose", "werner", "3",
                              "--tau", "0.5", "--count", "3")
@@ -365,6 +390,16 @@ class TestSelftest:
         assert code == 0, out
         assert "[PASS] ppt-classification-agreement" in out
 
+    def test_exact_sic_factor_floor_is_gated_at_1e_9(self, capsys, monkeypatch):
+        module = importlib.import_module("simplex_decomp.selftest")
+        real = module.verify_decomposition
+        monkeypatch.setattr(module, "verify_decomposition",
+                            lambda d: dataclasses.replace(real(d), min_eig_r=-1e-8))
+        code, out, _ = run_cli(capsys, "selftest", "--n-max", "2")
+        assert code == 1
+        assert "[FAIL] factor-positivity" in out
+        assert "min factor eigenvalue -1.000e-08" in out
+
     def test_corrupted_cache_names_overlap_check(self, capsys, tmp_path):
         cache = tmp_path / "bad.json"
         v = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -394,12 +429,32 @@ class TestBadInput:
         ("decompose", "werner", "3", "--tau", "0.1", "--tol=-1e-9"),
         ("selftest", "--tol", "inf"),
         ("selftest", "--tol", "-1"),
-    ], ids=" ".join)
+        ("selftest", "--n-max", "1"),
+        ("selftest", "--n-max", "-5"),
+        # Usage errors: argparse's reason, not its SystemExit(2).
+        (),
+        ("classify", "werner"),
+        ("decompose", "foo", "3", "--tau", "0"),
+        ("decompose", "werner", "3", "--tau", "abc"),
+        ("decompose", "werner", "3", "--tau", "0.1", "--phi", "0.2"),
+        ("sic", "3"),
+        ("sic", "3", "--verify", "--bogus"),
+        # A negative number in scientific notation reads as a flag.
+        ("decompose", "werner", "3", "--tau", "-1e-17"),
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_exits_5_without_traceback(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 5
         assert out == ""
         assert "Traceback" not in err and err.strip()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("sic", "--help")],
+                             ids=" ".join)
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_nan_tolerance_writes_no_cache(self, capsys, tmp_path):
         cache = tmp_path / "fid5.json"
@@ -435,17 +490,20 @@ FID4 = str(DATA / "fid4.json")
 PARAMS = ("tau", "phi", "alpha", "beta", "eta")
 
 
-def _flag(name, value):
-    # "--name=value" keeps argparse from reading "-inf" or "-1e-05" as a flag.
-    return f"--{name}={value!r}"
+def _flag(draw, name, value):
+    """``--name=value`` or, in some draws, ``--name value`` as two tokens."""
+    text = repr(value) if isinstance(value, float) else str(value)
+    return draw(st.sampled_from([[f"--{name}={text}"], [f"--{name}", text]]))
 
 
 @st.composite
 def cli_argv(draw):
-    """Well-typed argv for classify, decompose, sic and regions.
+    """argv for classify, decompose, sic and regions, mostly well-typed.
 
-    Costs stay small: N <= 4 (N = 4 reads fid4.json), at most 4 samples,
-    50 search iterations and dimensions up to 60 in --n-list.
+    Values are passed as ``--name=value`` or space-separated, so "-inf" or
+    "-1e-05" may read as a flag, and some draws add an unknown flag.  Costs
+    stay small: N <= 4 (N = 4 reads fid4.json), at most 4 samples, 50 search
+    iterations and dimensions up to 60 in --n-list.
     """
     floats = st.floats()  # NaN, +-inf, subnormals and +-max included
     command = draw(st.sampled_from(["classify", "decompose", "sic", "regions"]))
@@ -456,26 +514,31 @@ def cli_argv(draw):
             st.sampled_from(["...", "..", "abc", "3-x", "", "2.5"]))
         n_list = ",".join(draw(st.lists(token, max_size=6)))
         family = draw(st.sampled_from(["both", "werner", "iso", "isotropic"]))
-        return ["regions", f"--family={family}", f"--n-list={n_list}"]
-    n = str(draw(st.integers(-1, 4)))
-    if command == "sic":
-        if draw(st.booleans()):
-            argv = ["sic", n, "--verify", f"--cache={FID4}"]
-        else:
-            argv = ["sic", n, "--find", f"--seed={draw(st.integers(-2, 2**40))}",
-                    f"--max-iters={draw(st.integers(-1, 50))}"]
+        argv = ["regions", *_flag(draw, "family", family),
+                *_flag(draw, "n-list", n_list)]
     else:
-        kind = draw(st.sampled_from(["werner", "iso", "isotropic"]))
-        argv = [command, kind, n, _flag(draw(st.sampled_from(PARAMS)), draw(floats))]
-        if command == "classify":
-            return argv
-        if draw(st.booleans()):
-            argv.append(_flag("r", draw(floats)))
+        n = str(draw(st.integers(-1, 4)))
+        if command == "sic":
+            if draw(st.booleans()):
+                argv = ["sic", n, "--verify", f"--cache={FID4}"]
+            else:
+                argv = ["sic", n, "--find",
+                        *_flag(draw, "seed", draw(st.integers(-2, 2**40))),
+                        *_flag(draw, "max-iters", draw(st.integers(-1, 50)))]
         else:
-            argv.append(f"--count={draw(st.integers(-1, 4))}")
-        argv.append(f"--fiducial-cache={FID4}")
-    if draw(st.booleans()):
-        argv.append(_flag("tol", draw(floats)))
+            kind = draw(st.sampled_from(["werner", "iso", "isotropic"]))
+            argv = [command, kind, n,
+                    *_flag(draw, draw(st.sampled_from(PARAMS)), draw(floats))]
+            if command == "decompose":
+                if draw(st.booleans()):
+                    argv += _flag(draw, "r", draw(floats))
+                else:
+                    argv += _flag(draw, "count", draw(st.integers(-1, 4)))
+                argv.append(f"--fiducial-cache={FID4}")
+        if command != "classify" and draw(st.booleans()):
+            argv += _flag(draw, "tol", draw(floats))
+    if draw(st.integers(0, 7)) == 0:
+        argv.append("--bogus")
     return argv
 
 
@@ -484,6 +547,8 @@ def cli_argv(draw):
 # s = tau/r far outside the PSD interval once crashed with a HermiticityError.
 @example(argv=["decompose", "werner", "2", "--tau=1e-10",
                "--r=2.00088116740105e-262", f"--fiducial-cache={FID4}"])
+@example(argv=["decompose", "werner", "3", "--tau", "-1e-05"])
+@example(argv=["classify", "iso", "2", "--eta", "0.1", "--bogus"])
 def test_every_invocation_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), \

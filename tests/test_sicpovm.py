@@ -11,7 +11,7 @@ import pytest
 import simplex_decomp.sicpovm as sicpovm
 from simplex_decomp.blochspace import _bloch_coordinates
 from simplex_decomp.errors import (FiducialCacheError, FiducialSearchError,
-                                   NotAFiducialError)
+                                   NotAFiducialError, ParameterRangeError)
 from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
                                     Fiducial, FiducialSearchFailure, Provenance,
                                     find_fiducial, frame_potential,
@@ -213,6 +213,12 @@ class TestFindFiducial:
         assert isinstance(result, FiducialSearchFailure)
         assert result.best_residual > 0
         assert result.iterations >= 1
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"max_iters": 0}],
+                             ids=["seed", "max_iters"])
+    def test_out_of_range_argument_is_refused(self, kwargs):
+        with pytest.raises(ParameterRangeError, match=next(iter(kwargs))):
+            find_fiducial(4, **kwargs)
 
     def test_nan_tolerance_accepts_nothing(self):
         # Seed 5 converges at N = 3 (see the next test).
