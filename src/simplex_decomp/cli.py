@@ -233,10 +233,9 @@ def cmd_regions(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    _check_tol(args.tol)
     return selftest_mod.run_selftest(
-        n_max=args.n_max, tol=args.tol,
-        fiducial_cache=_resolve_cache(args.fiducial_cache), writer=sys.stdout)
+        n_max=args.n_max, fiducial_cache=_resolve_cache(args.fiducial_cache),
+        writer=sys.stdout)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the reduced invariant suite")
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--fiducial-cache", type=str, default=None)
     p.set_defaults(func=cmd_selftest)
     return parser

@@ -201,7 +201,7 @@ def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
         return [(neg_min, r_max)]
     intervals = []
     if tau > 0.0:
-        if tau <= neg_min * neg_min + 1e-15:
+        if tau <= neg_min * neg_min + RANGE_ATOL:
             intervals.append((neg_min, tau / neg_min))
         intervals.append((tau / r_max, r_max))
     else:

@@ -10,8 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import (BlochVector, bloch_from_density, density_from_bloch,
-                         min_eigenvalue, psd_radius_bounds, su_generators)
+from .blochspace import (PSD_TOL, BlochVector, bloch_from_density,
+                         density_from_bloch, min_eigenvalue, psd_radius_bounds,
+                         su_generators)
 from .decompose import admissible_r_interval, decompose, reconstruct, verify_decomposition
 from .errors import ParameterRangeError
 from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
@@ -22,6 +23,18 @@ from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
 from .states import (StateKind, _tau_range, classify_isotropic, classify_werner,
                      convert_params, isotropic_density, partial_transpose,
                      region_table, separable_interval, werner_density)
+
+# Provenance of the probe fiducials the checks build from raw vectors.
+_PROBE_PROV = Provenance(kind=OPTIMIZED)
+
+
+# Python's max and min drop a NaN (max(0.0, nan) is 0.0); these return it.
+def _nan_max(*values):
+    return float(np.max(values))
+
+
+def _nan_min(*values):
+    return float(np.min(values))
 
 
 def _random_psd(rng, n):
@@ -46,7 +59,7 @@ def check_generator_orthogonality(ctx):
     for n in range(2, max(3, ctx["n_max"]) + 1):
         mats = su_generators(n)
         table = np.einsum("aij,bji->ab", mats, mats)
-        worst = max(worst, float(np.abs(table - 2.0 * np.eye(len(mats))).max()))
+        worst = _nan_max(worst, np.abs(table - 2.0 * np.eye(len(mats))).max())
     return worst <= 1e-12, f"max trace-table deviation {worst:.3e}"
 
 
@@ -57,7 +70,7 @@ def check_bloch_round_trip(ctx):
         for _ in range(5):
             rho = _random_psd(rng, n)
             back = density_from_bloch(bloch_from_density(rho))
-            worst = max(worst, float(np.abs(back.entries - rho).max()))
+            worst = _nan_max(worst, np.abs(back.entries - rho).max())
     return worst <= 1e-12, f"max round-trip deviation {worst:.3e}"
 
 
@@ -84,7 +97,7 @@ def check_antiparallel_product_bound(ctx):
             direction = np.einsum("m,mij->ij", b.direction, gens)
             x_max = float(np.linalg.eigvalsh(direction)[-1])
             s_extreme = -2.0 / (n * x_max)
-            worst = min(worst, b.radius * s_extreme + 2.0 / n)
+            worst = _nan_min(worst, b.radius * s_extreme + 2.0 / n)
     return worst >= -1e-10, f"min (r*s + 2/N) over antiparallel extremes {worst:.3e}"
 
 
@@ -99,7 +112,7 @@ def check_pure_direction_psd_window(ctx):
                 r = edge + delta
                 m = density_from_bloch(BlochVector(n, r * direction))
                 eig = min_eigenvalue(m)
-                ok = ok and ((eig >= -ctx["tol"]) if inside else (eig < -1e-7))
+                ok = ok and ((eig >= -PSD_TOL) if inside else (eig < -1e-7))
     return ok, "PSD holds exactly on the closed radius interval"
 
 
@@ -107,15 +120,15 @@ def check_simplex_identities(ctx):
     worst = 0.0
     for n in range(2, ctx["n_max"] + 1):
         g = gram_identities(canonical_simplex(n * n - 1))
-        worst = max(worst, g.sum_norm, g.gram_dev)
-    return worst <= ctx["tol"], f"max vertex-sum/Gram deviation {worst:.3e}"
+        worst = _nan_max(worst, g.sum_norm, g.gram_dev)
+    return worst <= 1e-9, f"max vertex-sum/Gram deviation {worst:.3e}"  # criterion 5
 
 
 def check_orthogonal_extension(ctx):
     worst = 0.0
     for n in range(2, ctx["n_max"] + 1):
         o = orthogonal_extension(canonical_simplex(n * n - 1))
-        worst = max(worst, float(np.abs(o @ o.T - np.eye(len(o))).max()))
+        worst = _nan_max(worst, np.abs(o @ o.T - np.eye(len(o))).max())
     return worst <= 1e-10, f"max |OO^T - id| {worst:.3e}"
 
 
@@ -127,12 +140,12 @@ def check_sic_overlap(ctx):
     for n, sic in _sics(ctx).items():
         # A SIC's orbit starts at its fiducial (D_00 is the identity), and
         # sic.tol is the overlap tolerance it was accepted at.
-        fid = Fiducial(dim=n, vector=sic.states[0], provenance=ctx["probe_prov"])
+        fid = Fiducial(dim=n, vector=sic.states[0], provenance=_PROBE_PROV)
         cases.append((f"N={n}", fid, sic.tol))
     details = []
     for label, fid, tol in cases:
         dev = max_overlap_deviation(fid)
-        if dev > tol:
+        if not dev <= tol:
             return False, f"{label}: overlap deviation {dev:.3e} exceeds {tol:.1e}"
         details.append(f"{label} dev {dev:.1e}")
     return True, ", ".join(details)
@@ -142,7 +155,7 @@ def check_sic_bloch_simplex(ctx):
     for n, sic in _sics(ctx).items():
         dots = sic.bloch.vertices @ sic.bloch.vertices.T
         off = ~np.eye(n * n, dtype=bool)
-        if np.abs(dots[off] + 1.0 / (n * n - 1.0)).max() > 1e-8:
+        if not np.abs(dots[off] + 1.0 / (n * n - 1.0)).max() <= 1e-8:
             return False, f"N = {n}: pairwise dots deviate from -1/(N^2-1)"
     return True, "unit Bloch directions form regular simplexes"
 
@@ -151,7 +164,7 @@ def check_povm_completeness(ctx):
     worst = 0.0
     for n, sic in _sics(ctx).items():
         total = np.einsum("di,dj->ij", sic.states, sic.states.conj())
-        worst = max(worst, float(np.abs(total - n * np.eye(n)).max()))
+        worst = _nan_max(worst, np.abs(total - n * np.eye(n)).max())
     return worst <= 1e-8, f"max |sum of projectors - N id| {worst:.3e}"
 
 
@@ -163,7 +176,7 @@ def check_frame_potential_bound(ctx):
         for _ in range(30):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v /= np.linalg.norm(v)
-            fid = Fiducial(dim=n, vector=v, provenance=ctx["probe_prov"])
+            fid = Fiducial(dim=n, vector=v, provenance=_PROBE_PROV)
             ok = ok and frame_potential(fid) >= floor - 1e-12
     return ok, "sampled frame potentials respect the SIC floor"
 
@@ -176,12 +189,12 @@ def check_state_form_agreement(ctx):
             base = werner_density(n, phi=p.phi).entries
             for name in ("alpha", "beta", "tau"):
                 other = werner_density(n, **{name: getattr(p, name)}).entries
-                worst = max(worst, float(np.abs(other - base).max()))
+                worst = _nan_max(worst, np.abs(other - base).max())
         for tau in np.linspace(*_tau_range(StateKind.ISOTROPIC, n), 5):
             p = convert_params(StateKind.ISOTROPIC, n, "tau", tau)
             a = isotropic_density(n, eta=p.eta).entries
             b = isotropic_density(n, tau=p.tau).entries
-            worst = max(worst, float(np.abs(a - b).max()))
+            worst = _nan_max(worst, np.abs(a - b).max())
     return worst <= 1e-12, f"max cross-form deviation {worst:.3e}"
 
 
@@ -196,19 +209,17 @@ def check_ppt_classification_agreement(ctx):
                 else:
                     rho = isotropic_density(n, tau=tau)
                     verdict = classify_isotropic(n, tau)
-                ppt = min_eigenvalue(partial_transpose(rho)) >= -ctx["tol"]
+                ppt = min_eigenvalue(partial_transpose(rho)) >= -PSD_TOL
                 if ppt != (verdict.name == "Separable"):
                     return False, f"N = {n}, {kind.value}, tau = {tau:.6f}: PPT disagrees"
     return True, "PPT eigenvalue sign matches every separability verdict"
 
 
 def check_reconstruction_fidelity(ctx):
-    sics = _sics(ctx)
-    # Worst error and smallest factor eigenvalue per certificate tolerance,
-    # i.e. per SIC provenance.
+    # Worst error per certificate tolerance, i.e. per SIC provenance.
     worst = {policy.certificate: 0.0 for policy in TOLERANCES.values()}
-    floor = dict.fromkeys(worst, 0.0)
-    for n, sic in sics.items():
+    floor = 0.0
+    for n, sic in _sics(ctx).items():
         for kind in (StateKind.WERNER, StateKind.ISOTROPIC):
             for tau in np.linspace(*separable_interval(n), 7):
                 intervals = admissible_r_interval(n, tau)
@@ -218,10 +229,9 @@ def check_reconstruction_fidelity(ctx):
                         continue
                     rep = verify_decomposition(
                         decompose(kind, n, tau, r, sic.bloch))
-                    worst[sic.bloch.tol] = max(worst[sic.bloch.tol],
-                                               rep.reconstruction_error)
-                    floor[sic.bloch.tol] = min(floor[sic.bloch.tol],
-                                               rep.min_eig_r, rep.min_eig_s)
+                    worst[sic.bloch.tol] = _nan_max(worst[sic.bloch.tol],
+                                                    rep.reconstruction_error)
+                    floor = _nan_min(floor, rep.min_eig_r, rep.min_eig_s)
     ctx["factor_floor"] = floor
     ok = all(err <= tol for tol, err in worst.items())
     exact, optimized = (worst[TOLERANCES[k].certificate]
@@ -230,18 +240,12 @@ def check_reconstruction_fidelity(ctx):
                 f"{optimized:.3e} (optimized)")
 
 
-# Smallest factor eigenvalue allowed per certificate tolerance: exact SICs
-# are held to the acceptance bound, optimized ones to their search's precision.
-_FACTOR_FLOORS = {TOLERANCES[EXACT_REGISTRY].certificate: -1e-9,
-                  TOLERANCES[OPTIMIZED].certificate: -1e-6}
-
-
 def check_factor_positivity(ctx):
-    floors = ctx.get("factor_floor")
-    if floors is None:
+    # The threshold of verify_decomposition's all_factors_psd.
+    floor = ctx.get("factor_floor")
+    if floor is None:
         return False, "reconstruction check did not run"
-    ok = all(floors[tol] >= gate for tol, gate in _FACTOR_FLOORS.items())
-    return ok, f"min factor eigenvalue {min(floors.values()):.3e}"
+    return floor >= -PSD_TOL, f"min factor eigenvalue {floor:.3e}"
 
 
 def check_simplex_universality(ctx):
@@ -258,21 +262,19 @@ def check_simplex_universality(ctx):
             for kind in (StateKind.WERNER, StateKind.ISOTROPIC):
                 for tau, r in ((-1.0 / n, 2.0), (0.5, 0.9)):
                     rep = verify_decomposition(decompose(kind, n, tau, r, rotated))
-                    worst = max(worst, rep.reconstruction_error)
+                    worst = _nan_max(worst, rep.reconstruction_error)
     return worst <= 1e-10, f"max error over rotated simplexes {worst:.3e}"
 
 
 def check_pt_duality(ctx):
-    sics = _sics(ctx)
     worst = 0.0
-    for n, sic in sics.items():
+    for n, sic in _sics(ctx).items():
         lo, hi = separable_interval(n)
         for tau in (lo, 0.3, hi):
             r = admissible_r_interval(n, tau)[-1][1]
             w = reconstruct(decompose(StateKind.WERNER, n, tau, r, sic.bloch))
             i = reconstruct(decompose(StateKind.ISOTROPIC, n, tau, r, sic.bloch))
-            worst = max(worst, float(np.abs(
-                partial_transpose(w) - i.entries).max()))
+            worst = _nan_max(worst, np.abs(partial_transpose(w) - i.entries).max())
     return worst <= 1e-11, f"max |PT2(Werner) - isotropic| {worst:.3e}"
 
 
@@ -280,7 +282,7 @@ def check_region_fractions(ctx):
     for n in list(range(2, ctx["n_max"] + 1)) + [100]:
         for row in region_table(n):
             total = row.frac_sep + row.frac_ent + row.frac_steer
-            if abs(total - 1.0) > 1e-12:
+            if not abs(total - 1.0) <= 1e-12:
                 return False, f"{row.family} N = {n}: fractions sum to {total}"
             if row.family == "werner" and row.frac_sep != 0.5:
                 return False, f"werner N = {n}: separable fraction {row.frac_sep}"
@@ -309,16 +311,15 @@ CHECKS = [
 ]
 
 
-def run_selftest(n_max: int, tol: float, fiducial_cache: str | None, writer) -> int:
+def run_selftest(n_max: int, fiducial_cache: str | None, writer) -> int:
     """Run every check; write one PASS/FAIL line each to ``writer``; 0 iff all pass.
 
     ``n_max`` below 2 raises :class:`ParameterRangeError` before any check runs.
     """
     if n_max < 2:
         raise ParameterRangeError(f"n_max must be >= 2, got {n_max}")
-    ctx = {"n_max": n_max, "tol": tol, "fiducial_cache": fiducial_cache,
-           "sic": lru_cache(maxsize=None)(obtain_sic),
-           "probe_prov": Provenance(kind=OPTIMIZED)}
+    ctx = {"n_max": n_max, "fiducial_cache": fiducial_cache,
+           "sic": lru_cache(maxsize=None)(obtain_sic)}
     first_failure = None
     for name, fn in CHECKS:
         try:

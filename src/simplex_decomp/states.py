@@ -229,14 +229,20 @@ def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = 
     (name, value), = given.items()
     convert_params(StateKind.WERNER, dim, name, value)  # range check
     n = dim
+    if name == "phi":
+        # a*id + b*V written in place (V's row i*n+j has its 1 at column
+        # j*n+i): every Werner certificate builds its closed form here.
+        m = np.zeros((n * n, n * n), dtype=complex)
+        m.flat[::n * n + 1] = (n - value) / (n**3 - n)
+        rows = np.arange(n * n)
+        m[rows, rows % n * n + rows // n] += (n * value - 1.0) / (n**3 - n)
+        return DensityMatrix(m)
     eye = np.eye(n * n, dtype=complex)
     if name == "tau":
         m = eye / n**2 + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, False)
     else:
         v = swap_operator(n)
-        if name == "phi":
-            m = ((n - value) / (n**3 - n)) * eye + ((n * value - 1.0) / (n**3 - n)) * v
-        elif name == "alpha":
+        if name == "alpha":
             m = (eye + value * v) / (n * n + value * n)
         else:
             m = ((n - 1.0 + value) / (n**3 - n**2)) * eye - (value / (n * n - n)) * v

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
 from simplex_decomp.errors import ParameterRangeError
+from simplex_decomp.sicpovm import OPTIMIZED, TOLERANCES
 from simplex_decomp.states import harmonic_number
 
 
@@ -400,6 +401,33 @@ class TestSelftest:
         assert "[FAIL] factor-positivity" in out
         assert "min factor eigenvalue -1.000e-08" in out
 
+    def test_optimized_sic_factor_floor_is_gated_at_1e_9(self, capsys, monkeypatch):
+        """The certificate's PSD_TOL holds for searched SICs too (N = 4)."""
+        module = importlib.import_module("simplex_decomp.selftest")
+        real = module.verify_decomposition
+
+        def low_floor(d):
+            rep = real(d)
+            if d.simplex.tol == TOLERANCES[OPTIMIZED].certificate:
+                rep = dataclasses.replace(rep, min_eig_r=-1e-7)
+            return rep
+        monkeypatch.setattr(module, "verify_decomposition", low_floor)
+        code, out, _ = run_cli(capsys, "selftest", "--n-max", "4")
+        assert code == 1
+        assert "[FAIL] factor-positivity" in out
+        assert "min factor eigenvalue -1.000e-07" in out
+
+    def test_nan_report_fails_both_checks(self, capsys, monkeypatch):
+        module = importlib.import_module("simplex_decomp.selftest")
+        real, nan = module.verify_decomposition, float("nan")
+        monkeypatch.setattr(module, "verify_decomposition", lambda d: dataclasses.replace(
+            real(d), reconstruction_error=nan, min_eig_r=nan, min_eig_s=nan))
+        code, out, _ = run_cli(capsys, "selftest", "--n-max", "2")
+        assert code == 1
+        assert "[FAIL] reconstruction-fidelity" in out
+        assert "[FAIL] factor-positivity" in out
+        assert "selftest passed" not in out
+
     def test_corrupted_cache_names_overlap_check(self, capsys, tmp_path):
         cache = tmp_path / "bad.json"
         v = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -427,8 +455,6 @@ class TestBadInput:
         ("sic", "2", "--find", "--tol", "0"),
         ("decompose", "werner", "3", "--tau", "0.1", "--tol", "nan"),
         ("decompose", "werner", "3", "--tau", "0.1", "--tol=-1e-9"),
-        ("selftest", "--tol", "inf"),
-        ("selftest", "--tol", "-1"),
         ("selftest", "--n-max", "1"),
         ("selftest", "--n-max", "-5"),
         # Usage errors: argparse's reason, not its SystemExit(2).
@@ -439,6 +465,7 @@ class TestBadInput:
         ("decompose", "werner", "3", "--tau", "0.1", "--phi", "0.2"),
         ("sic", "3"),
         ("sic", "3", "--verify", "--bogus"),
+        ("selftest", "--tol", "1e-9"),  # the selftest gates by the library's tolerances
         # A negative number in scientific notation reads as a flag.
         ("decompose", "werner", "3", "--tau", "-1e-17"),
     ], ids=lambda argv: " ".join(argv) or "no-arguments")

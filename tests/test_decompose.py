@@ -52,6 +52,15 @@ class TestAdmissibleInterval:
         got = admissible_r_interval(3, tau)
         intervals_close(got, [(lo, tau / lo), (tau / hi, hi)], atol=1e-14)
 
+    def test_negative_branch_closes_within_the_range_slack(self, registry_sics):
+        """Just above r_min^2 the negative branch is a point, as every tau
+        boundary is widened by RANGE_ATOL, and it certifies."""
+        lo, _ = psd_radius_bounds(3)
+        tau = lo * lo + 5e-13
+        (a, b), _ = admissible_r_interval(3, tau)
+        assert a == b and abs(a - lo) <= 1e-12
+        certify(separable_decompose("werner", 3, tau, a, sic=registry_sics[3]))
+
     def test_negative_tau_branches(self):
         tau = -0.5
         lo, hi = psd_radius_bounds(3)
@@ -194,19 +203,28 @@ class TestDecompose:
             tracemalloc.stop()
         assert peak <= 3.5 * rho.entries.nbytes
 
-    def test_verification_is_built_without_copies(self, searched_sic):
-        """At N = 12 the peak is the closed form's plus the reconstruction's:
-        the factor stacks are read as built.  (The Werner closed form alone
-        peaks higher, so this uses the isotropic family.)"""
-        d = decompose("isotropic", 12, 0.1, 1.0, searched_sic(12).bloch)
+    @staticmethod
+    def _verification_peak(d):
         verify_decomposition(d)  # builds the cached tables
         tracemalloc.start()
         try:
             verify_decomposition(d)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.6 * d.factors_r.nbytes  # N^4 entries, as the state
+
+    def test_verification_is_built_without_copies(self, searched_sic):
+        """At N = 12 the peak is the closed form's plus the reconstruction's:
+        the factor stacks are read as built."""
+        d = decompose("isotropic", 12, 0.1, 1.0, searched_sic(12).bloch)
+        # N^4 entries, as the state
+        assert self._verification_peak(d) <= 4.6 * d.factors_r.nbytes
+
+    def test_werner_verification_is_built_without_copies(self, searched_sic):
+        """The Werner closed form is built in place, so its certificate peaks
+        no higher than the isotropic one (5.4 stacks with identity + swap)."""
+        d = decompose("werner", 12, 0.1, 1.0, searched_sic(12).bloch)
+        assert self._verification_peak(d) <= 4.6 * d.factors_r.nbytes
 
     def test_decomposition_is_checked_once_when_built(self, registry_sics, monkeypatch):
         real, checked = decompose_module._check_exactly_hermitian, []

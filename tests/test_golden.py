@@ -6,7 +6,7 @@ build).  Each hash is the sha256 of ``b"<exit code>\\n" + stdout``.  A
 change that alters any of these outputs is a change to the CLI contract
 and updates the hash on purpose; a refactor or speed-up must leave all of
 them alone.  The N = 4, 8 and 12 commands read fiducial caches committed
-under ``tests/data`` so no search runs.
+under ``tests/data`` so no search runs; the selftest uses registry SICs only.
 """
 
 import hashlib
@@ -41,6 +41,8 @@ GOLDEN = {
         "55198593f6935e58075ce827d8ad1244fbe89a559897144404b2c47575d39393",
     ("regions", "--family", "both", "--n-list", "2,3,...,40"):
         "eaea1cee4826c022bcb700812ee7c104fef2110c4eda152be3281a6239107d23",
+    ("selftest", "--n-max", "3"):
+        "30260c069d902dad5375491937da93e77f009a831abd71e2e698f4440794830b",
 }
 
 
