@@ -53,11 +53,6 @@ _EXIT_CODES = (
 )
 
 
-def _check_tol(tol: float | None) -> None:
-    if tol is not None and not 0.0 < tol < float("inf"):  # NaN fails too
-        raise ParameterRangeError(f"--tol must be positive and finite, got {tol}")
-
-
 def _resolve_cache(flag_value: str | None) -> str | None:
     return os.environ.get(ENV_CACHE) or flag_value
 
@@ -107,12 +102,9 @@ def _given_param(args, kind: StateKind) -> tuple[str, float]:
 
 
 def cmd_sic(args) -> int:
-    _check_tol(args.tol)
     cache_path = _resolve_cache(args.cache)
     if args.find:
-        residual_tol = {} if args.tol is None else {"tol": args.tol}
-        result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters,
-                               **residual_tol)
+        result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters)
         if isinstance(result, FiducialSearchFailure):
             print(serialize.dumps({"N": result.dim, "seed": result.seed,
                                    "iterations": result.iterations,
@@ -132,7 +124,7 @@ def cmd_sic(args) -> int:
     if fid is None:
         raise ParameterRangeError(f"no fiducial known for N = {args.N}; run --find first")
     deviation = max_overlap_deviation(fid)
-    tol = TOLERANCES[fid.provenance.kind].overlap if args.tol is None else args.tol
+    tol = TOLERANCES[fid.provenance.kind].overlap
     payload = {"N": args.N, "max_overlap_deviation": deviation, "tol": tol,
                "provenance": fid.provenance.kind, "ok": deviation <= tol}
     print(serialize.dumps(payload))
@@ -143,7 +135,6 @@ def cmd_sic(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    _check_tol(args.tol)
     kind = StateKind.parse(args.kind)
     name, value = _given_param(args, kind)
     params = convert_params(kind, args.N, name, value)
@@ -166,7 +157,7 @@ def cmd_decompose(args) -> int:
                                [[a, b] for a, b in exc.intervals],
                                "nearest": exc.nearest}))
         raise
-    dicts = [_decomposition_dict(d, certify(d, args.tol)) for d in items]
+    dicts = [_decomposition_dict(d, certify(d)) for d in items]
     _write_output(serialize.dumps(dicts[0] if len(dicts) == 1 else dicts) + "\n",
                   args.out)
     return EXIT_OK
@@ -260,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--verify", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--cache", type=str, default=None,
                    help=f"fiducial cache file (env {ENV_CACHE} overrides)")
     p.set_defaults(func=cmd_sic)
@@ -274,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1,
                    help="number of contour samples when --r is not given")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="reconstruction tolerance for the certificate")
     p.add_argument("--fiducial-cache", type=str, default=None)
     p.set_defaults(func=cmd_decompose)
 

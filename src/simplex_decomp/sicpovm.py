@@ -98,7 +98,7 @@ class SicPovm:
 
 @dataclass(frozen=True)
 class FiducialSearchFailure:
-    """Search outcome when the residual tolerance was not reached."""
+    """Search outcome when some squared overlap missed the overlap tolerance."""
 
     dim: int
     seed: int
@@ -304,18 +304,19 @@ def _overlap_residuals(dimension: int):
     return fun, jac
 
 
-def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
-                  tol: float = 1e-10) -> Fiducial | FiducialSearchFailure:
+def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000
+                  ) -> Fiducial | FiducialSearchFailure:
     """Search for a SIC fiducial in the Zauner subspace from one seeded start.
 
     The Zauner subspace is the eigenvalue-1 eigenspace of
     :func:`zauner_unitary` (about N/3 complex unknowns).  One ``trf``
     least-squares run starts from ``default_rng(seed)``, takes at most
-    ``max_iters`` evaluations and succeeds when the residual
-    (frame-potential excess over its global minimum) drops to ``tol`` or
-    below.  Deterministic given (dimension, seed).  A
-    :class:`FiducialSearchFailure` carries that run's evaluations and
-    residual.  Multi-start searches are the caller's loop over seeds.
+    ``max_iters`` evaluations and succeeds when every squared overlap lies
+    within the ``optimized`` overlap tolerance of :data:`TOLERANCES`, the
+    bound :func:`sic_from_fiducial` applies.  Either outcome reports the
+    residual (frame-potential excess over its global minimum) and the
+    run's evaluations.  Deterministic given (dimension, seed).  Multi-start
+    searches are the caller's loop over seeds.
 
     ``dimension`` must be at least 2 (:class:`DimensionMismatchError`),
     ``seed`` at least 0 and ``max_iters`` at least 1
@@ -339,7 +340,10 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000,
                         jac=lambda y: jac(lift @ y) @ lift, method="trf",
                         xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
     nfev, residual = int(res.nfev), max(float(np.sum(res.fun ** 2)), 0.0)
-    if not residual <= tol:  # a NaN tolerance accepts nothing
+    # Row p holds its weight times |c_p|^2 - 1/(N+1), and |c_-p| = |c_p|: these
+    # are every off-diagonal overlap of the orbit, as sic_from_fiducial sees it.
+    deviation = np.max(np.abs(res.fun) / _pair_rows(n)[1])
+    if not deviation <= TOLERANCES[OPTIMIZED].overlap:  # NaN fails too
         return FiducialSearchFailure(dim=n, seed=seed, iterations=nfev,
                                      best_residual=residual)
     x = lift @ res.x

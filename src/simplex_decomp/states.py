@@ -260,11 +260,18 @@ def isotropic_density(dim: int, *, eta: float | None = None,
     (name, value), = given.items()
     convert_params(StateKind.ISOTROPIC, dim, name, value)  # range check
     n = dim
-    eye = np.eye(n * n, dtype=complex)
     if name == "tau":
-        m = eye / n**2 + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, True)
+        m = (np.eye(n * n, dtype=complex) / n**2
+             + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, True))
     else:
-        m = ((1.0 - value) / n**2) * eye + value * max_entangled_projector(n)
+        # (1 - eta)/N^2 on the diagonal plus eta*|Phi><Phi| at its N^2 nonzero
+        # positions (ii, jj), written in place: every isotropic certificate
+        # builds its closed form here.
+        m = np.zeros((n * n, n * n), dtype=complex)
+        m.flat[::n * n + 1] = (1.0 - value) / n**2
+        a = np.complex128(1.0 / np.sqrt(n))
+        ii = np.arange(n) * (n + 1)
+        m[ii[:, None], ii] += value * (a * a.conjugate())
     return DensityMatrix(m)
 
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from simplex_decomp.blochspace import (BlochVector, bloch_from_density,
-                                       density_from_bloch, min_eigenvalue,
-                                       psd_radius_bounds)
+from simplex_decomp.blochspace import (PSD_TOL, BlochVector,
+                                       bloch_from_density, density_from_bloch,
+                                       min_eigenvalue, psd_radius_bounds)
 from simplex_decomp.decompose import (contour_radii, decompose, reconstruct,
                                       verify_decomposition)
-from simplex_decomp.sicpovm import (Fiducial, find_fiducial, frame_potential,
+from simplex_decomp.sicpovm import (OPTIMIZED, TOLERANCES, Fiducial,
+                                    find_fiducial, frame_potential,
                                     frame_potential_minimum, known_fiducial,
                                     max_overlap_deviation)
 from simplex_decomp.simplex import (RegularSimplex, canonical_simplex,
@@ -75,17 +76,18 @@ def test_criterion_02_positivity_certificates(exact_grids, optimized_grids):
     for n in (2, 3):
         for kind, tau, r, d, rec, rep in exact_grids[0][n]:
             floor_exact = min(floor_exact, rep.min_eig_r, rep.min_eig_s)
-    assert floor_exact >= -1e-9
+    assert floor_exact >= -PSD_TOL
     floor_opt = 0.0
     worst_opt = 0.0
     for n in (4, 5):
         for kind, tau, r, d, rec, rep in optimized_grids[n]:
             floor_opt = min(floor_opt, rep.min_eig_r, rep.min_eig_s)
             worst_opt = max(worst_opt, rep.reconstruction_error)
-    assert floor_opt >= -1e-6
-    assert worst_opt <= 1e-6
+    # The optimized SICs are held to the certificate that certify applies.
+    assert floor_opt >= -PSD_TOL
+    assert worst_opt <= TOLERANCES[OPTIMIZED].certificate
     print(f"\nPASS criterion 2: factor positivity, min eigenvalue "
-          f"{floor_exact:.3e} (N=2,3 at -1e-9), {floor_opt:.3e} (N=4,5 at -1e-6)")
+          f"{floor_exact:.3e} (N=2,3 at -1e-9), {floor_opt:.3e} (N=4,5 at -1e-9)")
 
 
 def test_criterion_03_simplex_universality():
@@ -119,7 +121,7 @@ def test_criterion_04_sic_verification():
     found = {}
     for n in (4, 5):
         for seed in range(20):
-            result = find_fiducial(n, seed=seed, tol=1e-10)
+            result = find_fiducial(n, seed=seed)
             if isinstance(result, Fiducial):
                 found[n] = (seed, result)
                 break

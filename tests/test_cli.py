@@ -60,6 +60,17 @@ class TestSic:
         assert payload["residual"] > 0
         assert "fiducial search failed for N = 3 at seed 0" in err
 
+    def test_truncated_search_exits_2_and_writes_no_cache(self, capsys, tmp_path):
+        """Seed 0 at N = 4 stopped after 17 evaluations has a frame-potential
+        excess under 1e-10, but a squared overlap still misses 1e-8."""
+        cache = tmp_path / "f.json"
+        code, out, err = run_cli(capsys, "sic", "4", "--find", "--seed", "0",
+                                 "--max-iters", "17", "--cache", str(cache))
+        assert code == 2
+        assert json.loads(out)["success"] is False
+        assert "fiducial search failed for N = 4 at seed 0" in err
+        assert not cache.exists()
+
     def test_unwritable_cache_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "sic", "2", "--find",
                                "--cache", "/nonexistent-dir/fid.json")
@@ -260,9 +271,14 @@ class TestDecompose:
         assert code == 0
         assert len(calls) == expected
 
-    def test_failed_certificate_at_given_radius_writes_nothing(self, capsys):
+    def test_failed_certificate_at_given_radius_writes_nothing(self, capsys,
+                                                               monkeypatch):
+        module = importlib.import_module("simplex_decomp.decompose")
+        real = module.verify_decomposition
+        monkeypatch.setattr(module, "verify_decomposition",
+                            lambda d, target_tol: real(d, target_tol=-1.0))
         code, out, err = run_cli(capsys, "decompose", "werner", "2", "--tau", "1",
-                                 "--r", "1", "--tol", "1e-30")
+                                 "--r", "1")
         assert code == 1
         assert out == ""
         assert "certificate failed" in err
@@ -455,6 +471,9 @@ class TestBadInput:
         ("sic", "2", "--find", "--tol", "0"),
         ("decompose", "werner", "3", "--tau", "0.1", "--tol", "nan"),
         ("decompose", "werner", "3", "--tau", "0.1", "--tol=-1e-9"),
+        # Neither command has a --tol: TOLERANCES alone gates them.
+        ("sic", "3", "--verify", "--tol", "1e-12"),
+        ("decompose", "werner", "3", "--tau", "0.1", "--tol", "1e-7"),
         ("selftest", "--n-max", "1"),
         ("selftest", "--n-max", "-5"),
         # Usage errors: argparse's reason, not its SystemExit(2).
@@ -562,8 +581,6 @@ def cli_argv(draw):
                 else:
                     argv += _flag(draw, "count", draw(st.integers(-1, 4)))
                 argv.append(f"--fiducial-cache={FID4}")
-        if command != "classify" and draw(st.booleans()):
-            argv += _flag(draw, "tol", draw(floats))
     if draw(st.integers(0, 7)) == 0:
         argv.append("--bogus")
     return argv

@@ -226,6 +226,19 @@ class TestDecompose:
         d = decompose("werner", 12, 0.1, 1.0, searched_sic(12).bloch)
         assert self._verification_peak(d) <= 4.6 * d.factors_r.nbytes
 
+    def test_isotropic_closed_form_is_built_in_place(self):
+        """eta*|Phi><Phi| is written at its N^2 nonzero positions, so the
+        call peaks at DensityMatrix's Hermiticity check, not at the builder
+        (4.4 result sizes with a dense identity and projector)."""
+        isotropic_density(12, eta=0.1)
+        tracemalloc.start()
+        try:
+            rho = isotropic_density(12, eta=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * rho.entries.nbytes
+
     def test_decomposition_is_checked_once_when_built(self, registry_sics, monkeypatch):
         real, checked = decompose_module._check_exactly_hermitian, []
 

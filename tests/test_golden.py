@@ -28,6 +28,8 @@ GOLDEN = {
         "ac7dd2a773c98863fffe35ed8aba66997b29d8610d0d088b6233daa86bc774d8",
     ("sic", "3", "--verify"):
         "e71678ffac855266f83262f19644dec746b719b237e30a3d6539fb7d6faefaab",
+    ("sic", "4", "--find", "--seed", "0"):
+        "4df124d366defb24c1c8cda5ac6231b08fde81098c3c1bf9c9939459c28a20d3",
     ("decompose", "werner", "4", "--tau", "0.5", "--count", "2",
      "--fiducial-cache", "fid4.json"):
         "8459138a132fefc70ef0acbcb5e4f02cdf69d15bb24d5074f7465a2edcdf036c",

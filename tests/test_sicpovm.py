@@ -200,7 +200,7 @@ class TestFindFiducial:
 
     def test_dim4_within_first_20_seeds(self):
         for seed in range(20):
-            result = find_fiducial(4, seed=seed, tol=1e-10)
+            result = find_fiducial(4, seed=seed)
             if isinstance(result, Fiducial):
                 assert frame_potential(result) <= frame_potential_minimum(4) + 1e-10
                 sic = sic_from_fiducial(result)
@@ -220,10 +220,34 @@ class TestFindFiducial:
         with pytest.raises(ParameterRangeError, match=next(iter(kwargs))):
             find_fiducial(4, **kwargs)
 
-    def test_nan_tolerance_accepts_nothing(self):
+    def test_nan_residuals_are_a_failure(self, monkeypatch):
+        # trf accepts only finite residuals, so NaN is put into its result.
+        import scipy.optimize
+        real = scipy.optimize.least_squares
+
+        def nan_residuals(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.fun = np.full_like(res.fun, np.nan)
+            return res
+        monkeypatch.setattr(scipy.optimize, "least_squares", nan_residuals)
         # Seed 5 converges at N = 3 (see the next test).
-        result = find_fiducial(3, seed=5, tol=float("nan"))
+        result = find_fiducial(3, seed=5)
         assert isinstance(result, FiducialSearchFailure)
+
+    @pytest.mark.parametrize("dim, max_iters", [(3, 8), (4, 17), (11, 19)])
+    def test_truncated_search_below_the_overlap_tolerance_fails(self, dim, max_iters):
+        """Stopped where the frame-potential excess is under 1e-10 but some
+        squared overlap still misses 1e-8: no fiducial is returned."""
+        result = find_fiducial(dim, seed=0, max_iters=max_iters)
+        assert isinstance(result, FiducialSearchFailure)
+        assert result.best_residual <= 1e-10
+
+    def test_every_returned_fiducial_is_certified(self):
+        for seed in range(6):
+            for max_iters in range(1, 41):
+                result = find_fiducial(4, seed=seed, max_iters=max_iters)
+                if isinstance(result, Fiducial):
+                    assert sic_from_fiducial(result).dim == 4, (seed, max_iters)
 
     def test_deterministic_per_seed(self):
         a = find_fiducial(3, seed=5)
