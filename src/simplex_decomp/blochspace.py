@@ -8,7 +8,8 @@ where the L_mu are the N^2 - 1 generalized Gell-Mann matrices normalized to
 Tr[L_mu L_nu] = 2 delta_mu_nu, so the coordinates invert as
 r_mu = Tr[rho L_mu].  The module also provides the closed positivity radius
 interval along pure-state directions, which every decomposition result in
-this package leans on.
+this package leans on; it is defined with the other scalar math in
+:mod:`~simplex_decomp.params`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, HermiticityError
+from .params import psd_radius_bounds  # re-exported: defined with the scalar math
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -237,16 +239,3 @@ def min_eigenvalue(m) -> float:
     if not dev <= HERM_TOL:  # NaN fails too
         raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
-
-
-def psd_radius_bounds(dimension: int) -> tuple[float, float]:
-    """Closed positivity interval for the radius along a pure-state direction.
-
-    For a unit direction u that is the Bloch direction of some pure state,
-    id/N + (r/2) u.L is positive semidefinite exactly for
-    r in [-sqrt(2/(N(N-1))), sqrt(2(N-1)/N)].
-    """
-    n = dimension
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
-    return (-float(np.sqrt(2.0 / (n * (n - 1)))), float(np.sqrt(2.0 * (n - 1) / n)))

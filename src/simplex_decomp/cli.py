@@ -10,6 +10,10 @@ Exit codes (stable contract): 0 success, 1 selftest/certificate failure,
 2 search failure, 3 I/O error, 4 non-separable input, 5 bad parameter
 (a usage error or a request too large to allocate included).  Commands
 print their stdout payload and raise; ``main`` maps the error to its code.
+
+The array layers (``decompose``, ``sicpovm``, ``selftest``) are imported
+inside the commands that use them, so that ``classify``, ``regions`` and a
+``decompose`` refused on its parameters never load numpy.
 """
 
 from __future__ import annotations
@@ -19,19 +23,14 @@ import os
 import sys
 import warnings
 
-from . import selftest as selftest_mod
 from . import serialize
-from .decompose import (Decomposition, VerificationReport, certify,
-                        contour_radii, separable_decompose)
 from .errors import (CertificateError, DimensionMismatchError,
                      FiducialCacheError, FiducialSearchError,
                      InadmissibleRadiusError, NotAFiducialError,
                      NotSeparableError, ParameterRangeError,
                      SimplexStructureError)
-from .sicpovm import (TOLERANCES, FiducialSearchFailure, find_fiducial,
-                      known_fiducial, max_overlap_deviation, obtain_sic,
-                      save_fiducial_cache)
-from .states import StateKind, classify, convert_params, region_csv, region_table
+from .params import (StateKind, check_radius, classify, convert_params,
+                     region_csv, region_table)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -65,7 +64,9 @@ def _write_output(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _decomposition_dict(d: Decomposition, rep: VerificationReport) -> dict:
+def _decomposition_dict(d, rep) -> dict:
+    """JSON payload of a :class:`~simplex_decomp.decompose.Decomposition` and
+    its :class:`~simplex_decomp.decompose.VerificationReport`."""
     return {
         "kind": d.kind.value, "N": d.dim, "tau": d.tau, "r": d.r, "s": d.s,
         "simplex": {"ambient_dim": d.simplex.ambient_dim,
@@ -102,6 +103,9 @@ def _given_param(args, kind: StateKind) -> tuple[str, float]:
 
 
 def cmd_sic(args) -> int:
+    from .sicpovm import (TOLERANCES, FiducialSearchFailure, find_fiducial,
+                          known_fiducial, max_overlap_deviation,
+                          save_fiducial_cache)
     cache_path = _resolve_cache(args.cache)
     if args.find:
         result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters)
@@ -144,19 +148,25 @@ def cmd_decompose(args) -> int:
                                "params": params.as_dict()}))
         raise NotSeparableError(f"state is {cls.name}, not separable: no product "
                                 f"decomposition exists", classification=cls)
+    # A given radius is checked before any SIC is read or searched for; the
+    # contour radii are admissible by construction.
+    if args.r is not None:
+        try:
+            check_radius(args.N, params.tau, args.r)
+        except InadmissibleRadiusError as exc:
+            print(serialize.dumps({"admissible_r_intervals":
+                                   [[a, b] for a, b in exc.intervals],
+                                   "nearest": exc.nearest}))
+            raise
+    from .decompose import certify, contour_radii, separable_decompose
+    from .sicpovm import obtain_sic
     sic = obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
     if args.r is not None:
         radii = [args.r]
     else:
         radii = contour_radii(args.N, params.tau, args.count)
-    try:
-        items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
-                 for r in radii]
-    except InadmissibleRadiusError as exc:
-        print(serialize.dumps({"admissible_r_intervals":
-                               [[a, b] for a, b in exc.intervals],
-                               "nearest": exc.nearest}))
-        raise
+    items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
+             for r in radii]
     dicts = [_decomposition_dict(d, certify(d)) for d in items]
     _write_output(serialize.dumps(dicts[0] if len(dicts) == 1 else dicts) + "\n",
                   args.out)
@@ -224,7 +234,8 @@ def cmd_regions(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    return selftest_mod.run_selftest(
+    from .selftest import run_selftest
+    return run_selftest(
         n_max=args.n_max, fiducial_cache=_resolve_cache(args.fiducial_cache),
         writer=sys.stdout)
 

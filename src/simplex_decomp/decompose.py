@@ -23,20 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators, _readonly,
-                         psd_radius_bounds)
+from .blochspace import PSD_TOL, DensityMatrix, _bloch_operators, _readonly
 from .errors import (CertificateError, DimensionMismatchError,
-                     HermiticityError, InadmissibleRadiusError,
-                     NotSeparableError, ParameterRangeError)
+                     HermiticityError, NotSeparableError, ParameterRangeError)
+# The radius rules are scalar math and live in params; these names stay
+# importable here.
+from .params import (ADMISSIBLE_ATOL, RANGE_ATOL, StateKind,
+                     admissible_r_interval, check_radius, convert_params,
+                     separable_interval)
 from .sicpovm import SicPovm
 from .simplex import RegularSimplex
-from .states import (RANGE_ATOL, StateKind, classify, convert_params,
-                     isotropic_density, separable_interval, werner_density)
-
-# Slack for the membership of r, and of s = tau/r, in their intervals at the
-# endpoints.  Both need it: for |tau| below this slack, the slack on r alone
-# admits radii near 0, whose s = tau/r lies far outside the PSD interval.
-ADMISSIBLE_ATOL = 1e-9
+from .states import isotropic_density, werner_density
 
 
 def _check_exactly_hermitian(name: str, stack: np.ndarray) -> None:
@@ -176,81 +173,19 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:
-    """Closed intervals of r with both r and s = tau/r in the PSD interval.
-
-    Returned in ascending order (negative branch first when present).  For
-    tau = 0 the whole PSD interval is admissible.  Degenerate branches
-    collapse to single points at the separable-interval endpoints.
-    """
-    lo, hi = separable_interval(dim)
-    tau = float(tau)
-    if not (lo - RANGE_ATOL <= tau <= hi + RANGE_ATOL):
-        # Below the interval only Werner states exist, above it only isotropic.
-        werner = tau < lo
-        try:
-            cls = classify(StateKind.WERNER if werner else StateKind.ISOTROPIC, dim, tau)
-            hint = f"; as {'a Werner' if werner else 'an isotropic'} state it is {cls.name}"
-        except ParameterRangeError:
-            cls, hint = None, ""
-        raise NotSeparableError(
-            f"tau = {tau} is outside the separable interval [{lo}, {hi}]{hint}",
-            classification=cls)
-    neg_min, r_max = psd_radius_bounds(dim)
-    if tau == 0.0:
-        return [(neg_min, r_max)]
-    intervals = []
-    if tau > 0.0:
-        if tau <= neg_min * neg_min + RANGE_ATOL:
-            intervals.append((neg_min, tau / neg_min))
-        intervals.append((tau / r_max, r_max))
-    else:
-        intervals.append((neg_min, tau / r_max))
-        intervals.append((tau / neg_min, r_max))
-    out = []
-    for a, b in intervals:
-        if a > b:
-            if a - b > RANGE_ATOL:
-                continue
-            a = b = 0.5 * (a + b)
-        out.append((a, b))
-    return out
-
-
-def _nearest_admissible(r: float, intervals) -> float:
-    # Clamp to the hull first so that r = +-inf picks the extreme endpoint
-    # instead of tying at infinite distance with every interval.
-    r = min(max(r, intervals[0][0]), intervals[-1][1])
-    # A tie, as for a radius near 0 between the two branches of a tiny tau,
-    # goes to the branch on the radius's own side of 0.
-    return min((min(max(r, a), b) for a, b in intervals),
-               key=lambda c: (abs(c - r), (c < 0) != (r < 0)))
-
-
 def separable_decompose(kind, dim: int, tau: float, r: float,
                         sic: SicPovm) -> Decomposition:
     """Explicit separable decomposition over a SIC Bloch simplex.
 
     Requires tau in the separable interval and r in the admissible set, so
     every factor is positive semidefinite by construction.  The SIC comes
-    from :func:`~simplex_decomp.sicpovm.obtain_sic`.  +-inf is inadmissible
-    with the nearest endpoint; :func:`decompose` refuses a NaN radius.
+    from :func:`~simplex_decomp.sicpovm.obtain_sic`.  The radius passes
+    :func:`~simplex_decomp.params.check_radius` first.
     """
     kind = StateKind.parse(kind)
     if sic.dim != dim:
         raise DimensionMismatchError(f"SIC dimension {sic.dim} != requested {dim}")
-    intervals = admissible_r_interval(dim, tau)
-    inside = any(a - ADMISSIBLE_ATOL <= r <= b + ADMISSIBLE_ATOL for a, b in intervals)
-    if inside and tau != 0.0:
-        neg_min, r_max = psd_radius_bounds(dim)
-        s = tau / r if r != 0.0 else math.inf
-        inside = neg_min - ADMISSIBLE_ATOL <= s <= r_max + ADMISSIBLE_ATOL
-    if not (math.isnan(r) or inside):
-        nearest = _nearest_admissible(r, intervals)
-        raise InadmissibleRadiusError(
-            f"r = {r} leaves the admissible set {intervals} for tau = {tau}; "
-            f"nearest admissible value is {nearest}", nearest=nearest,
-            intervals=intervals)
+    check_radius(dim, tau, r)
     return decompose(kind, dim, tau, r, sic.bloch)
 
 

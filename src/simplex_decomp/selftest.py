@@ -11,18 +11,18 @@ from functools import lru_cache
 import numpy as np
 
 from .blochspace import (PSD_TOL, BlochVector, bloch_from_density,
-                         density_from_bloch, min_eigenvalue, psd_radius_bounds,
-                         su_generators)
-from .decompose import admissible_r_interval, decompose, reconstruct, verify_decomposition
+                         density_from_bloch, min_eigenvalue, su_generators)
+from .decompose import decompose, reconstruct, verify_decomposition
 from .errors import ParameterRangeError
+from .params import (StateKind, _tau_range, admissible_r_interval,
+                     classify_isotropic, classify_werner, convert_params,
+                     psd_radius_bounds, region_table, separable_interval)
 from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
                       Provenance, frame_potential, frame_potential_minimum,
                       load_fiducial_cache, max_overlap_deviation, obtain_sic)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
                       orthogonal_extension)
-from .states import (StateKind, _tau_range, classify_isotropic, classify_werner,
-                     convert_params, isotropic_density, partial_transpose,
-                     region_table, separable_interval, werner_density)
+from .states import isotropic_density, partial_transpose, werner_density
 
 # Provenance of the probe fiducials the checks build from raw vectors.
 _PROBE_PROV = Provenance(kind=OPTIMIZED)

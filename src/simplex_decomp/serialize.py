@@ -5,15 +5,17 @@ the exact double, so repeated runs with identical inputs produce
 byte-identical output.  A float ``ndarray`` is written in one
 ``str.format`` call through a nested template cached per shape; it
 renders each element exactly as :func:`format_float` does.
+
+The module imports no numpy.  It recognizes arrays and numpy scalars
+through the numpy module already loaded, if any: without one, none exist.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from functools import lru_cache
-
-import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -37,7 +39,7 @@ def _template(shape: tuple[int, ...]) -> str:
     return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
 
 
-def _emit_floats(a: np.ndarray) -> str:
+def _emit_floats(np, a) -> str:
     finite = np.isfinite(a)
     if not finite.all():
         raise ValueError(f"cannot serialize non-finite float {a[~finite][0]}")
@@ -45,18 +47,26 @@ def _emit_floats(a: np.ndarray) -> str:
 
 
 def _emit(obj) -> str:
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-        return _emit_floats(obj)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+            return _emit_floats(np, obj)
+        if isinstance(obj, np.bool_):
+            return "true" if obj else "false"
+        if isinstance(obj, np.integer):
+            return str(int(obj))
+        if isinstance(obj, np.floating):
+            return format_float(obj)
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -65,21 +75,25 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def encode_cmatrix(m: np.ndarray) -> np.ndarray:
+def encode_cmatrix(m):
     """Complex array as a float array whose last axis holds [re, im]."""
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     return np.stack([m.real, m.imag], -1)
 
 
-def decode_cmatrix(data) -> np.ndarray:
+def decode_cmatrix(data):
+    import numpy as np
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 def csv_row(values) -> str:
     """One CSV line; floats rendered with 17 significant digits."""
+    np = sys.modules.get("numpy")
+    floats = float if np is None else (float, np.floating)
     parts = []
     for v in values:
-        if isinstance(v, (float, np.floating)):
+        if isinstance(v, floats):
             parts.append(format_float(v))
         else:
             parts.append(str(v))

@@ -142,6 +142,26 @@ class TestDecompose:
         assert payload["admissible_r_intervals"] == [[-1, -1], [1, 1]]
         assert "nearest" in payload
 
+    @pytest.mark.parametrize("r, out, message", [
+        ("5", '{"admissible_r_intervals": [[0.076376261582597346, '
+              '1.3093073414159542]], "nearest": 1.3093073414159542}\n',
+         "nearest admissible value is 1.3093073414159542"),
+        ("nan", "", "r = nan is not a number"),
+    ], ids=["outside", "nan"])
+    def test_radius_is_refused_before_any_sic(self, capsys, monkeypatch, r, out,
+                                              message):
+        def no_sic(*args, **kwargs):
+            raise AssertionError("obtain_sic called for a refused radius")
+        # Replaced wherever the package binds the name, the CLI included.
+        for name in ("sicpovm", "cli"):
+            monkeypatch.setattr(importlib.import_module(f"simplex_decomp.{name}"),
+                                "obtain_sic", no_sic, raising=False)
+        code, stdout, err = run_cli(capsys, "decompose", "werner", "7",
+                                    "--tau", "0.1", "--r", r)
+        assert code == 5
+        assert stdout == out
+        assert message in err
+
     def test_multi_sample_isotropic(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "iso", "3",
                                "--eta", "0.2", "--count", "4")
@@ -293,7 +313,7 @@ class TestDecompose:
         def too_large(dim, tau, k):
             raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
                               "(10000000000000,) and data type float64")
-        monkeypatch.setattr(importlib.import_module("simplex_decomp.cli"),
+        monkeypatch.setattr(importlib.import_module("simplex_decomp.decompose"),
                             "contour_radii", too_large)
         code, out, err = run_cli(capsys, "decompose", "werner", "3", "--tau", "0.1",
                                  "--count", "10000000000000")
@@ -615,40 +635,85 @@ class TestInstalledEntryPoint:
 
 
 class TestImportHygiene:
-    """scipy's optimizer and statistics load only where they are used."""
+    """scipy's optimizer and statistics load only where they are used, and
+    numpy only where an array is."""
 
     SLOW = ("scipy.optimize", "scipy.stats")
 
-    def _slow_modules_after(self, code):
-        """Modules under SLOW loaded once ``code`` has run in a fresh interpreter."""
+    def _modules_after(self, code, watched=SLOW):
+        """Modules under ``watched`` loaded once ``code`` has run in a fresh
+        interpreter; they make the last line of its stderr."""
         script = code + (
             "\nimport sys\n"
             "print(*sorted(m for m in sys.modules\n"
             "              if '.'.join(m.split('.')[:2]) in %r), file=sys.stderr)\n"
-            % (self.SLOW,))
+            % (watched,))
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout, proc.stderr.split()
+        return proc.stdout, proc.stderr.splitlines()[-1].split()
+
+    @staticmethod
+    def _cli(argv, code):
+        """Script that runs the CLI as ``python -m simplex_decomp`` does."""
+        return ("import runpy, sys\n"
+                f"sys.argv = ['simplex_decomp', *{argv.split()!r}]\n"
+                "try:\n"
+                "    runpy.run_module('simplex_decomp', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                f"    assert exc.code == {code}, exc.code\n")
 
     def test_cli_import_loads_neither(self):
-        _, loaded = self._slow_modules_after("import simplex_decomp.cli")
+        _, loaded = self._modules_after("import simplex_decomp.cli")
         assert loaded == []
 
     def test_classify_command_loads_neither(self):
-        out, loaded = self._slow_modules_after(
-            "import runpy, sys\n"
-            "sys.argv = ['simplex_decomp', 'classify', 'werner', '5', '--tau', '0.3']\n"
-            "try:\n"
-            "    runpy.run_module('simplex_decomp', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n")
+        out, loaded = self._modules_after(
+            self._cli("classify werner 5 --tau 0.3", 0))
         assert json.loads(out)["class"] == "Separable"
         assert loaded == []
 
     def test_search_imports_the_optimizer_when_called(self):
-        out, loaded = self._slow_modules_after(
+        out, loaded = self._modules_after(
             "from simplex_decomp.sicpovm import Fiducial, find_fiducial\n"
             "print(isinstance(find_fiducial(4, seed=0), Fiducial))\n")
         assert out.strip() == "True"
         assert "scipy.optimize" in loaded
+
+    def test_package_import_loads_no_numpy(self):
+        _, loaded = self._modules_after("import simplex_decomp", ("numpy",))
+        assert loaded == []
+
+    @pytest.mark.parametrize("argv, code", [
+        ("classify werner 5 --tau 0.3", 0),
+        ("classify iso 7 --eta 0.3", 0),
+        ("regions --n-list 2,3,...,40", 0),
+        ("decompose werner 3 --tau abc", 5),
+        ("decompose werner 4 --tau -0.9", 4),
+        ("decompose werner 3 --tau 0.5 --r 2", 5),
+        ("decompose werner 3 --tau 0.5 --r nan", 5),
+    ])
+    def test_scalar_command_loads_no_numpy(self, argv, code):
+        _, loaded = self._modules_after(self._cli(argv, code), ("numpy",))
+        assert loaded == []
+
+    def test_decompose_loads_numpy(self):
+        _, loaded = self._modules_after(
+            self._cli("decompose werner 2 --tau 1 --r 1", 0), ("numpy",))
+        assert loaded == ["numpy"]
+
+    def test_every_export_resolves(self):
+        out, _ = self._modules_after(
+            "import importlib, simplex_decomp\n"
+            "homes = [importlib.import_module(f'simplex_decomp.{m}') for m in\n"
+            "         ('blochspace', 'simplex', 'sicpovm', 'params', 'states',\n"
+            "          'decompose')]\n"
+            "for name in simplex_decomp.__all__:\n"
+            "    value = getattr(simplex_decomp, name)\n"
+            "    assert any(getattr(m, name, None) is value for m in homes), name\n"
+            "assert simplex_decomp.decompose is homes[-1].decompose\n"
+            "namespace = {}\n"
+            "exec('from simplex_decomp import *', namespace)\n"
+            "assert set(simplex_decomp.__all__) <= set(namespace)\n"
+            "print('ok')\n")
+        assert out.strip() == "ok"
