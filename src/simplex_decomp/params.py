@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import reduce
+from collections import namedtuple
+from functools import lru_cache, reduce
 from operator import add
 
 from .errors import (DimensionMismatchError, InadmissibleRadiusError,
@@ -51,8 +51,12 @@ class StateClass(enum.Enum):
     STEERABLE = "Steerable"
 
 
-@dataclass(frozen=True)
-class NonlocalityClass:
+# The records are read-only named tuples rather than dataclasses, whose
+# module loads ``inspect`` and ``ast``: nearly half of the package's own
+# import time on the scalar path.  A tuple is written as a JSON list, so a record reaches
+# ``serialize`` only through a dict of its fields.
+class NonlocalityClass(namedtuple("NonlocalityClass", "label boundaries note",
+                                  defaults=(None,))):
     """Class label plus the tau thresholds that produced it.
 
     ``note`` is set only at the lower Werner separability endpoint, where
@@ -60,30 +64,22 @@ class NonlocalityClass:
     decomposition still exists there.
     """
 
-    label: StateClass
-    boundaries: dict
-    note: str | None = None
+    __slots__ = ()
 
     @property
     def name(self) -> str:
         return self.label.value
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(namedtuple("ParamSet", "kind dim tau phi alpha beta eta",
+                          defaults=(None, None, None, None))):
     """All equivalent parameter values of one state.
 
     Werner states populate phi, alpha, beta, tau; isotropic states populate
     eta, tau.  Unused fields stay None.
     """
 
-    kind: StateKind
-    dim: int
-    tau: float
-    phi: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    eta: float | None = None
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         out = {"family": self.kind.value, "N": self.dim, "tau": self.tau}
@@ -94,34 +90,35 @@ class ParamSet:
         return out
 
 
-@dataclass(frozen=True)
-class RegionRow:
+class RegionRow(namedtuple("RegionRow", "family dim tau_min tau_sep_lo tau_sep_hi "
+                           "tau_steer frac_sep frac_ent frac_steer")):
     """One family at one dimension: thresholds plus class measure fractions."""
 
-    family: str
-    dim: int
-    tau_min: float
-    tau_sep_lo: float
-    tau_sep_hi: float
-    tau_steer: float
-    frac_sep: float
-    frac_ent: float
-    frac_steer: float
+    __slots__ = ()
 
 
 REGION_CSV_HEADER = ("family,N,tau_min,tau_sep_lo,tau_sep_hi,tau_steer,"
                      "frac_sep,frac_ent,frac_steer")
 
 
+@lru_cache(maxsize=1 << 14)
 def _reciprocal_sum(lo: int, n: int) -> float:
     # sum 1/k for k = lo+1..lo+n in numpy's order for a contiguous float64
-    # array: fewer than 8 terms in sequence, up to 128 in 8 interleaved
-    # accumulators, more split in two at a multiple of 8.  ``reduce`` adds
-    # in sequence, as numpy's loops do (``sum`` is compensated from Python
-    # 3.12 on).  Terms are made per block, so memory stays O(log n).
+    # array: up to 128 terms in one block, more split in two at a multiple
+    # of 8.  H_n and H_{n+1} split alike down to their last block, so the
+    # cache lets a run of consecutive n share every other block: about one
+    # block of work per n instead of n terms.  At about 250 bytes an entry
+    # the bound keeps 4 MB; n = 2..20000 then sums 4.7e6 terms, not 2e8.
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _reciprocal_sum(lo, half) + _reciprocal_sum(lo + half, n - half)
+    return _block_sum(lo, n)
+
+
+def _block_sum(lo: int, n: int) -> float:
+    # At most 128 terms: fewer than 8 in sequence, else 8 interleaved
+    # accumulators.  ``reduce`` adds in sequence, as numpy's loops do (``sum``
+    # is compensated from Python 3.12 on).
     xs = [1.0 / k for k in range(lo + 1, lo + n + 1)]
     if n < 8:
         return reduce(add, xs, 0.0)
@@ -321,12 +318,8 @@ def region_table(dim: int) -> list[RegionRow]:
 
 def region_csv(rows) -> str:
     """CSV text for region rows, header included."""
-    lines = [REGION_CSV_HEADER]
-    for r in rows:
-        lines.append(csv_row([r.family, r.dim, r.tau_min, r.tau_sep_lo,
-                              r.tau_sep_hi, r.tau_steer, r.frac_sep,
-                              r.frac_ent, r.frac_steer]))
-    return "\n".join(lines) + "\n"
+    # A row's fields are in the header's order.
+    return "\n".join([REGION_CSV_HEADER, *map(csv_row, rows)]) + "\n"
 
 
 def admissible_r_interval(dim: int, tau: float) -> list[tuple[float, float]]:

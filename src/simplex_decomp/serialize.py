@@ -4,15 +4,16 @@ Every float is printed with 17 significant digits, enough to reconstruct
 the exact double, so repeated runs with identical inputs produce
 byte-identical output.  A float ``ndarray`` is written in one
 ``str.format`` call through a nested template cached per shape; it
-renders each element exactly as :func:`format_float` does.
+renders each element exactly as :func:`format_float` does, and an array
+that one payload holds twice is formatted once.
 
 The module imports no numpy.  It recognizes arrays and numpy scalars
 through the numpy module already loaded, if any: without one, none exist.
+Nor does it import ``json`` until a string needs escaping.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from functools import lru_cache
@@ -28,7 +29,17 @@ def format_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """JSON text with deterministic key order and 17-digit floats."""
-    return _emit(obj)
+    # Text of each float array by id; the array is kept with its text, so
+    # that its id cannot be reused while the call runs.
+    return _emit(obj, {})
+
+
+def _quote(text: str) -> str:
+    """``json.dumps(text)``, without importing json for plain ASCII text."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+    return json.dumps(text)
 
 
 @lru_cache(maxsize=128)
@@ -39,18 +50,21 @@ def _template(shape: tuple[int, ...]) -> str:
     return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
 
 
-def _emit_floats(np, a) -> str:
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise ValueError(f"cannot serialize non-finite float {a[~finite][0]}")
-    return _template(a.shape).format(*a.ravel().tolist())
+def _emit_floats(np, a, memo: dict) -> str:
+    hit = memo.get(id(a))
+    if hit is None:
+        finite = np.isfinite(a)
+        if not finite.all():
+            raise ValueError(f"cannot serialize non-finite float {a[~finite][0]}")
+        hit = memo[id(a)] = (a, _template(a.shape).format(*a.ravel().tolist()))
+    return hit[1]
 
 
-def _emit(obj) -> str:
+def _emit(obj, memo: dict) -> str:
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-            return _emit_floats(np, obj)
+            return _emit_floats(np, obj, memo)
         if isinstance(obj, np.bool_):
             return "true" if obj else "false"
         if isinstance(obj, np.integer):
@@ -58,10 +72,10 @@ def _emit(obj) -> str:
         if isinstance(obj, np.floating):
             return format_float(obj)
     if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items())
+        items = (f"{_quote(str(k))}: {_emit(v, memo)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
+        return "[" + ", ".join(_emit(v, memo) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -69,7 +83,7 @@ def _emit(obj) -> str:
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simplex_decomp import serialize
 from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
 from simplex_decomp.errors import ParameterRangeError
+from simplex_decomp.params import NonlocalityClass, ParamSet, RegionRow
 from simplex_decomp.sicpovm import OPTIMIZED, TOLERANCES
 from simplex_decomp.states import harmonic_number
 
@@ -339,6 +341,36 @@ class TestDecompose:
         assert out1 == out2
 
 
+def _records_in(obj):
+    if isinstance(obj, (NonlocalityClass, ParamSet, RegionRow)):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [r for v in obj for r in _records_in(v)]
+    return []
+
+
+# A record is a named tuple, which ``dumps`` would write as a JSON list, so
+# every payload holds a record's fields as a dict instead.
+@pytest.mark.parametrize("argv, code", [
+    ("classify werner 5 --tau 0.3", 0),
+    ("classify werner 3 --tau -0.6666666666666666", 0),
+    ("classify iso 7 --eta 0.3", 0),
+    ("decompose werner 4 --tau -0.9", 4),
+    ("decompose werner 3 --tau 0.5 --r 2", 5),
+    ("decompose werner 2 --tau 1 --r 1", 0),
+])
+def test_no_record_reaches_dumps(capsys, monkeypatch, argv, code):
+    payloads = []
+    dumps = serialize.dumps
+    monkeypatch.setattr(serialize, "dumps",
+                        lambda obj: payloads.append(obj) or dumps(obj))
+    assert run_cli(capsys, *argv.split())[0] == code
+    assert payloads
+    assert [r for p in payloads for r in _records_in(p)] == []
+
+
 class TestClassify:
     def test_isotropic_example(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "iso", "2", "--eta", "0.4")
@@ -635,10 +667,14 @@ class TestInstalledEntryPoint:
 
 
 class TestImportHygiene:
-    """scipy's optimizer and statistics load only where they are used, and
-    numpy only where an array is."""
+    """scipy's optimizer and statistics load only where they are used, numpy
+    only where an array is, and the scalar commands load none of the stdlib
+    modules that dataclasses and json bring in."""
 
     SLOW = ("scipy.optimize", "scipy.stats")
+    # Not loaded by the scalar path beyond what the interpreter's start-up
+    # (``site`` and any ``.pth`` file it runs) has loaded already.
+    STDLIB = ("dataclasses", "inspect", "json")
 
     def _modules_after(self, code, watched=SLOW):
         """Modules under ``watched`` loaded once ``code`` has run in a fresh
@@ -663,8 +699,21 @@ class TestImportHygiene:
                 "except SystemExit as exc:\n"
                 f"    assert exc.code == {code}, exc.code\n")
 
+    def _loaded_beyond_start_up(self, code, watched):
+        """Modules under ``watched`` that ``code`` loads, less those of
+        ``STDLIB`` that a bare interpreter has loaded before running
+        anything."""
+        _, bare = self._modules_after("pass", self.STDLIB)
+        out, loaded = self._modules_after(code, watched)
+        return out, [m for m in loaded if m not in bare]
+
     def test_cli_import_loads_neither(self):
         _, loaded = self._modules_after("import simplex_decomp.cli")
+        assert loaded == []
+
+    def test_cli_import_loads_no_dataclasses_inspect_or_json(self):
+        _, loaded = self._loaded_beyond_start_up("import simplex_decomp.cli",
+                                                 self.STDLIB)
         assert loaded == []
 
     def test_classify_command_loads_neither(self):
@@ -694,7 +743,8 @@ class TestImportHygiene:
         ("decompose werner 3 --tau 0.5 --r nan", 5),
     ])
     def test_scalar_command_loads_no_numpy(self, argv, code):
-        _, loaded = self._modules_after(self._cli(argv, code), ("numpy",))
+        _, loaded = self._loaded_beyond_start_up(self._cli(argv, code),
+                                                 ("numpy", *self.STDLIB))
         assert loaded == []
 
     def test_decompose_loads_numpy(self):

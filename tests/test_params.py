@@ -1,13 +1,19 @@
-"""The scalar math of ``params`` against the numpy forms it replaced, bit for bit."""
+"""The scalar math of ``params`` against the numpy forms it replaced, bit for
+bit, and its records."""
 
 import numpy as np
+import pytest
 
-from simplex_decomp.params import harmonic_number, psd_radius_bounds
+from simplex_decomp import params
+from simplex_decomp.params import (REGION_CSV_HEADER, NonlocalityClass,
+                                   ParamSet, RegionRow, StateClass, StateKind,
+                                   harmonic_number, psd_radius_bounds,
+                                   region_table)
 
-# Every n through four levels of pairwise halving (n <= 2048), every n
-# around numpy's 8192-element buffer, and every 61st n up to 20000.  A
-# sweep of every n up to 20000 agrees too, but takes some 35 s.
-HARMONIC_NS = [*range(1, 2049), *range(8100, 8300), *range(2049, 20001, 61), 20000]
+# Every n up to 20000: four levels of pairwise halving and more, and every n
+# around numpy's 8192-element buffer.  In increasing order consecutive n
+# share their blocks, so the sweep takes about 2 s.
+HARMONIC_NS = range(1, 20001)
 
 
 def test_harmonic_number_matches_numpy_sum():
@@ -16,7 +22,61 @@ def test_harmonic_number_matches_numpy_sum():
     assert got == want
 
 
+def test_region_table_shares_harmonic_blocks(monkeypatch):
+    # Reciprocals computed for the region tables of N = 2..4000: summed
+    # afresh for each N they would be 2..4000, about 8e6 in all; shared,
+    # they stay within two blocks of 128 per N.
+    blocks = []
+    block_sum = params._block_sum
+
+    def counted(lo, n):
+        blocks.append(n)
+        return block_sum(lo, n)
+
+    monkeypatch.setattr(params, "_block_sum", counted)
+    params._reciprocal_sum.cache_clear()
+    for n in range(2, 4001):
+        region_table(n)
+    assert sum(blocks) <= 2 * 128 * len(range(2, 4001))
+
+
 def test_psd_radius_bounds_match_numpy_sqrt():
     for n in range(2, 10001):
         want = (-float(np.sqrt(2.0 / (n * (n - 1)))), float(np.sqrt(2.0 * (n - 1) / n)))
         assert [x.hex() for x in psd_radius_bounds(n)] == [x.hex() for x in want], n
+
+
+class TestRecords:
+    def test_param_set_keywords_and_defaults(self):
+        p = ParamSet(kind=StateKind.ISOTROPIC, dim=4, tau=0.5, eta=0.25)
+        assert (p.kind, p.dim, p.tau, p.eta) == (StateKind.ISOTROPIC, 4, 0.5, 0.25)
+        assert p.phi is p.alpha is p.beta is None
+        assert p.as_dict() == {"family": "isotropic", "N": 4, "tau": 0.5, "eta": 0.25}
+
+    def test_werner_param_set_as_dict(self):
+        p = params.convert_params("werner", 3, "tau", 0.1)
+        assert list(p.as_dict()) == ["family", "N", "tau", "phi", "alpha", "beta"]
+        assert p.as_dict()["tau"] == 0.1 and p.eta is None
+
+    def test_nonlocality_class_note_defaults_to_none(self):
+        c = NonlocalityClass(label=StateClass.STEERABLE, boundaries={"tau_min": -3.0})
+        assert c.note is None
+        assert c.name == "Steerable"
+        assert c.boundaries == {"tau_min": -3.0}
+
+    @pytest.mark.parametrize("record, field", [
+        (ParamSet(kind=StateKind.WERNER, dim=3, tau=0.1), "tau"),
+        (NonlocalityClass(label=StateClass.SEPARABLE, boundaries={}), "note"),
+        (region_table(3)[0], "frac_sep"),
+    ])
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+
+    def test_region_row_fields_follow_the_csv_header(self):
+        header = REGION_CSV_HEADER.split(",")
+        assert ["N" if f == "dim" else f for f in RegionRow._fields] == header
+        row = region_table(5)[1]
+        assert params.region_csv([row]).splitlines()[1].split(",")[:2] == ["isotropic", "5"]

@@ -52,6 +52,33 @@ class TestDumps:
         b = dumps({"x": 1, "y": 2})
         assert a == b == '{"x": 1, "y": 2}'
 
+    # Every character, lone surrogates included, is quoted as json quotes it.
+    @given(st.text(st.characters(exclude_categories=())))
+    @example('plain ASCII: a-z, 0-9 and ~!')
+    @example('a "quoted" word')
+    @example('C:\\path')
+    @example('\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800')
+    def test_strings_are_quoted_as_json_quotes_them(self, text):
+        assert dumps(text) == json.dumps(text)
+        assert dumps({text: [text]}) == f"{{{json.dumps(text)}: [{json.dumps(text)}]}}"
+
+    def test_array_held_twice_writes_as_two_copies(self):
+        a = np.arange(12.0).reshape(3, 4) / 7.0
+        shared = {"x": a, "y": [a, {"z": a}]}
+        copies = {"x": a.copy(), "y": [a.copy(), {"z": a.copy()}]}
+        assert dumps(shared) == dumps(copies)
+
+    def test_array_text_is_not_kept_between_calls(self):
+        a = np.zeros(3)
+        assert dumps([a, a]) == "[[0, 0, 0], [0, 0, 0]]"
+        a[1] = 0.5
+        assert dumps([a, a]) == "[[0, 0.5, 0], [0, 0.5, 0]]"
+
+    def test_non_finite_array_held_twice_raises(self):
+        a = np.array([1.0, np.nan])
+        with pytest.raises(ValueError):
+            dumps({"x": a, "y": a})
+
 
 EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                1.7976931348623157e308, -1.7976931348623157e308]
