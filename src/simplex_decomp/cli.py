@@ -67,13 +67,14 @@ def _write_output(text: str, out_path: str | None) -> None:
 def _decomposition_dict(d, rep) -> dict:
     """JSON payload of a :class:`~simplex_decomp.decompose.Decomposition` and
     its :class:`~simplex_decomp.decompose.VerificationReport`."""
+    # Each stack is encoded once; a factor is a view of its stack.
+    left = serialize.encode_cmatrix(d.factors_r)
+    right = serialize.encode_cmatrix(d.factors_s)
     return {
         "kind": d.kind.value, "N": d.dim, "tau": d.tau, "r": d.r, "s": d.s,
         "simplex": {"ambient_dim": d.simplex.ambient_dim,
                     "vertices": d.simplex.vertices},
-        "factors": [{"R": serialize.encode_cmatrix(d.factors_r[i]),
-                     "S": serialize.encode_cmatrix(d.factors_s[i])}
-                    for i in range(d.n_factors)],
+        "factors": [{"R": a, "S": b} for a, b in zip(left, right)],
         "report": {"reconstruction_error": rep.reconstruction_error,
                    "min_eig_R": rep.min_eig_r, "min_eig_S": rep.min_eig_s,
                    "all_factors_psd": rep.all_factors_psd,

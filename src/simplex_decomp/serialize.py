@@ -2,10 +2,11 @@
 
 Every float is printed with 17 significant digits, enough to reconstruct
 the exact double, so repeated runs with identical inputs produce
-byte-identical output.  A float ``ndarray`` is written in one
-``str.format`` call through a nested template cached per shape; it
-renders each element exactly as :func:`format_float` does, and an array
-that one payload holds twice is formatted once.
+byte-identical output.  :func:`dumps` first collects the float
+``ndarray``s of a payload and converts them together in numpy
+(``_floattext``, imported on the first one), each element exactly as
+:func:`format_float` renders it; an array that one payload holds twice is
+converted once.  The text is then written piece by piece and joined once.
 
 The module imports no numpy.  It recognizes arrays and numpy scalars
 through the numpy module already loaded, if any: without one, none exist.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 
 def format_float(x: float) -> str:
@@ -29,9 +29,40 @@ def format_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """JSON text with deterministic key order and 17-digit floats."""
-    # Text of each float array by id; the array is kept with its text, so
-    # that its id cannot be reused while the call runs.
-    return _emit(obj, {})
+    # (array, text) of each float array by id; the array is kept with its
+    # text, so that its id cannot be reused while the call runs.
+    memo: dict = {}
+    np = sys.modules.get("numpy")
+    if np is not None:
+        arrays: dict = {}
+        _collect(np, obj, arrays)
+        if arrays:
+            from ._floattext import format_arrays
+            try:
+                texts = format_arrays(list(arrays.values()))
+            except ValueError:
+                # A non-finite value: emitting array by array raises at
+                # the first one in emission order, scalars included.
+                texts = []
+            memo = {key: (a, text) for (key, a), text in zip(arrays.items(), texts)}
+    # The text is written piece by piece and joined once, so that each
+    # array's text is copied once more, not once per level of nesting.
+    parts: list[str] = []
+    _emit(obj, memo, parts)
+    return "".join(parts)
+
+
+def _collect(np, obj, arrays: dict) -> None:
+    """Each float array of ``obj`` by id, in emission order."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            arrays[id(obj)] = obj
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _collect(np, v, arrays)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _collect(np, v, arrays)
 
 
 def _quote(text: str) -> str:
@@ -42,50 +73,58 @@ def _quote(text: str) -> str:
     return json.dumps(text)
 
 
-@lru_cache(maxsize=128)
-def _template(shape: tuple[int, ...]) -> str:
-    """Nested JSON list of ``{:.17g}`` fields for an array of ``shape``."""
-    if not shape:
-        return "{:.17g}"
-    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]"
-
-
-def _emit_floats(np, a, memo: dict) -> str:
+def _emit_floats(a, memo: dict) -> str:
     hit = memo.get(id(a))
     if hit is None:
-        finite = np.isfinite(a)
-        if not finite.all():
-            raise ValueError(f"cannot serialize non-finite float {a[~finite][0]}")
-        hit = memo[id(a)] = (a, _template(a.shape).format(*a.ravel().tolist()))
+        from ._floattext import format_arrays
+        hit = memo[id(a)] = (a, format_arrays([a])[0])
     return hit[1]
 
 
-def _emit(obj, memo: dict) -> str:
+def _emit(obj, memo: dict, parts: list) -> None:
+    """Append the text of ``obj`` to ``parts``."""
+    if isinstance(obj, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                parts.append(", ")
+            parts.append(f"{_quote(str(k))}: ")
+            _emit(v, memo, parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _emit(v, memo, parts)
+        parts.append("]")
+    else:
+        parts.append(_leaf(obj, memo))
+
+
+def _leaf(obj, memo: dict) -> str:
+    # A numpy float64 is a float, and a numpy str_ a str; no other numpy
+    # type is one of the built-in types tested first.
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(int(obj))
+    if obj is None:
+        return "null"
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-            return _emit_floats(np, obj, memo)
+            return _emit_floats(obj, memo)
         if isinstance(obj, np.bool_):
             return "true" if obj else "false"
         if isinstance(obj, np.integer):
             return str(int(obj))
         if isinstance(obj, np.floating):
             return format_float(obj)
-    if isinstance(obj, dict):
-        items = (f"{_quote(str(k))}: {_emit(v, memo)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v, memo) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(int(obj))
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -97,8 +136,15 @@ def encode_cmatrix(m):
 
 
 def decode_cmatrix(data):
+    """Inverse of :func:`encode_cmatrix`, for any shape: the last axis of
+    ``data`` holds [re, im].  Each part is assigned, not summed, so that a
+    signed zero keeps its sign."""
     import numpy as np
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    parts = np.asarray(data, dtype=float)
+    m = np.empty(parts.shape[:-1], dtype=complex)
+    m.real = parts[..., 0]
+    m.imag = parts[..., 1]
+    return m
 
 
 def csv_row(values) -> str:

@@ -142,8 +142,151 @@ class TestComplexMatrices:
         back = decode_cmatrix(json.loads(dumps(encode_cmatrix(m))))
         np.testing.assert_array_equal(back, m)
 
+    def test_factor_stack_round_trips_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        m.real[0, 0] = -0.0
+        m.imag[1, 2] = -0.0
+        m.imag[2] = 0.0
+        m[3, 1, 1] = complex(-0.0, -0.0)
+        m[4] *= 1e-300
+        # "-0" reads back as -0.0 only where integers parse as floats.
+        back = decode_cmatrix(json.loads(dumps(encode_cmatrix(m)), parse_int=float))
+        assert back.shape == m.shape
+        assert back.tobytes() == m.tobytes()
+
+    def test_decode_inverts_encode_for_any_shape(self):
+        m = np.array([[[complex(-0.0, 1.5)]], [[complex(2.0, -0.0)]]])
+        parts = encode_cmatrix(m)
+        assert decode_cmatrix(parts).tobytes() == m.tobytes()
+        assert decode_cmatrix(parts[0, 0, 0]).tobytes() == m[0, 0, 0].tobytes()
+
 
 class TestCsv:
     def test_mixed_row(self):
         assert csv_row(["werner", 3, 0.5, 1.0 / 3.0]) == \
             "werner,3,0.5,0.33333333333333331"
+
+
+def dtoa_text(values) -> str:
+    """One-dimensional list text with one ``format(x, ".17g")`` per value."""
+    return "[" + ", ".join([format(v, ".17g") for v in values]) + "]"
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """``got == expected``, reporting the first difference only: a diff of
+    two texts of megabytes would take minutes."""
+    if got != expected:
+        i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                 min(len(got), len(expected)))
+        start = max(got.rfind("[", 0, i), got.rfind(" ", 0, i), 0)
+        raise AssertionError(f"texts differ at {i}: {got[start:i + 30]!r} "
+                             f"instead of {expected[start:i + 30]!r}")
+
+
+class TestExactFloatText:
+    """``dumps`` converts float arrays in numpy; every byte must equal what
+    ``format(x, ".17g")`` writes for the same double."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(19)
+        n = 1 << 20
+        bits = rng.integers(0, 1 << 63, n, dtype=np.uint64)
+        bits[1::2] |= np.uint64(1 << 63)
+        # Seven in eight with exponents on both sides of the range converted
+        # in numpy, (1e-6, 1e17), the rest anywhere (there dtoa is slow);
+        # non-finite patterns become ones.
+        band = n - n // 8
+        exponent = rng.integers(1023 - 24, 1023 + 60, band, dtype=np.uint64)
+        bits[:band] &= np.uint64((1 << 52) - 1 | 1 << 63)
+        bits[:band] |= exponent << np.uint64(52)
+        x = bits.view(np.float64)
+        x[~np.isfinite(x)] = 1.0
+        assert_same_text(dumps(x), dtoa_text(x.tolist()))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([10.0 ** p for p in range(-8, 19)])
+        x = np.concatenate([np.nextafter(powers, 0), powers,
+                            np.nextafter(powers, np.inf)])
+        x = np.concatenate([x, -x])
+        assert_same_text(dumps(x), dtoa_text(x.tolist()))
+
+    def test_ties_of_sixteen_digit_integers(self):
+        rng = np.random.default_rng(20)
+        m = rng.integers(10 ** 15, 10 ** 16, 3000).astype(np.float64)
+        m[::2] += 1 - m[::2] % 2  # odd ones end in a 5 when halved
+        x = np.concatenate([m / 2, m / 4, m / 8])
+        x = np.concatenate([x * 2.0 ** -j for j in range(0, 60, 7)])
+        assert_same_text(dumps(x), dtoa_text(x.tolist()))
+
+    def test_edge_values(self):
+        x = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                      2.2250738585072014e-308, 1.7976931348623157e308,
+                      -1.7976931348623157e308, 0.0001, 9.9999999999999991e-05,
+                      1e-05, 9.9999999999999991e-06, 1e-06, 1.0000000000000002e-06,
+                      np.nextafter(1e17, 0), 1e17, np.nextafter(1e17, np.inf),
+                      99999999999999999.0, 9999999999999998.0, 0.5, 1.0, 10.0])
+        assert_same_text(dumps(x), dtoa_text(x.tolist()))
+        assert dumps(np.array([0.0001, 9.9999999999999991e-05])) == \
+            "[0.0001, 9.9999999999999991e-05]"
+        assert dumps(np.array([-0.0, 0.0])) == "[-0, 0]"
+
+    def test_float32_and_float16_as_doubles(self):
+        x = np.array([0.1, 1 / 3, 3e-7, 65504.0, -2.5])
+        for dtype in (np.float32, np.float16):
+            a = x.astype(dtype)
+            assert_same_text(dumps(a), dtoa_text(a.tolist()))
+
+    def test_zero_dimensional_and_empty_arrays(self):
+        assert dumps(np.array(0.1)) == "0.10000000000000001"
+        assert dumps(np.array(-0.0)) == "-0"
+        assert dumps(np.zeros(0)) == "[]"
+        assert dumps(np.zeros((2, 0, 3))) == "[[], []]"
+        assert dumps({"a": np.zeros((0, 4)), "b": np.array(3.0)}) == '{"a": [], "b": 3}'
+
+    def test_payload_of_mixed_shapes(self):
+        rng = np.random.default_rng(21)
+        shapes = [(), (1,), (7,), (3, 4), (2, 1, 5), (1, 2, 1, 3), (2, 2, 2, 2, 2),
+                  (0, 3), (40000,)]
+        arrays = [np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 19, shape))
+                  for shape in shapes]
+        arrays.append(rng.standard_normal((6, 6)).astype(np.float32))
+        arrays.append(np.arange(12.0).reshape(3, 4).T)  # not C-contiguous
+        payload = {"arrays": arrays, "again": arrays[3], "scalar": 0.25,
+                   "nested": [{"x": arrays[4]}, (arrays[1], 2)]}
+        expected = {"arrays": [per_scalar_any(a) for a in arrays],
+                    "again": per_scalar_any(arrays[3]), "scalar": "0.25",
+                    "nested": [{"x": per_scalar_any(arrays[4])},
+                               (per_scalar_any(arrays[1]), "2")]}
+        assert_same_text(dumps(payload), as_text(expected))
+
+    def test_non_finite_names_the_first_in_emission_order(self):
+        a = np.array([1.0, -np.inf, np.nan])
+        with pytest.raises(ValueError, match="non-finite float -inf"):
+            dumps({"a": a, "b": np.array([np.nan])})
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            dumps({"b": np.array([np.nan]), "a": a})
+        with pytest.raises(ValueError, match="non-finite float inf"):
+            dumps([np.ones(40000), float("inf"), a])
+        big = np.ones(100000)
+        big[70000], big[90000] = np.nan, np.inf
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            dumps([np.ones((3, 3)), big])
+
+
+def per_scalar_any(a) -> str:
+    """``per_scalar`` for any shape, 0-d included."""
+    if a.ndim == 0:
+        return format_float(a)
+    if a.size == 0:
+        return dumps(a.tolist())
+    return per_scalar(a)
+
+
+def as_text(obj) -> str:
+    """JSON text of a payload whose leaves are already text."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f'"{k}": {as_text(v)}' for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(as_text(v) for v in obj) + "]"
+    return obj
