@@ -27,7 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-CHUNK = 1 << 15  # elements converted per pass
+# Elements converted per pass.  In a fresh process, passes of 2**14 fault in
+# far fewer new pages than passes of 2**15 (about 3300 against 15000 minor
+# faults for a decomposition at N = 12, count 4), at the same warm speed.
+CHUNK = 1 << 14
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 _POW10 = np.array([float(10 ** p) for p in range(23)])  # exact: 5**22 < 2**53
