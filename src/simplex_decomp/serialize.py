@@ -2,11 +2,9 @@
 
 Every float is printed with 17 significant digits, enough to reconstruct
 the exact double, so repeated runs with identical inputs produce
-byte-identical output.  :func:`dumps` first collects the float
-``ndarray``s of a payload and converts them together in numpy
-(``_floattext``, imported on the first one), each element exactly as
-:func:`format_float` renders it; an array that one payload holds twice is
-converted once.  The text is then written piece by piece and joined once.
+byte-identical output.  :func:`dumps` converts the float ``ndarray``s of
+a payload together (``_floattext``, imported on the first one), each
+element exactly as :func:`format_float` renders it.
 
 The module imports no numpy.  It recognizes arrays and numpy scalars
 through the numpy module already loaded, if any: without one, none exist.
@@ -73,14 +71,6 @@ def _quote(text: str) -> str:
     return json.dumps(text)
 
 
-def _emit_floats(a, memo: dict) -> str:
-    hit = memo.get(id(a))
-    if hit is None:
-        from ._floattext import format_arrays
-        hit = memo[id(a)] = (a, format_arrays([a])[0])
-    return hit[1]
-
-
 def _emit(obj, memo: dict, parts: list) -> None:
     """Append the text of ``obj`` to ``parts``."""
     if isinstance(obj, dict):
@@ -118,7 +108,10 @@ def _leaf(obj, memo: dict) -> str:
     np = sys.modules.get("numpy")
     if np is not None:
         if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-            return _emit_floats(obj, memo)
+            if id(obj) not in memo:  # only after a non-finite value
+                from ._floattext import format_arrays
+                memo[id(obj)] = (obj, format_arrays([obj])[0])
+            return memo[id(obj)][1]
         if isinstance(obj, np.bool_):
             return "true" if obj else "false"
         if isinstance(obj, np.integer):
@@ -136,9 +129,7 @@ def encode_cmatrix(m):
 
 
 def decode_cmatrix(data):
-    """Inverse of :func:`encode_cmatrix`, for any shape: the last axis of
-    ``data`` holds [re, im].  Each part is assigned, not summed, so that a
-    signed zero keeps its sign."""
+    """Inverse of :func:`encode_cmatrix` for any shape, signed zeros kept."""
     import numpy as np
     parts = np.asarray(data, dtype=float)
     m = np.empty(parts.shape[:-1], dtype=complex)
