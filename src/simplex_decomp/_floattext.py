@@ -4,7 +4,7 @@
 ``format(x, ".17g")`` per element gives, byte for byte, without calling
 ``dtoa`` for the elements it can convert exactly in numpy.
 
-For |x| in (1e-6, 1e17) the decimal exponent k of x lies in [-6, 16], so
+For |x| in (1e-6, 10) the decimal exponent k of x lies in [-6, 0], so
 10**(16 - k) is an exact double, and Dekker's TwoProduct (Veltkamp split;
 T. J. Dekker, Numer. Math. 18, 224, 1971) gives V = |x|·10**(16 - k)
 exactly as hi + lo.  k is right when 1e16 <= V < 1e17, checked on the
@@ -12,7 +12,9 @@ exact pair, and V rounded half to even is the integer D of the 17
 significant digits.  Only elementwise ufuncs are used (no ``dot``,
 ``einsum`` or fused multiply-add), so each operation rounds once and the
 pair stays exact.  Zeros print ``0``/``-0``; any other element outside
-that range is formatted by ``format`` in place.
+that range is formatted by ``format`` in place.  The range holds every
+entry of a factor, a Bloch vector or a SIC fiducial, all of modulus at
+most 1.
 
 The text of an element is one column of ``uint32`` words: sign, the
 ``0.000`` prefix of fixed notation below 1, the digits and point, the
@@ -36,7 +38,6 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 _POW10 = np.array([float(10 ** p) for p in range(23)])  # exact: 5**22 < 2**53
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_DIGIT = np.arange(17)
 
 
 def _words(texts) -> np.ndarray:
@@ -51,8 +52,8 @@ def _words(texts) -> np.ndarray:
 #   2..5  digits 2..17 in groups of four;
 #   6..   the exponent of scientific notation, where any element of the
 #         pass has one, and the separator that follows the element.
-# A number of 10 or more, or one that format() writes, has its words
-# 0..5 (bytes 0..23) written row by row.  Every table index is in range,
+# An element that format() writes has these words, up to the separator,
+# written row by row.  Every table index is in range,
 # so np.take runs with mode="wrap", which skips its bounds check.
 _HEAD = 2
 _BODY = 6
@@ -64,9 +65,9 @@ def _prefix(k: int) -> str:
 
 # Word 0 by (sign, k + 6); word 1 by (k + 6, first digit, point).
 _HEAD0 = _words([(sign + _prefix(k) + "\0" * 5)[:4]
-                 for sign in ("\0", "-") for k in range(-6, 17)])
+                 for sign in ("\0", "-") for k in range(-6, 1)])
 _HEAD1 = _words([((_prefix(k) + "\0" * 5)[3:5] + str(first) + point)
-                 for k in range(-6, 17) for first in range(10)
+                 for k in range(-6, 1) for first in range(10)
                  for point in ("\0", ".")])
 
 
@@ -84,7 +85,7 @@ def _digit_groups() -> np.ndarray:
 
 _GROUPS = _digit_groups()
 # The exponent of scientific notation, by k + 6.
-_EXPONENTS = _words([f"e-0{-k}" if k < -4 else "" for k in range(-6, 17)])
+_EXPONENTS = _words([f"e-0{-k}" if k < -4 else "" for k in range(-6, 1)])
 
 
 @lru_cache(maxsize=8)
@@ -142,30 +143,28 @@ def _rows(x, codes, depth: int):
     (words, elements) ``uint32`` array: row i of the text is column i."""
     n = x.size
     ax = np.abs(x)
-    exact = (ax > 1e-6) & (ax < 1e17)
+    exact = (ax > 1e-6) & (ax < 10)
     v = np.where(exact, ax, 1.0)
     k = np.log10(v)
     np.floor(k, out=k)
     k = k.astype(np.intp)
-    np.clip(k, -6, 16, out=k)
+    np.clip(k, -6, 0, out=k)
     hi, lo = _scaled(v, k)
     # log10 may miss k by one next to a power of ten: step once, then any
     # element still outside goes to format().
     step = _outside(hi, lo)
     redo = np.flatnonzero(step)
     if redo.size:
-        k[redo] = np.clip(k[redo] + step[redo], -6, 16)
+        k[redo] = np.clip(k[redo] + step[redo], -6, 0)
         hi[redo], lo[redo] = _scaled(v[redo], k[redo])
         exact[redo] &= _outside(hi[redo], lo[redo]) == 0
 
     # D = round-half-even(hi + lo) = hi + rint(lo): hi is an even integer.
     # No double in the range rounds up to 10**17 (the largest one below a
-    # power of ten is too far from it), but a carry would bump k.
+    # power of ten is too far from it); one that did would go to format().
     d = hi.astype(np.int64)
     d += np.rint(lo).astype(np.int64)
-    carry = np.flatnonzero(d == 10 ** 17)
-    d[carry] = 10 ** 16
-    k[carry] += 1
+    exact &= d < 10 ** 17
 
     top = d // 100000000
     low = d - top * 100000000
@@ -189,7 +188,7 @@ def _rows(x, codes, depth: int):
     scientific = bool((k < -4).any())
     separators = _separator_words(depth)
     out = np.empty((_BODY + scientific + len(separators), n), dtype=np.uint32)
-    np.take(_HEAD0, np.signbit(x) * 23 + (k + 6), out=out[0], mode="wrap")
+    np.take(_HEAD0, np.signbit(x) * 7 + (k + 6), out=out[0], mode="wrap")
     np.take(_HEAD1, ((k + 6) * 10 + first) * 2 + point, out=out[1], mode="wrap")
     for word, (g, stripped) in enumerate(((g1, z2), (g2, z3), (g3, z4), (g4, True)), _HEAD):
         np.take(_GROUPS, g + stripped * 10000, out=out[word], mode="wrap")
@@ -198,38 +197,17 @@ def _rows(x, codes, depth: int):
     for word, table in enumerate(separators, _BODY + scientific):
         np.take(table, codes, out=out[word], mode="wrap")
 
-    wide = np.flatnonzero(k > 0)
-    if wide.size:
-        groups = np.stack([first[wide], g1[wide], g2[wide], g3[wide], g4[wide]], 1)
-        digits = np.take(_GROUPS, groups).view(np.uint8)[:, 3:]
-        text = np.zeros((wide.size, 4 * _BODY), dtype=np.uint8)
-        text[:, 0] = np.signbit(x[wide]) * np.uint8(45)
-        text[:, 6:] = _significand(digits, k[wide])
-        out[:_BODY, wide] = text.view(np.uint32).T
     other = np.flatnonzero(~exact & (ax != 0))
     if other.size:
         values = x[other]
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"cannot serialize non-finite float {values[~finite][0]}")
-        text = b"".join(format(f, ".17g").encode().ljust(4 * _BODY, b"\0")
+        width = _BODY + scientific
+        text = b"".join(format(f, ".17g").encode().ljust(4 * width, b"\0")
                         for f in values.tolist())
-        out[:_BODY, other] = np.frombuffer(text, dtype=np.uint32).reshape(-1, _BODY).T
+        out[:width, other] = np.frombuffer(text, dtype=np.uint32).reshape(-1, width).T
     return out
-
-
-def _significand(digits, k):
-    """Digits, less trailing zeros after the integer part, with the point
-    after digit k (1 <= k <= 16) if a digit follows it."""
-    m = len(k)
-    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)
-    digits *= _DIGIT <= np.maximum(last, k)[:, None]
-    padded = np.zeros((m, 19), dtype=np.uint8)
-    padded[:, 1:18] = digits
-    before = np.arange(18) <= k[:, None]
-    field = np.where(before, padded[:, 1:], padded[:, :-1])
-    field[np.arange(m), k + 1] = (last > k) * np.uint8(46)
-    return field
 
 
 def format_arrays(arrays) -> list[str]:

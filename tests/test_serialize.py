@@ -194,10 +194,10 @@ class TestExactFloatText:
         bits = rng.integers(0, 1 << 63, n, dtype=np.uint64)
         bits[1::2] |= np.uint64(1 << 63)
         # Seven in eight with exponents on both sides of the range converted
-        # in numpy, (1e-6, 1e17), the rest anywhere (there dtoa is slow);
+        # in numpy, (1e-6, 10), the rest anywhere (there dtoa is slow);
         # non-finite patterns become ones.
         band = n - n // 8
-        exponent = rng.integers(1023 - 24, 1023 + 60, band, dtype=np.uint64)
+        exponent = rng.integers(1023 - 24, 1023 + 8, band, dtype=np.uint64)
         bits[:band] &= np.uint64((1 << 52) - 1 | 1 << 63)
         bits[:band] |= exponent << np.uint64(52)
         x = bits.view(np.float64)
@@ -211,12 +211,21 @@ class TestExactFloatText:
         x = np.concatenate([x, -x])
         assert_same_text(dumps(x), dtoa_text(x.tolist()))
 
-    def test_ties_of_sixteen_digit_integers(self):
+    def test_ties_at_the_seventeenth_digit(self):
+        # x·10**(16 - k) is halfway between two integers for x = j·2**(k - 17)
+        # with j odd: the ties of each k converted in numpy.  m/2, m/4 and
+        # m/8 of 16-digit m are the ties of k = 15 and 16, which format()
+        # writes.
         rng = np.random.default_rng(20)
+        ties = []
+        for k in range(-6, 1):
+            scale = 2.0 ** (k - 17)
+            j = rng.integers(int(np.ceil(10.0 ** k / scale)), int(10.0 ** (k + 1) / scale), 3000)
+            ties.append((j | 1) * scale)
         m = rng.integers(10 ** 15, 10 ** 16, 3000).astype(np.float64)
         m[::2] += 1 - m[::2] % 2  # odd ones end in a 5 when halved
-        x = np.concatenate([m / 2, m / 4, m / 8])
-        x = np.concatenate([x * 2.0 ** -j for j in range(0, 60, 7)])
+        x = np.concatenate(ties + [m / 2, m / 4, m / 8])
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
         assert_same_text(dumps(x), dtoa_text(x.tolist()))
 
     def test_edge_values(self):
@@ -224,7 +233,8 @@ class TestExactFloatText:
                       2.2250738585072014e-308, 1.7976931348623157e308,
                       -1.7976931348623157e308, 0.0001, 9.9999999999999991e-05,
                       1e-05, 9.9999999999999991e-06, 1e-06, 1.0000000000000002e-06,
-                      np.nextafter(1e17, 0), 1e17, np.nextafter(1e17, np.inf),
+                      np.nextafter(10.0, 0), np.nextafter(1e17, 0), 1e17,
+                      np.nextafter(1e17, np.inf),
                       99999999999999999.0, 9999999999999998.0, 0.5, 1.0, 10.0])
         assert_same_text(dumps(x), dtoa_text(x.tolist()))
         assert dumps(np.array([0.0001, 9.9999999999999991e-05])) == \
