@@ -36,6 +36,15 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    """Whether a matrix, or each of a stack, has a symmetric real part and
+    an antisymmetric imaginary part, bit for bit (a zero's sign aside);
+    only boolean and real temporaries are made."""
+    flipped = np.swapaxes(m, -1, -2)
+    return (np.array_equal(m.real, flipped.real)
+            and np.array_equal(m.imag, -flipped.imag))
+
+
 @dataclass(frozen=True, eq=False)
 class BlochVector:
     """Real coordinate vector of a trace-one Hermitian matrix."""
@@ -80,9 +89,12 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        dev = np.abs(m - m.conj().T).max()
-        if not dev <= HERM_TOL:  # NaN fails too
-            raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
+        # Finite and exactly Hermitian means a deviation of 0, so it is
+        # computed only when that cheaper test fails.
+        if not (_exactly_hermitian(m) and np.isfinite(m).all()):
+            dev = np.abs(m - m.conj().T).max()
+            if not dev <= HERM_TOL:  # NaN fails too
+                raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
         tr = m.trace()
         if not abs(tr - 1.0) <= HERM_TOL:
             raise HermiticityError(f"matrix trace {tr} is not 1")

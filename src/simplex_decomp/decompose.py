@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blochspace import PSD_TOL, DensityMatrix, _bloch_operators, _readonly
+from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators,
+                         _exactly_hermitian, _readonly)
 from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
 # The radius rules are scalar math and live in params; these names stay
@@ -36,13 +37,26 @@ from .simplex import RegularSimplex
 from .states import isotropic_density, werner_density
 
 
+# Ufunc buffer size (elements) while `reconstruct` runs its elementwise
+# loops.  With numpy's default of 8192, the buffered iterator copies the
+# operands of np.multiply.outer into buffers while its rows of N^2
+# elements are short against the buffer, and the copies cost more than the
+# products; elementwise results do not depend on the buffer size.
+# `reconstruct` in ms (Werner, 2-core VM, numpy 2.4) by buffer size:
+#
+#     N     16     64    256   8192
+#     4    0.09   0.09   0.08   0.08
+#     8    0.43   0.42   0.48   0.52
+#     12   2.3    2.3    2.4    4.0
+#     16   11     12     12     23
+#
+# A multiple of 16, as numpy 1.x requires.
+_RECONSTRUCT_BUFSIZE = 64
+
+
 def _check_exactly_hermitian(name: str, stack: np.ndarray) -> None:
-    # Real part symmetric and imaginary part antisymmetric, bit for bit (a
-    # zero's sign aside); only boolean and real temporaries are made.
-    flipped = stack.transpose(0, 2, 1)
-    if not (np.array_equal(stack.real, flipped.real)
-            and np.array_equal(stack.imag, -flipped.imag)):
-        dev = np.abs(stack - flipped.conj()).max()
+    if not _exactly_hermitian(stack):
+        dev = np.abs(stack - stack.transpose(0, 2, 1).conj()).max()
         raise HermiticityError(
             f"{name} is not exactly Hermitian: deviation {dev:.3e}")
 
@@ -152,23 +166,32 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     # adds +0.0; conjugation and +0.0 commute with the division by M > 0.
     a, b = np.triu_indices(n)
     left = d.factors_r[:, a, b]
+    rights = d.factors_s
+    if d.kind is StateKind.ISOTROPIC:
+        rights = rights.transpose(0, 2, 1)
+    rights = rights.reshape(d.n_factors, n * n)  # one copy when transposed
     acc = np.zeros((a.size, n * n), dtype=complex)
     term = np.empty_like(acc)
-    transpose = d.kind is StateKind.ISOTROPIC
-    for i, right in enumerate(d.factors_s):
-        np.multiply.outer(left[i], (right.T if transpose else right).ravel(),
-                          out=term)
-        acc += term
-    del left, term
-    acc /= d.n_factors
-    rho = np.empty((n * n, n * n), dtype=complex)
-    blocks = rho.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [a, b, c, d]
-    blocks[a, b] = acc.reshape(-1, n, n)
-    del acc
-    for row in range(1, n):
-        lower = blocks[row, :row]
-        np.conjugate(blocks[:row, row].transpose(0, 2, 1), out=lower)
-        np.add(lower, 0.0, out=lower)
+    # Only elementwise work runs with the small buffer: the buffer size can
+    # move the block boundaries of a pairwise-summed reduction.  It is
+    # restored by hand, since np.errstate restores it only from numpy 2.0.
+    old_bufsize = np.setbufsize(_RECONSTRUCT_BUFSIZE)
+    try:
+        for i in range(d.n_factors):
+            np.multiply.outer(left[i], rights[i], out=term)
+            acc += term
+        del left, rights, term
+        acc /= d.n_factors
+        rho = np.empty((n * n, n * n), dtype=complex)
+        blocks = rho.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [a, b, c, d]
+        blocks[a, b] = acc.reshape(-1, n, n)
+        del acc
+        for row in range(1, n):
+            lower = blocks[row, :row]
+            np.conjugate(blocks[:row, row].transpose(0, 2, 1), out=lower)
+            np.add(lower, 0.0, out=lower)
+    finally:
+        np.setbufsize(old_bufsize)
     rho.setflags(write=False)
     return DensityMatrix(rho)
 

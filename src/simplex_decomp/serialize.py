@@ -132,6 +132,8 @@ def decode_cmatrix(data):
     """Inverse of :func:`encode_cmatrix` for any shape, signed zeros kept."""
     import numpy as np
     parts = np.asarray(data, dtype=float)
+    if parts.shape[-1:] != (2,):
+        raise ValueError(f"expected [re, im] pairs on the last axis, got shape {parts.shape}")
     m = np.empty(parts.shape[:-1], dtype=complex)
     m.real = parts[..., 0]
     m.imag = parts[..., 1]

@@ -31,7 +31,7 @@ import numpy as np
 from .blochspace import _bloch_coordinates, _readonly
 from .errors import (DimensionMismatchError, FiducialCacheError,
                      FiducialSearchError, NotAFiducialError, ParameterRangeError)
-from .serialize import dumps, encode_cmatrix
+from .serialize import decode_cmatrix, dumps, encode_cmatrix
 from .simplex import DEFAULT_TOL, RegularSimplex
 
 EXACT_REGISTRY = "exact-registry"
@@ -410,12 +410,13 @@ def load_fiducial_cache(path: str | os.PathLike) -> Fiducial:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        vector = np.array([complex(re, im) for re, im in data["vector"]])
-        return Fiducial(dim=int(data["N"]), vector=vector,
+            # -0 as -0.0, so a component keeps its sign; other integers,
+            # such as the seed, stay exact.
+            data = json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        return Fiducial(dim=int(data["N"]), vector=decode_cmatrix(data["vector"]),
                         provenance=Provenance(kind=OPTIMIZED, seed=int(data["seed"]),
                                               residual=float(data["residual"])))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FiducialCacheError(f"fiducial cache {os.fspath(path)} is malformed: "
                                  f"{type(exc).__name__}: {exc}") from exc
 

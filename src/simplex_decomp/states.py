@@ -75,23 +75,34 @@ def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = 
     (name, value), = given.items()
     convert_params(StateKind.WERNER, dim, name, value)  # range check
     n = dim
-    if name == "phi":
-        # a*id + b*V written in place (V's row i*n+j has its 1 at column
-        # j*n+i): every Werner certificate builds its closed form here.
-        m = np.zeros((n * n, n * n), dtype=complex)
-        m.flat[::n * n + 1] = (n - value) / (n**3 - n)
-        rows = np.arange(n * n)
-        m[rows, rows % n * n + rows // n] += (n * value - 1.0) / (n**3 - n)
-        return DensityMatrix(m)
-    eye = np.eye(n * n, dtype=complex)
     if name == "tau":
-        m = eye / n**2 + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, False)
+        m = (np.eye(n * n, dtype=complex) / n**2
+             + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, False))
+        return DensityMatrix(m)
+    # a*id + b*V written in place (V's row i*n+j has its 1 at column j*n+i):
+    # every Werner certificate builds its closed form here.  The three
+    # distinct entries -- the diagonal off V's ones, the n places (ii, ii)
+    # shared by id and V, and V's off-diagonal ones -- are rounded as the
+    # whole-matrix formula rounds them, by the same elementwise operations.
+    if name == "phi":
+        diag = (n - value) / (n**3 - n)
+        swap = (n * value - 1.0) / (n**3 - n)
+        entries = (diag, diag + swap, swap)
+    elif name == "alpha":
+        entries = ((np.array([1, 1, 0], dtype=complex)
+                    + value * np.array([0, 1, 1], dtype=complex))
+                   / (n * n + value * n))
     else:
-        v = swap_operator(n)
-        if name == "alpha":
-            m = (eye + value * v) / (n * n + value * n)
-        else:
-            m = ((n - 1.0 + value) / (n**3 - n**2)) * eye - (value / (n * n - n)) * v
+        entries = (((n - 1.0 + value) / (n**3 - n**2)) * np.array([1, 1, 0], dtype=complex)
+                   - (value / (n * n - n)) * np.array([0, 1, 1], dtype=complex))
+    diag, shared, swap = entries
+    m = np.zeros((n * n, n * n), dtype=complex)
+    rows = np.arange(n * n)
+    m[rows, rows % n * n + rows // n] = swap
+    m.flat[::n * n + 1] = diag
+    ii = np.arange(n) * (n + 1)
+    m[ii, ii] = shared
+    m.setflags(write=False)  # kept by DensityMatrix, not copied
     return DensityMatrix(m)
 
 
@@ -118,6 +129,7 @@ def isotropic_density(dim: int, *, eta: float | None = None,
         a = np.complex128(1.0 / np.sqrt(n))
         ii = np.arange(n) * (n + 1)
         m[ii[:, None], ii] += value * (a * a.conjugate())
+        m.setflags(write=False)  # kept by DensityMatrix, not copied
     return DensityMatrix(m)
 
 

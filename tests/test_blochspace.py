@@ -267,6 +267,33 @@ class TestDensityMatrixType:
         with pytest.raises(HermiticityError):
             DensityMatrix(np.full((2, 2), np.nan))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entries", [
+        [[0.5, 0.25 - 0.5j], [0.25 + 0.5j, 0.5]],
+        [[0.5, 0.25 - 0.5j], [0.25 + 0.5j + 1e-12, 0.5]],
+        [[0.5, 0.25 - 0.5j], [0.25 + 0.5j + 1e-9, 0.5]],
+        [[0.5, 0.25 - 0.5j], [0.25 - 0.5j, 0.5]],
+        [[0.5 + 1e-11j, 0.0], [0.0, 0.5]],
+        [[0.5, 1e308], [1e308, 0.5]],
+        [[0.5, np.inf], [np.inf, 0.5]],
+        [[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]],
+        [[0.5, np.nan], [np.nan, 0.5]],
+    ], ids=["exact", "within-tol", "beyond-tol", "conjugate-missing",
+            "imaginary-diagonal", "huge", "inf", "imaginary-inf", "nan"])
+    def test_exact_check_keeps_the_deviation_verdict(self, entries):
+        """The exact test only skips the deviation where it is 0: each
+        matrix is accepted or rejected, with the same message, as by the
+        deviation alone."""
+        m = np.array(entries, dtype=complex)
+        with np.errstate(invalid="ignore", over="ignore"):
+            dev = np.abs(m - m.conj().T).max()
+        if dev <= HERM_TOL:
+            assert DensityMatrix(m).entries.tobytes() == m.tobytes()
+        else:
+            with pytest.raises(HermiticityError) as err:
+                DensityMatrix(m)
+            assert str(err.value) == f"matrix is not Hermitian: deviation {dev:.3e}"
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(HermiticityError):
             DensityMatrix(np.eye(2))

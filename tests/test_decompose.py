@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -202,6 +203,19 @@ class TestDecompose:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * rho.entries.nbytes
+
+    def test_isotropic_reconstruction_copies_the_right_stack_once(self, searched_sic):
+        """The transposed right factors are copied into one contiguous stack:
+        with the gathered left halves, the sum and its scratch, about 2.6
+        result sizes."""
+        d = decompose("isotropic", 12, 0.1, 1.0, searched_sic(12).bloch)
+        tracemalloc.start()
+        try:
+            rho = reconstruct(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.8 * rho.entries.nbytes
 
     @staticmethod
     def _verification_peak(d):
@@ -493,14 +507,17 @@ def reference_reconstruct(d):
 
 
 def contour_points(dim):
-    """(tau, r) inside, at the ends of and on the negative branch of the contour."""
+    """(tau, r) inside, at the ends of and on the negative branch of the
+    contour, and at both ends of the separable interval (both radii at the
+    lower one)."""
     neg_min, r_max = psd_radius_bounds(dim)
     tau_neg = -1.0 / dim
     (a, _), (c, e) = admissible_r_interval(dim, tau_neg)
     tau_small = 0.5 * neg_min * neg_min  # positive, with a negative branch
     (f, g), _ = admissible_r_interval(dim, tau_small)
+    (h, _), (k, _) = admissible_r_interval(dim, -2.0 / dim)
     return [(tau_neg, a), (tau_neg, 0.5 * (c + e)), (tau_small, 0.5 * (f + g)),
-            (2.0 * (dim - 1) / dim, r_max)]
+            (2.0 * (dim - 1) / dim, r_max), (-2.0 / dim, h), (-2.0 / dim, k)]
 
 
 class TestKernelsBitwise:
@@ -553,6 +570,33 @@ class TestKernelsBitwise:
         for tau, r in points:
             d = decompose(kind, dim, tau, r, simplex)
             assert_bitwise_equal(reconstruct(d).entries, reference_reconstruct(d))
+
+
+class TestReconstructBuffer:
+    """`reconstruct` runs its elementwise loops with a small ufunc buffer
+    and hands the caller's buffer size back on every exit."""
+
+    def test_buffer_size_is_restored(self, registry_sics):
+        d = decompose("isotropic", 3, 0.5, 1.0, registry_sics[3].bloch)
+        default = np.setbufsize(4096)
+        try:
+            reconstruct(d)
+            assert np.getbufsize() == 4096
+            verify_decomposition(d)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(default)
+
+    def test_buffer_size_is_restored_when_the_sum_fails(self):
+        # One right factor more than left ones: the sum raises mid-loop.
+        bad = types.SimpleNamespace(
+            dim=2, kind=StateKind.WERNER, n_factors=5,
+            factors_r=np.zeros((4, 2, 2), dtype=complex),
+            factors_s=np.zeros((5, 2, 2), dtype=complex))
+        before = np.getbufsize()
+        with pytest.raises(IndexError):
+            reconstruct(bad)
+        assert np.getbufsize() == before
 
 
 def hermitian_stack(rng, count, dim, zeros):

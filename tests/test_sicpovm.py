@@ -522,6 +522,27 @@ class TestCache:
         np.testing.assert_allclose(loaded.vector, result.vector, atol=1e-16)
         assert loaded.provenance.seed == 0
 
+    def test_negative_zero_survives_the_cache(self, tmp_path):
+        """The file writes -0 for a -0.0 component, and loading keeps its
+        sign: the vector comes back bit for bit."""
+        vector = np.array([0.6 - 0.0j, 0.8j, complex(-0.0, -0.0), 0.0])
+        fid = Fiducial(dim=4, vector=vector,
+                       provenance=Provenance(kind=OPTIMIZED, seed=3, residual=1e-30))
+        path = tmp_path / "fid4.json"
+        save_fiducial_cache(path, fid)
+        assert "-0]" in path.read_text() and "[-0, -0]" in path.read_text()
+        loaded = load_fiducial_cache(path)
+        assert_bitwise_equal(loaded.vector, fid.vector)
+        assert (loaded.dim, loaded.provenance.seed) == (4, 3)
+        assert loaded.provenance.residual == 1e-30
+
+    def test_integers_are_read_back_exactly(self, tmp_path):
+        fid = Fiducial(dim=4, vector=np.array([0.6, 0.8j, 0.0, 0.0]),
+                       provenance=Provenance(kind=OPTIMIZED, seed=2**53 + 1, residual=0.0))
+        path = tmp_path / "fid4.json"
+        save_fiducial_cache(path, fid)
+        assert load_fiducial_cache(path).provenance.seed == 2**53 + 1
+
     def test_known_fiducial_reads_cache(self, tmp_path):
         # Seed 1 is the first seed that succeeds at N = 5.
         result = find_fiducial(5, seed=1)
@@ -547,7 +568,17 @@ class TestCache:
         '{"N": 4, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]], "seed": 0}',
         '{"N": 4, "vector": [[NaN, 0], [0.5, 0], [0.5, 0], [0.5, 0]],'
         ' "residual": 0, "seed": 0}',
-    ], ids=["invalid-json", "missing-key", "nan-vector"])
+        '{"N": 4, "vector": [1, 0, 0, 0, 0, 0, 0, 0], "residual": 0, "seed": 0}',
+        '{"N": 2, "vector": [1, 0], "residual": 0, "seed": 0}',
+        '{"N": 4, "vector": [[1, 0], [0, 0], [0], [0, 0]], "residual": 0, "seed": 0}',
+        '{"N": 4, "vector": [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],'
+        ' "residual": 0, "seed": 0}',
+        '{"N": 4, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]], "residual": 0, "seed": 1e400}',
+        '{"N": 4, "vector": [[1%s, 0], [0, 0], [0, 0], [0, 0]], "residual": 0, "seed": 0}'
+        % ("0" * 400),
+    ], ids=["invalid-json", "missing-key", "nan-vector", "flat-vector",
+            "flat-pair", "ragged-vector", "three-components", "infinite-seed",
+            "huge-integer-component"])
     def test_malformed_cache_raises_one_error_type(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

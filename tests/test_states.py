@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from simplex_decomp.states import (REGION_CSV_HEADER, StateClass, classify,
                                    partial_transpose, region_csv, region_table,
                                    separable_interval, swap_operator,
                                    werner_density)
+
+from conftest import assert_bitwise_equal
 
 
 def werner_tau_range(n):
@@ -94,6 +98,43 @@ class TestWernerDensity:
             for name in ("alpha", "beta", "tau"):
                 other = werner_density(dim, **{name: getattr(p, name)}).entries
                 assert np.abs(other - base).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7])
+    def test_swap_forms_equal_their_matrix_formulas_bit_for_bit(self, dim):
+        """phi, alpha and beta are written in place, with the bits of the
+        whole-matrix formulas, the sign of every zero included."""
+        n = dim
+        eye = np.eye(n * n, dtype=complex)
+        v = swap_operator(n)
+        rows = np.arange(n * n)
+        lo, hi = werner_tau_range(n)
+        for tau in [*np.linspace(lo, hi, 31), 0.0, 1e-300]:
+            p = convert_params("werner", n, "tau", tau)
+            phi_form = np.zeros((n * n, n * n), dtype=complex)
+            phi_form.flat[::n * n + 1] = (n - p.phi) / (n**3 - n)
+            phi_form[rows, rows % n * n + rows // n] += (n * p.phi - 1.0) / (n**3 - n)
+            expected = {
+                "phi": phi_form,
+                "alpha": (eye + p.alpha * v) / (n * n + p.alpha * n),
+                "beta": (((n - 1.0 + p.beta) / (n**3 - n**2)) * eye
+                         - (p.beta / (n * n - n)) * v),
+            }
+            for name, m in expected.items():
+                got = werner_density(n, **{name: getattr(p, name)}).entries
+                assert_bitwise_equal(got, m)
+
+    @pytest.mark.parametrize("name", ["phi", "alpha", "beta"])
+    def test_swap_forms_are_built_in_place(self, name):
+        """No dense identity or swap operator: 5.4 result sizes with them."""
+        p = convert_params("werner", 12, "tau", 0.3)
+        werner_density(12, **{name: getattr(p, name)})
+        tracemalloc.start()
+        try:
+            rho = werner_density(12, **{name: getattr(p, name)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * rho.entries.nbytes
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_psd_across_range(self, dim):
