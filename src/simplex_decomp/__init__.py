@@ -17,25 +17,6 @@ import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochVector", "DensityMatrix", "bloch_from_density",
-    "density_from_bloch", "min_eigenvalue", "psd_radius_bounds",
-    "su_generators",
-    "RegularSimplex", "canonical_simplex",
-    "verify_simplex", "gram_identities", "orthogonal_extension",
-    "Fiducial", "FiducialSearchFailure", "Provenance", "SicPovm",
-    "wh_displacements", "zauner_unitary", "sic_from_fiducial", "frame_potential",
-    "frame_potential_minimum", "find_fiducial", "known_fiducial", "obtain_sic",
-    "StateKind", "StateClass", "NonlocalityClass", "ParamSet", "RegionRow",
-    "swap_operator", "max_entangled_projector", "werner_density",
-    "isotropic_density", "convert_params", "classify", "classify_werner",
-    "classify_isotropic", "partial_transpose", "region_table",
-    "separable_interval", "harmonic_number",
-    "Decomposition", "VerificationReport", "decompose", "reconstruct",
-    "admissible_r_interval", "separable_decompose", "verify_decomposition",
-    "contour_sample",
-]
-
 # The module that defines each exported name.
 _EXPORTS = {
     "blochspace": ("BlochVector", "DensityMatrix", "bloch_from_density",
@@ -58,6 +39,7 @@ _EXPORTS = {
                   "contour_sample"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):

@@ -6,10 +6,9 @@ An N-dimensional density matrix is written as
 
 where the L_mu are the N^2 - 1 generalized Gell-Mann matrices normalized to
 Tr[L_mu L_nu] = 2 delta_mu_nu, so the coordinates invert as
-r_mu = Tr[rho L_mu].  The module also provides the closed positivity radius
-interval along pure-state directions, which every decomposition result in
-this package leans on; it is defined with the other scalar math in
-:mod:`~simplex_decomp.params`.
+r_mu = Tr[rho L_mu].  The closed positivity radius interval along
+pure-state directions is scalar math and lives in
+:mod:`~simplex_decomp.params` (``psd_radius_bounds``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, HermiticityError
-from .params import psd_radius_bounds  # re-exported: defined with the scalar math
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9

@@ -82,25 +82,21 @@ def _decomposition_dict(d, rep) -> dict:
     }
 
 
+# The parameter flags of classify and decompose; convert_params decides
+# which of them a family takes.
+_PARAM_FLAGS = ("tau", "phi", "alpha", "beta", "eta")
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--tau", type=float)
-    group.add_argument("--phi", type=float)
-    group.add_argument("--alpha", type=float)
-    group.add_argument("--beta", type=float)
-    group.add_argument("--eta", type=float)
+    for name in _PARAM_FLAGS:
+        group.add_argument(f"--{name}", type=float)
 
 
-def _given_param(args, kind: StateKind) -> tuple[str, float]:
-    for name in ("tau", "phi", "alpha", "beta", "eta"):
-        value = getattr(args, name)
-        if value is not None:
-            if kind is StateKind.WERNER and name == "eta":
-                raise ParameterRangeError("--eta applies to isotropic states only")
-            if kind is StateKind.ISOTROPIC and name in ("phi", "alpha", "beta"):
-                raise ParameterRangeError(f"--{name} applies to Werner states only")
-            return name, value
-    raise ParameterRangeError("one parameter flag is required")
+def _given_param(args) -> tuple[str, float]:
+    """The one parameter flag given, which the required group guarantees."""
+    name = next(name for name in _PARAM_FLAGS if getattr(args, name) is not None)
+    return name, getattr(args, name)
 
 
 def cmd_sic(args) -> int:
@@ -141,8 +137,7 @@ def cmd_sic(args) -> int:
 
 def cmd_decompose(args) -> int:
     kind = StateKind.parse(args.kind)
-    name, value = _given_param(args, kind)
-    params = convert_params(kind, args.N, name, value)
+    params = convert_params(kind, args.N, *_given_param(args))
     cls = classify(kind, args.N, params.tau)
     if cls.name != "Separable":
         print(serialize.dumps({"class": cls.name, "boundaries": cls.boundaries,
@@ -176,8 +171,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_classify(args) -> int:
     kind = StateKind.parse(args.kind)
-    name, value = _given_param(args, kind)
-    params = convert_params(kind, args.N, name, value)
+    params = convert_params(kind, args.N, *_given_param(args))
     cls = classify(kind, args.N, params.tau)
     payload = {"class": cls.name, "boundaries": cls.boundaries,
                "params": params.as_dict()}

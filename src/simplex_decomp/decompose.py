@@ -27,11 +27,8 @@ from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators,
                          _exactly_hermitian, _readonly)
 from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
-# The radius rules are scalar math and live in params; these names stay
-# importable here.
-from .params import (ADMISSIBLE_ATOL, RANGE_ATOL, StateKind,
-                     admissible_r_interval, check_radius, convert_params,
-                     separable_interval)
+from .params import (RANGE_ATOL, StateKind, admissible_r_interval,
+                     check_radius, convert_params, separable_interval)
 from .sicpovm import SicPovm
 from .simplex import RegularSimplex
 from .states import isotropic_density, werner_density

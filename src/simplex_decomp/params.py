@@ -178,18 +178,20 @@ def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
     """Complete, mutually consistent parameter set from any single name.
 
     All pairwise conversions round-trip to 1e-12, and a given tau is kept
-    as given.  Raises :class:`ParameterRangeError` when the input value
-    leaves its legal interval.
+    as given.  Raises :class:`ParameterRangeError` when the family does not
+    take ``name`` or the input value leaves its legal interval.
     """
     kind = StateKind.parse(kind)
     n = dim
     if n < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
     value = float(value)
+    ranges = _WERNER_RANGES if kind is StateKind.WERNER else _ISO_RANGES
+    if name not in ranges:
+        raise ParameterRangeError(f"{kind.value} states take one of "
+                                  f"{', '.join(ranges)}; got {name!r}")
+    _check_range(name, value, *ranges[name](n))
     if kind is StateKind.WERNER:
-        if name not in _WERNER_RANGES:
-            raise ParameterRangeError(f"unknown Werner parameter {name!r}")
-        _check_range(name, value, *_WERNER_RANGES[name](n))
         if name == "phi":
             phi = value
         elif name == "alpha":
@@ -202,9 +204,6 @@ def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
                         alpha=(n * phi - 1.0) / (n - phi),
                         beta=(1.0 - n * phi) / (n + 1.0),
                         tau=value if name == "tau" else 2.0 * (n * phi - 1.0) / n)
-    if name not in _ISO_RANGES:
-        raise ParameterRangeError(f"unknown isotropic parameter {name!r}")
-    _check_range(name, value, *_ISO_RANGES[name](n))
     if name == "eta":
         eta = value
     else:

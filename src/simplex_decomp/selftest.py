@@ -10,8 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blochspace import (PSD_TOL, BlochVector, bloch_from_density,
-                         density_from_bloch, min_eigenvalue, su_generators)
+from .blochspace import (PSD_TOL, BlochVector, _bloch_operators,
+                         bloch_from_density, density_from_bloch,
+                         min_eigenvalue, su_generators)
 from .decompose import decompose, reconstruct, verify_decomposition
 from .errors import ParameterRangeError
 from .params import (StateKind, _tau_range, admissible_r_interval,
@@ -78,7 +79,7 @@ def check_purity_radius_bound(ctx):
     rng = np.random.default_rng(12)
     ok = True
     for n in range(2, ctx["n_max"] + 1):
-        cap = np.sqrt(2.0 * (n - 1) / n)
+        cap = psd_radius_bounds(n)[1]
         for _ in range(20):
             radius = bloch_from_density(_random_psd(rng, n)).radius
             ok = ok and radius <= cap + 1e-10
@@ -89,12 +90,11 @@ def check_antiparallel_product_bound(ctx):
     rng = np.random.default_rng(13)
     worst = np.inf
     for n in range(2, ctx["n_max"] + 1):
-        gens = su_generators(n)
         for _ in range(20):
             b = bloch_from_density(_random_psd(rng, n))
             if b.radius < 1e-12:
                 continue
-            direction = np.einsum("m,mij->ij", b.direction, gens)
+            direction = _bloch_operators(b.direction[None], n)[0]
             x_max = float(np.linalg.eigvalsh(direction)[-1])
             s_extreme = -2.0 / (n * x_max)
             worst = _nan_min(worst, b.radius * s_extreme + 2.0 / n)

@@ -20,12 +20,7 @@ import numpy as np
 
 from .blochspace import DensityMatrix, _readonly, su_generators
 from .errors import DimensionMismatchError, ParameterRangeError
-# The scalar parameter math lives in params; these names stay importable here.
-from .params import (RANGE_ATOL, REGION_CSV_HEADER, NonlocalityClass,
-                     ParamSet, RegionRow, StateClass, StateKind, classify,
-                     classify_isotropic, classify_werner, convert_params,
-                     harmonic_number, region_csv, region_table,
-                     separable_interval)
+from .params import StateKind, convert_params
 
 
 def swap_operator(dim: int) -> np.ndarray:
@@ -50,9 +45,13 @@ def max_entangled_projector(dim: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _generator_pair_sum(dim: int, transpose_second: bool) -> np.ndarray:
-    """sum_mu L_mu (x) L_mu (or L_mu (x) L_mu^T), cached per dimension."""
+    """sum_mu L_mu (x) L_mu (or L_mu (x) L_mu^T).
+
+    Each is a dense N^4 complex matrix, so only the last four (dimension,
+    flag) pairs are kept: both families at two dimensions.
+    """
     mats = su_generators(dim)
     second = mats.transpose(0, 2, 1) if transpose_second else mats
     out = np.einsum("mab,mcd->acbd", mats, second).reshape(dim * dim, dim * dim)

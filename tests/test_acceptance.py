@@ -13,9 +13,12 @@ from scipy.stats import ortho_group
 
 from simplex_decomp.blochspace import (PSD_TOL, BlochVector,
                                        bloch_from_density, density_from_bloch,
-                                       min_eigenvalue, psd_radius_bounds)
+                                       min_eigenvalue)
 from simplex_decomp.decompose import (contour_radii, decompose, reconstruct,
                                       verify_decomposition)
+from simplex_decomp.params import (StateClass, classify_isotropic,
+                                   classify_werner, convert_params,
+                                   psd_radius_bounds, region_table)
 from simplex_decomp.sicpovm import (OPTIMIZED, TOLERANCES, Fiducial,
                                     find_fiducial, frame_potential,
                                     frame_potential_minimum, known_fiducial,
@@ -23,10 +26,8 @@ from simplex_decomp.sicpovm import (OPTIMIZED, TOLERANCES, Fiducial,
 from simplex_decomp.simplex import (RegularSimplex, canonical_simplex,
                                     gram_identities, orthogonal_extension,
                                     verify_simplex)
-from simplex_decomp.states import (StateClass, classify_isotropic,
-                                   classify_werner, convert_params,
-                                   isotropic_density, partial_transpose,
-                                   region_table, werner_density)
+from simplex_decomp.states import (isotropic_density, partial_transpose,
+                                   werner_density)
 
 from conftest import random_pure_state
 

@@ -10,9 +10,10 @@ import simplex_decomp.blochspace as blochspace
 from simplex_decomp.blochspace import (HERM_TOL, BlochVector, DensityMatrix,
                                        _bloch_coordinates, bloch_from_density,
                                        density_from_bloch, min_eigenvalue,
-                                       psd_radius_bounds, su_generators)
+                                       su_generators)
 from simplex_decomp.decompose import decompose
 from simplex_decomp.errors import (DimensionMismatchError, HermiticityError)
+from simplex_decomp.params import psd_radius_bounds
 from simplex_decomp.sicpovm import load_fiducial_cache, sic_from_fiducial
 
 from conftest import (assert_bitwise_equal, random_density, random_pure_state,

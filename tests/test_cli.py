@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from simplex_decomp import serialize
 from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
 from simplex_decomp.errors import ParameterRangeError
-from simplex_decomp.params import NonlocalityClass, ParamSet, RegionRow
+from simplex_decomp.params import (NonlocalityClass, ParamSet, RegionRow,
+                                   convert_params, harmonic_number)
 from simplex_decomp.sicpovm import OPTIMIZED, TOLERANCES
-from simplex_decomp.states import harmonic_number
 
 
 DATA = Path(__file__).parent / "data"
@@ -546,6 +546,19 @@ class TestBadInput:
         assert out == ""
         assert "Traceback" not in err and err.strip()
 
+    @pytest.mark.parametrize("argv, kind, name", [
+        (("classify", "werner", "3", "--eta", "0.1"), "werner", "eta"),
+        (("decompose", "iso", "3", "--phi", "0.1"), "iso", "phi"),
+    ], ids=["werner-eta", "iso-phi"])
+    def test_wrong_family_parameter_exits_5(self, capsys, argv, kind, name):
+        """convert_params alone decides which family takes which parameter."""
+        with pytest.raises(ParameterRangeError) as exc:
+            convert_params(kind, 3, name, 0.1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        assert err == f"{exc.value}\n"
+
     @pytest.mark.parametrize("argv", [("--help",), ("sic", "--help")],
                              ids=" ".join)
     def test_help_still_exits_0(self, capsys, argv):
@@ -554,7 +567,9 @@ class TestBadInput:
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
 
-    def test_nan_tolerance_writes_no_cache(self, capsys, tmp_path):
+    def test_usage_error_writes_no_cache(self, capsys, tmp_path):
+        """A usage error (here ``--tol``, which no command takes) exits 5
+        before the search runs, so ``sic --find`` writes no cache."""
         cache = tmp_path / "fid5.json"
         code, _, _ = run_cli(capsys, "sic", "5", "--find", "--max-iters", "1",
                              "--tol", "nan", "--cache", str(cache))
@@ -769,3 +784,14 @@ class TestImportHygiene:
             "assert set(simplex_decomp.__all__) <= set(namespace)\n"
             "print('ok')\n")
         assert out.strip() == "ok"
+
+    def test_all_is_the_exports_at_their_homes(self):
+        import simplex_decomp
+        exports = simplex_decomp._EXPORTS
+        assert sorted(simplex_decomp.__all__) == sorted(
+            name for names in exports.values() for name in names)
+        for module, names in exports.items():
+            for name in names:
+                value = getattr(simplex_decomp, name)
+                if callable(value):  # every class and function
+                    assert value.__module__ == f"simplex_decomp.{module}", name

@@ -8,19 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
-from simplex_decomp.blochspace import _bloch_operators, psd_radius_bounds
-from simplex_decomp.decompose import (Decomposition, admissible_r_interval,
-                                      certify, contour_radii, contour_sample,
-                                      decompose, reconstruct,
+from simplex_decomp.blochspace import _bloch_operators
+from simplex_decomp.decompose import (Decomposition, certify, contour_radii,
+                                      contour_sample, decompose, reconstruct,
                                       separable_decompose, verify_decomposition)
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
                                    HermiticityError, InadmissibleRadiusError,
                                    NotSeparableError, ParameterRangeError)
+from simplex_decomp.params import (StateKind, admissible_r_interval,
+                                   psd_radius_bounds)
 from simplex_decomp.sicpovm import known_fiducial, sic_from_fiducial
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
-from simplex_decomp.states import (StateKind, isotropic_density,
-                                   partial_transpose, swap_operator,
-                                   werner_density)
+from simplex_decomp.states import (isotropic_density, partial_transpose,
+                                   swap_operator, werner_density)
 
 from conftest import assert_bitwise_equal, reference_su_generators
 

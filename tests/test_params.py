@@ -1,6 +1,9 @@
 """The scalar math of ``params`` against the numpy forms it replaced, bit for
 bit, and its records."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,17 @@ def test_psd_radius_bounds_match_numpy_sqrt():
     for n in range(2, 10001):
         want = (-float(np.sqrt(2.0 / (n * (n - 1)))), float(np.sqrt(2.0 * (n - 1) / n)))
         assert [x.hex() for x in psd_radius_bounds(n)] == [x.hex() for x in want], n
+
+
+def test_modules_import_from_params_only_what_they_use():
+    # params is the one home of its names: no module re-exports one.
+    for path in sorted(Path(params.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "params" for alias in node.names}
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 class TestRecords:

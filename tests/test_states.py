@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from simplex_decomp.blochspace import min_eigenvalue, su_generators
-from simplex_decomp.decompose import admissible_r_interval
 from simplex_decomp.errors import (DimensionMismatchError, NotSeparableError,
                                    ParameterRangeError)
-from simplex_decomp.states import (REGION_CSV_HEADER, StateClass, classify,
+from simplex_decomp.params import (REGION_CSV_HEADER, StateClass,
+                                   admissible_r_interval, classify,
                                    classify_isotropic, classify_werner,
                                    convert_params, harmonic_number,
-                                   isotropic_density, max_entangled_projector,
-                                   partial_transpose, region_csv, region_table,
-                                   separable_interval, swap_operator,
+                                   region_csv, region_table,
+                                   separable_interval)
+from simplex_decomp.states import (isotropic_density, max_entangled_projector,
+                                   partial_transpose, swap_operator,
                                    werner_density)
 
 from conftest import assert_bitwise_equal
