@@ -19,6 +19,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, HermiticityError
+from .params import check_dimension
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
@@ -34,13 +35,18 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
-def _exactly_hermitian(m: np.ndarray) -> bool:
-    """Whether a matrix, or each of a stack, has a symmetric real part and
-    an antisymmetric imaginary part, bit for bit (a zero's sign aside);
-    only boolean and real temporaries are made."""
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max |m - m^dag| of a matrix, or over a stack of them; NaN propagates.
+
+    A finite matrix with a symmetric real part and an antisymmetric
+    imaginary part, bit for bit (a zero's sign aside), deviates by 0: that
+    cheaper test, which makes only boolean and real temporaries, runs first.
+    """
     flipped = np.swapaxes(m, -1, -2)
-    return (np.array_equal(m.real, flipped.real)
-            and np.array_equal(m.imag, -flipped.imag))
+    if (np.array_equal(m.real, flipped.real) and np.array_equal(m.imag, -flipped.imag)
+            and np.isfinite(m).all()):
+        return 0.0
+    return float(np.abs(m - flipped.conj()).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +93,9 @@ class DensityMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        # Finite and exactly Hermitian means a deviation of 0, so it is
-        # computed only when that cheaper test fails.
-        if not (_exactly_hermitian(m) and np.isfinite(m).all()):
-            dev = np.abs(m - m.conj().T).max()
-            if not dev <= HERM_TOL:  # NaN fails too
-                raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
+        dev = _hermitian_deviation(m)
+        if not dev <= HERM_TOL:  # NaN fails too
+            raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
         tr = m.trace()
         if not abs(tr - 1.0) <= HERM_TOL:
             raise HermiticityError(f"matrix trace {tr} is not 1")
@@ -163,8 +166,7 @@ def su_generators(dimension: int) -> np.ndarray:
     the diagonal matrices.  For N = 2 this yields sigma_x, sigma_y, sigma_z.
     """
     n = dimension
-    if n < 2:
-        raise DimensionMismatchError(f"generator basis needs dimension >= 2, got {n}")
+    check_dimension(n)
     rows, cols, owner, coef, _, _ = _gell_mann_table(n)
     mats = np.zeros((n * n - 1, n, n), dtype=complex)
     mats[owner, rows, cols] = coef
@@ -245,7 +247,7 @@ def min_eigenvalue(m) -> float:
     beyond tolerance; the symmetrization only guards round-off.
     """
     a = _as_matrix(m)
-    dev = np.abs(a - a.conj().T).max()
+    dev = _hermitian_deviation(a)
     if not dev <= HERM_TOL:  # NaN fails too
         raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
     return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])

@@ -29,8 +29,8 @@ from .errors import (CertificateError, DimensionMismatchError,
                      InadmissibleRadiusError, NotAFiducialError,
                      NotSeparableError, ParameterRangeError,
                      SimplexStructureError)
-from .params import (StateKind, check_radius, classify, convert_params,
-                     region_csv, region_table)
+from .params import (StateKind, check_dimension, check_radius, classify,
+                     convert_params, region_csv, region_table)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -144,8 +144,9 @@ def cmd_decompose(args) -> int:
                                "params": params.as_dict()}))
         raise NotSeparableError(f"state is {cls.name}, not separable: no product "
                                 f"decomposition exists", classification=cls)
-    # A given radius is checked before any SIC is read or searched for; the
-    # contour radii are admissible by construction.
+    # The radii are fixed before any SIC is read or searched for: a given
+    # radius passes check_radius, and contour_radii refuses a bad count and
+    # gives admissible radii by construction.
     if args.r is not None:
         try:
             check_radius(args.N, params.tau, args.r)
@@ -156,11 +157,11 @@ def cmd_decompose(args) -> int:
             raise
     from .decompose import certify, contour_radii, separable_decompose
     from .sicpovm import obtain_sic
-    sic = obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
     if args.r is not None:
         radii = [args.r]
     else:
         radii = contour_radii(args.N, params.tau, args.count)
+    sic = obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
     items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
              for r in radii]
     dicts = [_decomposition_dict(d, certify(d)) for d in items]
@@ -215,8 +216,7 @@ def parse_n_list(text: str) -> list[int]:
     if ellipsis_pending:
         raise ParameterRangeError("'...' needs a number after it")
     for v in values:
-        if v < 2:
-            raise ParameterRangeError(f"dimension {v} must be >= 2")
+        check_dimension(v)
     return list(dict.fromkeys(values))  # first occurrences, in order
 
 

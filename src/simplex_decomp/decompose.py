@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators,
-                         _exactly_hermitian, _readonly)
+                         _hermitian_deviation, _readonly)
 from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
 from .params import (RANGE_ATOL, StateKind, admissible_r_interval,
@@ -51,13 +51,6 @@ from .states import isotropic_density, werner_density
 _RECONSTRUCT_BUFSIZE = 64
 
 
-def _check_exactly_hermitian(name: str, stack: np.ndarray) -> None:
-    if not _exactly_hermitian(stack):
-        dev = np.abs(stack - stack.transpose(0, 2, 1).conj()).max()
-        raise HermiticityError(
-            f"{name} is not exactly Hermitian: deviation {dev:.3e}")
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
@@ -65,8 +58,9 @@ class Decomposition:
     ``factors_r`` and ``factors_s`` stack the N^2 left and right factors;
     the mixture weight of every pair is 1/N^2.  A stack is kept when it is
     read-only and owns its data, and copied otherwise.  Construction raises
-    :class:`HermiticityError` unless both stacks are exactly Hermitian, bit
-    for bit, so every instance is; the stacks :func:`decompose` builds are.
+    :class:`HermiticityError` unless both stacks are finite and exactly
+    Hermitian, bit for bit, so every instance is; the stacks
+    :func:`decompose` builds are.
     """
 
     kind: StateKind
@@ -84,7 +78,10 @@ class Decomposition:
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
         for name in ("factors_r", "factors_s"):
             stack = _readonly(getattr(self, name))
-            _check_exactly_hermitian(name, stack)
+            dev = _hermitian_deviation(stack)
+            if dev != 0:  # NaN, from an infinite entry, is refused too
+                raise HermiticityError(
+                    f"{name} is not exactly Hermitian: deviation {dev:.3e}")
             object.__setattr__(self, name, stack)
 
     @property

@@ -133,6 +133,12 @@ def harmonic_number(n: int) -> float:
     return _reciprocal_sum(0, n)
 
 
+def check_dimension(n: int) -> None:
+    """Refuse a Hilbert-space dimension below 2."""
+    if n < 2:
+        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+
+
 def psd_radius_bounds(dimension: int) -> tuple[float, float]:
     """Closed positivity interval for the radius along a pure-state direction.
 
@@ -141,8 +147,7 @@ def psd_radius_bounds(dimension: int) -> tuple[float, float]:
     r in [-sqrt(2/(N(N-1))), sqrt(2(N-1)/N)].
     """
     n = dimension
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     return (-math.sqrt(2.0 / (n * (n - 1))), math.sqrt(2.0 * (n - 1) / n))
 
 
@@ -183,8 +188,7 @@ def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
     """
     kind = StateKind.parse(kind)
     n = dim
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     value = float(value)
     ranges = _WERNER_RANGES if kind is StateKind.WERNER else _ISO_RANGES
     if name not in ranges:
@@ -214,8 +218,7 @@ def convert_params(kind, dim: int, name: str, value: float) -> ParamSet:
 
 def separable_interval(dim: int) -> tuple[float, float]:
     """Closed tau interval [-2/N, 2(N-1)/N] of the separable states of both families."""
-    if dim < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {dim}")
+    check_dimension(dim)
     return (-2.0 / dim, 2.0 * (dim - 1) / dim)
 
 

@@ -2,9 +2,11 @@
 
 Every float is printed with 17 significant digits, enough to reconstruct
 the exact double, so repeated runs with identical inputs produce
-byte-identical output.  :func:`dumps` converts the float ``ndarray``s of
-a payload together (``_floattext``, imported on the first one), each
-element exactly as :func:`format_float` renders it.
+byte-identical output.  :func:`dumps` walks a payload once, leaving a
+place for each float ``ndarray``, and then converts those arrays together
+(``_floattext``, imported for the first payload that holds one), each
+element exactly as :func:`format_float` renders it.  An array held twice
+is converted twice.
 
 The module imports no numpy.  It recognizes arrays and numpy scalars
 through the numpy module already loaded, if any: without one, none exist.
@@ -27,40 +29,23 @@ def format_float(x: float) -> str:
 
 def dumps(obj) -> str:
     """JSON text with deterministic key order and 17-digit floats."""
-    # (array, text) of each float array by id; the array is kept with its
-    # text, so that its id cannot be reused while the call runs.
-    memo: dict = {}
-    np = sys.modules.get("numpy")
-    if np is not None:
-        arrays: dict = {}
-        _collect(np, obj, arrays)
+    # The text is written piece by piece and joined once, so that each
+    # array's text is copied once more, not once per level of nesting.  A
+    # float array leaves an empty piece, filled after the walk.
+    parts: list[str] = []
+    arrays: list = []  # (place in parts, array) of each float array
+    try:
+        _emit(obj, parts, arrays)
+    finally:
+        # Also when the walk raises: a non-finite value in an array emitted
+        # before the error is then the one raised, so errors come in
+        # emission order.
         if arrays:
             from ._floattext import format_arrays
-            try:
-                texts = format_arrays(list(arrays.values()))
-            except ValueError:
-                # A non-finite value: emitting array by array raises at
-                # the first one in emission order, scalars included.
-                texts = []
-            memo = {key: (a, text) for (key, a), text in zip(arrays.items(), texts)}
-    # The text is written piece by piece and joined once, so that each
-    # array's text is copied once more, not once per level of nesting.
-    parts: list[str] = []
-    _emit(obj, memo, parts)
+            texts = format_arrays([a for _, a in arrays])
+            for (i, _), text in zip(arrays, texts):
+                parts[i] = text
     return "".join(parts)
-
-
-def _collect(np, obj, arrays: dict) -> None:
-    """Each float array of ``obj`` by id, in emission order."""
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
-            arrays[id(obj)] = obj
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _collect(np, v, arrays)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _collect(np, v, arrays)
 
 
 def _quote(text: str) -> str:
@@ -71,28 +56,34 @@ def _quote(text: str) -> str:
     return json.dumps(text)
 
 
-def _emit(obj, memo: dict, parts: list) -> None:
-    """Append the text of ``obj`` to ``parts``."""
+def _emit(obj, parts: list, arrays: list) -> None:
+    """Append the text of ``obj`` to ``parts``, and the place of each float
+    array to ``arrays``."""
     if isinstance(obj, dict):
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 parts.append(", ")
             parts.append(f"{_quote(str(k))}: ")
-            _emit(v, memo, parts)
+            _emit(v, parts, arrays)
         parts.append("}")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, v in enumerate(obj):
             if i:
                 parts.append(", ")
-            _emit(v, memo, parts)
+            _emit(v, parts, arrays)
         parts.append("]")
     else:
-        parts.append(_leaf(obj, memo))
+        np = sys.modules.get("numpy")
+        if np is not None and isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+            arrays.append((len(parts), obj))
+            parts.append("")
+        else:
+            parts.append(_leaf(obj))
 
 
-def _leaf(obj, memo: dict) -> str:
+def _leaf(obj) -> str:
     # A numpy float64 is a float, and a numpy str_ a str; no other numpy
     # type is one of the built-in types tested first.
     if isinstance(obj, str):
@@ -107,11 +98,6 @@ def _leaf(obj, memo: dict) -> str:
         return "null"
     np = sys.modules.get("numpy")
     if np is not None:
-        if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
-            if id(obj) not in memo:  # only after a non-finite value
-                from ._floattext import format_arrays
-                memo[id(obj)] = (obj, format_arrays([obj])[0])
-            return memo[id(obj)][1]
         if isinstance(obj, np.bool_):
             return "true" if obj else "false"
         if isinstance(obj, np.integer):

@@ -31,6 +31,7 @@ import numpy as np
 from .blochspace import _bloch_coordinates, _readonly
 from .errors import (DimensionMismatchError, FiducialCacheError,
                      FiducialSearchError, NotAFiducialError, ParameterRangeError)
+from .params import check_dimension
 from .serialize import decode_cmatrix, dumps, encode_cmatrix
 from .simplex import DEFAULT_TOL, RegularSimplex
 
@@ -114,8 +115,7 @@ def wh_displacements(dimension: int) -> np.ndarray:
     ordering is lexicographic in (j, k) so the identity comes first.
     """
     n = dimension
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     omega = np.exp(2j * np.pi / n)
     x = np.zeros((n, n), dtype=complex)
     x[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
@@ -135,8 +135,7 @@ def zauner_unitary(dimension: int) -> np.ndarray:
     D_(F(j,k)) with F = [[-1, -1], [1, 0]] mod N.
     """
     n = dimension
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     r = np.arange(n)
     power = (r[None, :] ** 2 + 2 * r[:, None] * r[None, :]) % (2 * n)
     # tau = exp(i pi (N+1)/N); reduce the angle's numerator mod 2N exactly.
@@ -323,8 +322,7 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000
     (:class:`ParameterRangeError`); each is checked before scipy loads.
     """
     n = dimension
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     if seed < 0:
         raise ParameterRangeError(f"seed must be >= 0, got {seed}")
     if max_iters < 1:
@@ -358,13 +356,15 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
                    ) -> Fiducial | None:
     """Registry fiducial (exact, N in {2, 3}) or a cached optimized one.
 
-    Returns None when neither source covers the dimension; a cache that
-    holds another dimension is not used, with a warning naming both.
+    Returns None when neither source covers a dimension of at least 2
+    (below 2, :class:`DimensionMismatchError`); a cache that holds another
+    dimension is not used, with a warning naming both.
     Cached entries are *not* trusted: a malformed file raises
     :class:`FiducialCacheError`, and a well-formed one is revalidated by
     :func:`sic_from_fiducial` at first use, so a wrong vector surfaces as a
     failed equiangularity check, not as a silent wrong answer.
     """
+    check_dimension(dimension)
     if dimension == 2:
         # Bloch direction (1,1,1)/sqrt(3): the qubit tetrahedron apex.
         c = 1.0 / np.sqrt(3.0)

@@ -20,14 +20,13 @@ import numpy as np
 
 from .blochspace import DensityMatrix, _readonly, su_generators
 from .errors import DimensionMismatchError, ParameterRangeError
-from .params import StateKind, convert_params
+from .params import StateKind, check_dimension, convert_params
 
 
 def swap_operator(dim: int) -> np.ndarray:
     """Unitary exchanging the tensor factors of C^N (x) C^N."""
     n = dim
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     v = np.zeros((n * n, n * n), dtype=complex)
     for i in range(n):
         for j in range(n):
@@ -38,8 +37,7 @@ def swap_operator(dim: int) -> np.ndarray:
 def max_entangled_projector(dim: int) -> np.ndarray:
     """Rank-1 projector onto (1/sqrt(N)) sum_i |ii>."""
     n = dim
-    if n < 2:
-        raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
+    check_dimension(n)
     psi = np.zeros(n * n, dtype=complex)
     psi[::n + 1] = 1.0 / np.sqrt(n)
     return np.outer(psi, psi.conj())
@@ -58,6 +56,18 @@ def _generator_pair_sum(dim: int, transpose_second: bool) -> np.ndarray:
     return _readonly(out)
 
 
+def _one_parameter(kind: StateKind, dim: int, **params) -> tuple[str, float]:
+    """The one parameter of ``params`` that is not None, its value
+    range-checked for ``kind`` at ``dim``."""
+    given = {k: v for k, v in params.items() if v is not None}
+    if len(given) != 1:
+        raise ParameterRangeError(
+            f"exactly one of {'/'.join(params)} must be given, got {sorted(given)}")
+    (name, value), = given.items()
+    convert_params(kind, dim, name, value)  # range check
+    return name, value
+
+
 def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = None,
                    beta: float | None = None, tau: float | None = None) -> DensityMatrix:
     """Werner state from exactly one of its four parameterizations.
@@ -66,13 +76,8 @@ def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = 
     swap combinations for phi/alpha/beta, the generator-pair correlation
     sum for tau); the four agree elementwise to 1e-12 after conversion.
     """
-    given = {k: v for k, v in dict(phi=phi, alpha=alpha, beta=beta, tau=tau).items()
-             if v is not None}
-    if len(given) != 1:
-        raise ParameterRangeError(
-            f"exactly one of phi/alpha/beta/tau must be given, got {sorted(given)}")
-    (name, value), = given.items()
-    convert_params(StateKind.WERNER, dim, name, value)  # range check
+    name, value = _one_parameter(StateKind.WERNER, dim, phi=phi, alpha=alpha,
+                                 beta=beta, tau=tau)
     n = dim
     if name == "tau":
         m = (np.eye(n * n, dtype=complex) / n**2
@@ -109,12 +114,7 @@ def isotropic_density(dim: int, *, eta: float | None = None,
                       tau: float | None = None) -> DensityMatrix:
     """Isotropic state from eta (white noise + maximally entangled projector)
     or tau (transposed generator-pair correlation sum)."""
-    given = {k: v for k, v in dict(eta=eta, tau=tau).items() if v is not None}
-    if len(given) != 1:
-        raise ParameterRangeError(
-            f"exactly one of eta/tau must be given, got {sorted(given)}")
-    (name, value), = given.items()
-    convert_params(StateKind.ISOTROPIC, dim, name, value)  # range check
+    name, value = _one_parameter(StateKind.ISOTROPIC, dim, eta=eta, tau=tau)
     n = dim
     if name == "tau":
         m = (np.eye(n * n, dtype=complex) / n**2

@@ -269,6 +269,7 @@ class TestDensityMatrixType:
             DensityMatrix(np.full((2, 2), np.nan))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("entries", [
         [[0.5, 0.25 - 0.5j], [0.25 + 0.5j, 0.5]],
         [[0.5, 0.25 - 0.5j], [0.25 + 0.5j + 1e-12, 0.5]],
@@ -284,16 +285,20 @@ class TestDensityMatrixType:
     def test_exact_check_keeps_the_deviation_verdict(self, entries):
         """The exact test only skips the deviation where it is 0: each
         matrix is accepted or rejected, with the same message, as by the
-        deviation alone."""
+        deviation alone, by ``DensityMatrix`` and by ``min_eigenvalue``."""
         m = np.array(entries, dtype=complex)
         with np.errstate(invalid="ignore", over="ignore"):
             dev = np.abs(m - m.conj().T).max()
+            symmetrized = 0.5 * (m + m.conj().T)
         if dev <= HERM_TOL:
             assert DensityMatrix(m).entries.tobytes() == m.tobytes()
+            assert np.array_equal(min_eigenvalue(m), np.linalg.eigvalsh(symmetrized)[0],
+                                  equal_nan=True)
         else:
-            with pytest.raises(HermiticityError) as err:
-                DensityMatrix(m)
-            assert str(err.value) == f"matrix is not Hermitian: deviation {dev:.3e}"
+            for check in (DensityMatrix, min_eigenvalue):
+                with pytest.raises(HermiticityError) as err:
+                    check(m)
+                assert str(err.value) == f"matrix is not Hermitian: deviation {dev:.3e}"
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(HermiticityError):

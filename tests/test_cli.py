@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from simplex_decomp import serialize
 from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
-from simplex_decomp.errors import ParameterRangeError
+from simplex_decomp.errors import DimensionMismatchError, ParameterRangeError
 from simplex_decomp.params import (NonlocalityClass, ParamSet, RegionRow,
                                    convert_params, harmonic_number)
 from simplex_decomp.sicpovm import OPTIMIZED, TOLERANCES
@@ -78,6 +78,12 @@ class TestSic:
                                "--cache", "/nonexistent-dir/fid.json")
         assert code == 3
         assert "cache" in err
+
+    def test_verify_below_dimension_2_is_refused_by_dimension(self, capsys):
+        code, out, err = run_cli(capsys, "sic", "1", "--verify")
+        assert code == 5
+        assert out == ""
+        assert err == "dimension must be >= 2, got 1\n"
 
     def test_verify_corrupt_cache_fails(self, capsys, tmp_path):
         cache = tmp_path / "fid5.json"
@@ -163,6 +169,19 @@ class TestDecompose:
         assert code == 5
         assert stdout == out
         assert message in err
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_is_refused_before_any_sic(self, capsys, monkeypatch, count):
+        def no_sic(*args, **kwargs):
+            raise AssertionError("obtain_sic called for a refused count")
+        for name in ("sicpovm", "cli"):
+            monkeypatch.setattr(importlib.import_module(f"simplex_decomp.{name}"),
+                                "obtain_sic", no_sic, raising=False)
+        code, stdout, err = run_cli(capsys, "decompose", "werner", "13",
+                                    "--tau", "0.1", "--count", count)
+        assert code == 5
+        assert stdout == ""
+        assert err == f"sample count must be >= 1, got {count}\n"
 
     def test_multi_sample_isotropic(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "iso", "3",
@@ -403,7 +422,7 @@ class TestRegions:
         assert parse_n_list("2-6") == [2, 3, 4, 5, 6]
         assert parse_n_list("2,4,...,12") == [2, 4, 6, 8, 10, 12]
         assert parse_n_list("3") == [3]
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(DimensionMismatchError, match="dimension must be >= 2, got 1"):
             parse_n_list("1,2")
         with pytest.raises(ParameterRangeError):
             parse_n_list("...,5")

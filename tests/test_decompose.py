@@ -254,15 +254,16 @@ class TestDecompose:
         assert peak <= 3.5 * rho.entries.nbytes
 
     def test_decomposition_is_checked_once_when_built(self, registry_sics, monkeypatch):
-        real, checked = decompose_module._check_exactly_hermitian, []
+        real, checked = decompose_module._hermitian_deviation, []
 
-        def counting(name, stack):
-            checked.append(name)
-            return real(name, stack)
-        monkeypatch.setattr(decompose_module, "_check_exactly_hermitian", counting)
+        def counting(stack):
+            checked.append(stack)
+            return real(stack)
+        monkeypatch.setattr(decompose_module, "_hermitian_deviation", counting)
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
         assert verify_decomposition(d).separable_certificate
-        assert checked == ["factors_r", "factors_s"]
+        assert len(checked) == 2
+        assert checked[0] is d.factors_r and checked[1] is d.factors_s
         reconstruct(d)
         assert len(checked) == 2
 
@@ -644,5 +645,19 @@ class TestReconstructHermitianHalf:
         entry = getattr(factors[stack][4, 2, 0:1], part)
         entry[0] = np.nextafter(entry[0], np.inf)
         with pytest.raises(HermiticityError, match=stack):
+            Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s,
+                          simplex=d.simplex, **factors)
+
+    @pytest.mark.parametrize("stack", ["factors_r", "factors_s"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_symmetric_infinite_factor_is_refused(self, registry_sics, stack):
+        """A stack that is symmetric bit for bit but holds +-inf is not
+        finite, so it is refused with the deviation NaN."""
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        factors = {"factors_r": np.array(d.factors_r), "factors_s": np.array(d.factors_s)}
+        factors[stack][4, 2, 0] = factors[stack][4, 0, 2] = np.inf
+        factors[stack][5, 1, 1] = -np.inf
+        with pytest.raises(HermiticityError,
+                           match=f"{stack} is not exactly Hermitian: deviation nan"):
             Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s,
                           simplex=d.simplex, **factors)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simplex_decomp import params
+from simplex_decomp import blochspace, params, sicpovm, states
+from simplex_decomp.cli import parse_n_list
+from simplex_decomp.errors import DimensionMismatchError
 from simplex_decomp.params import (REGION_CSV_HEADER, NonlocalityClass,
                                    ParamSet, RegionRow, StateClass, StateKind,
                                    harmonic_number, psd_radius_bounds,
@@ -94,3 +96,26 @@ class TestRecords:
         assert ["N" if f == "dim" else f for f in RegionRow._fields] == header
         row = region_table(5)[1]
         assert params.region_csv([row]).splitlines()[1].split(",")[:2] == ["isotropic", "5"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: params.check_dimension(1),
+    lambda: params.psd_radius_bounds(1),
+    lambda: params.convert_params("werner", 1, "tau", 0.0),
+    lambda: params.separable_interval(1),
+    lambda: sicpovm.wh_displacements(1),
+    lambda: sicpovm.zauner_unitary(1),
+    lambda: sicpovm.find_fiducial(1),
+    lambda: sicpovm.known_fiducial(1),
+    lambda: states.swap_operator(1),
+    lambda: states.max_entangled_projector(1),
+    lambda: blochspace.su_generators(1),
+    lambda: parse_n_list("1"),
+], ids=["check_dimension", "psd_radius_bounds", "convert_params",
+        "separable_interval", "wh_displacements", "zauner_unitary",
+        "find_fiducial", "known_fiducial", "swap_operator",
+        "max_entangled_projector", "su_generators", "parse_n_list"])
+def test_every_dimension_floor_is_check_dimension(call):
+    with pytest.raises(DimensionMismatchError) as err:
+        call()
+    assert str(err.value) == "dimension must be >= 2, got 1"

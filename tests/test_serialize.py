@@ -278,6 +278,8 @@ class TestExactFloatText:
             dumps({"b": np.array([np.nan]), "a": a})
         with pytest.raises(ValueError, match="non-finite float inf"):
             dumps([np.ones(40000), float("inf"), a])
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            dumps([np.array([np.nan]), float("inf")])
         big = np.ones(100000)
         big[70000], big[90000] = np.nan, np.inf
         with pytest.raises(ValueError, match="non-finite float nan"):
