@@ -244,10 +244,14 @@ def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of the symmetrized matrix (m + m^dag)/2.
 
     Raises :class:`HermiticityError` when the input deviates from Hermitian
-    beyond tolerance; the symmetrization only guards round-off.
+    beyond tolerance; the symmetrization only guards round-off.  An exactly
+    Hermitian matrix is its own symmetrization and is not formed again, so
+    entries near the float maximum cannot overflow the sum.
     """
     a = _as_matrix(m)
     dev = _hermitian_deviation(a)
     if not dev <= HERM_TOL:  # NaN fails too
         raise HermiticityError(f"matrix is not Hermitian: deviation {dev:.3e}")
-    return float(np.linalg.eigvalsh(0.5 * (a + a.conj().T))[0])
+    if dev:
+        a = 0.5 * (a + a.conj().T)
+    return float(np.linalg.eigvalsh(a)[0])

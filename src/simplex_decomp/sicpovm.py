@@ -314,8 +314,10 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000
     within the ``optimized`` overlap tolerance of :data:`TOLERANCES`, the
     bound :func:`sic_from_fiducial` applies.  Either outcome reports the
     residual (frame-potential excess over its global minimum) and the
-    run's evaluations.  Deterministic given (dimension, seed).  Multi-start
-    searches are the caller's loop over seeds.
+    run's evaluations.  A success stops on the solver's gradient test; a
+    failure stops once its cost stalls (``ftol``), at a local minimum.
+    Deterministic given (dimension, seed).  Multi-start searches are the
+    caller's loop over seeds.
 
     ``dimension`` must be at least 2 (:class:`DimensionMismatchError`),
     ``seed`` at least 0 and ``max_iters`` at least 1
@@ -334,9 +336,14 @@ def find_fiducial(dimension: int, seed: int = 0, max_iters: int = 2000
     fun, jac = _overlap_residuals(n)
     lift = _zauner_lift(n)
     y0 = np.random.default_rng(seed).standard_normal(lift.shape[1])
+    # Every success ends on gtol; scipy's ftol test (dF < ftol F with
+    # ratio > 0.25) only stops a start stalled at a local minimum.  Over
+    # N = 4..35 x seeds 0..19 (one BLAS thread) ftol = 1e-7 still returns
+    # every success of ftol = 3e-16 bit for bit and 3e-7 loses N = 9,
+    # seed 12: 1e-8 sits 30x below that.
     res = least_squares(lambda y: fun(lift @ y), y0,
                         jac=lambda y: jac(lift @ y) @ lift, method="trf",
-                        xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=max_iters)
+                        xtol=3e-16, ftol=1e-8, gtol=3e-16, max_nfev=max_iters)
     nfev, residual = int(res.nfev), max(float(np.sum(res.fun ** 2)), 0.0)
     # Row p holds its weight times |c_p|^2 - 1/(N+1), and |c_-p| = |c_p|: these
     # are every off-diagonal overlap of the orbit, as sic_from_fiducial sees it.

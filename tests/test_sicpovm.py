@@ -315,6 +315,43 @@ class TestZaunerSearch:
         assert iterations == len(calls) > 0
 
 
+def polished_search(dim, seed):
+    """Reference: ``find_fiducial`` with the solver's ftol at 3e-16, as the
+    search once ran, so a failed start polishes its local minimum to
+    machine precision before it gives up."""
+    from scipy import optimize
+    least_squares = optimize.least_squares
+
+    def polishing(*args, **kwargs):
+        return least_squares(*args, **{**kwargs, "ftol": 3e-16})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "least_squares", polishing)
+        return find_fiducial(dim, seed=seed)
+
+
+class TestStopRule:
+    """ftol stops only failed starts: every success ends on gtol."""
+
+    def test_successes_are_the_polished_searches(self):
+        """N = 9, seed 12 is the success nearest the stop rule: an ftol of
+        3e-7 would stop it early."""
+        successes, spent, polished_spent = set(), 0, 0
+        for dim in (4, 9, 12):
+            for seed in range(20):
+                got, want = find_fiducial(dim, seed=seed), polished_search(dim, seed)
+                assert isinstance(got, Fiducial) == isinstance(want, Fiducial), (dim, seed)
+                if isinstance(want, Fiducial):
+                    assert_bitwise_equal(got.vector, want.vector)
+                    assert got.provenance == want.provenance, (dim, seed)
+                    successes.add((dim, seed))
+                else:
+                    assert got.iterations <= want.iterations, (dim, seed)
+                    spent += got.iterations
+                    polished_spent += want.iterations
+        assert (9, 12) in successes
+        assert spent < polished_spent
+
+
 def dense_overlap_residuals(n):
     """Reference: one residual row per non-identity displacement, by einsum
     over the full (N^2 - 1, N, N) stack, as the search once computed them."""
