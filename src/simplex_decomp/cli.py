@@ -19,7 +19,6 @@ inside the commands that use them, so that ``classify``, ``regions`` and a
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 
@@ -39,8 +38,6 @@ EXIT_IO = 3
 EXIT_NOT_SEPARABLE = 4
 EXIT_BAD_PARAMETER = 5
 
-ENV_CACHE = "SIMPLEX_DECOMP_CACHE"
-
 # Exit code of each error that reaches main; the first matching row wins.
 _EXIT_CODES = (
     ((NotSeparableError,), EXIT_NOT_SEPARABLE),
@@ -50,10 +47,6 @@ _EXIT_CODES = (
       MemoryError), EXIT_BAD_PARAMETER),
     ((OSError,), EXIT_IO),
 )
-
-
-def _resolve_cache(flag_value: str | None) -> str | None:
-    return os.environ.get(ENV_CACHE) or flag_value
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -103,7 +96,6 @@ def cmd_sic(args) -> int:
     from .sicpovm import (TOLERANCES, FiducialSearchFailure, find_fiducial,
                           known_fiducial, max_overlap_deviation,
                           save_fiducial_cache)
-    cache_path = _resolve_cache(args.cache)
     if args.find:
         result = find_fiducial(args.N, seed=args.seed, max_iters=args.max_iters)
         if isinstance(result, FiducialSearchFailure):
@@ -112,16 +104,16 @@ def cmd_sic(args) -> int:
                                    "residual": result.best_residual, "success": False}))
             raise FiducialSearchError(f"fiducial search failed for N = {result.dim} "
                                       f"at seed {result.seed}")
-        if cache_path is not None:
-            save_fiducial_cache(cache_path, result)
+        if args.cache is not None:
+            save_fiducial_cache(args.cache, result)
         payload = {"N": result.dim, "seed": result.provenance.seed,
                    "iterations": result.provenance.iterations,
                    "residual": result.provenance.residual, "success": True,
-                   "cache": cache_path}
+                   "cache": args.cache}
         print(serialize.dumps(payload))
         return EXIT_OK
     # --verify
-    fid = known_fiducial(args.N, cache_path)
+    fid = known_fiducial(args.N, args.cache)
     if fid is None:
         raise ParameterRangeError(f"no fiducial known for N = {args.N}; run --find first")
     deviation = max_overlap_deviation(fid)
@@ -160,8 +152,9 @@ def cmd_decompose(args) -> int:
     if args.r is not None:
         radii = [args.r]
     else:
-        radii = contour_radii(args.N, params.tau, args.count)
-    sic = obtain_sic(args.N, _resolve_cache(args.fiducial_cache))
+        radii = contour_radii(args.N, params.tau,
+                              1 if args.count is None else args.count)
+    sic = obtain_sic(args.N, args.fiducial_cache)
     items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
              for r in radii]
     dicts = [_decomposition_dict(d, certify(d)) for d in items]
@@ -209,6 +202,8 @@ def parse_n_list(text: str) -> list[int]:
         else:
             chunk = [_dimension(tok)]
         if ellipsis_pending:
+            if chunk[0] < values[-1]:
+                raise ParameterRangeError(f"bad range '{values[-1]},...,{tok}'")
             step = max(values[-1] - values[-2], 1) if len(values) >= 2 else 1
             values.extend(range(values[-1] + step, chunk[0], step))
             ellipsis_pending = False
@@ -230,9 +225,7 @@ def cmd_regions(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    return run_selftest(
-        n_max=args.n_max, fiducial_cache=_resolve_cache(args.fiducial_cache),
-        writer=sys.stdout)
+    return run_selftest(n_max=args.n_max, writer=sys.stdout)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,17 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--cache", type=str, default=None,
-                   help=f"fiducial cache file (env {ENV_CACHE} overrides)")
+                   help="fiducial cache file: read by --verify, written by --find")
     p.set_defaults(func=cmd_sic)
 
     p = sub.add_parser("decompose", help="emit verified separable decompositions")
     p.add_argument("kind", choices=["werner", "iso", "isotropic"])
     p.add_argument("N", type=int)
     _add_param_flags(p)
-    p.add_argument("--r", type=float, default=None,
-                   help="left factor radius on the contour r*s = tau")
-    p.add_argument("--count", type=int, default=1,
-                   help="number of contour samples when --r is not given")
+    # --count defaults to 1 in cmd_decompose: argparse takes a value equal to
+    # its default as absent, so "--r 0.9 --count 1" would pass the group.
+    sample = p.add_mutually_exclusive_group()
+    sample.add_argument("--r", type=float, default=None,
+                        help="left factor radius on the contour r*s = tau")
+    sample.add_argument("--count", type=int, default=None,
+                        help="number of contour samples (default 1)")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--fiducial-cache", type=str, default=None)
     p.set_defaults(func=cmd_decompose)
@@ -288,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the reduced invariant suite")
     p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--fiducial-cache", type=str, default=None)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -46,8 +46,6 @@ from .states import isotropic_density, werner_density
 #     8    0.43   0.42   0.48   0.52
 #     12   2.3    2.3    2.4    4.0
 #     16   11     12     12     23
-#
-# A multiple of 16, as numpy 1.x requires.
 _RECONSTRUCT_BUFSIZE = 64
 
 
@@ -167,10 +165,10 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     acc = np.zeros((a.size, n * n), dtype=complex)
     term = np.empty_like(acc)
     # Only elementwise work runs with the small buffer: the buffer size can
-    # move the block boundaries of a pairwise-summed reduction.  It is
-    # restored by hand, since np.errstate restores it only from numpy 2.0.
-    old_bufsize = np.setbufsize(_RECONSTRUCT_BUFSIZE)
-    try:
+    # move the block boundaries of a pairwise-summed reduction.  np.errstate
+    # restores the caller's buffer size on every exit.
+    with np.errstate():
+        np.setbufsize(_RECONSTRUCT_BUFSIZE)
         for i in range(d.n_factors):
             np.multiply.outer(left[i], rights[i], out=term)
             acc += term
@@ -184,8 +182,6 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
             lower = blocks[row, :row]
             np.conjugate(blocks[:row, row].transpose(0, 2, 1), out=lower)
             np.add(lower, 0.0, out=lower)
-    finally:
-        np.setbufsize(old_bufsize)
     rho.setflags(write=False)
     return DensityMatrix(rho)
 

@@ -20,7 +20,7 @@ from .params import (StateKind, _tau_range, admissible_r_interval,
                      psd_radius_bounds, region_table, separable_interval)
 from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
                       Provenance, frame_potential, frame_potential_minimum,
-                      load_fiducial_cache, max_overlap_deviation, obtain_sic)
+                      max_overlap_deviation, obtain_sic)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
                       orthogonal_extension)
 from .states import isotropic_density, partial_transpose, werner_density
@@ -133,21 +133,15 @@ def check_orthogonal_extension(ctx):
 
 
 def check_sic_overlap(ctx):
-    cases = []  # (label, fiducial, overlap tolerance of its provenance)
-    if ctx["fiducial_cache"]:
-        fid = load_fiducial_cache(ctx["fiducial_cache"])
-        cases.append((f"cache N={fid.dim}", fid, TOLERANCES[fid.provenance.kind].overlap))
+    details = []
     for n, sic in _sics(ctx).items():
         # A SIC's orbit starts at its fiducial (D_00 is the identity), and
         # sic.tol is the overlap tolerance it was accepted at.
-        fid = Fiducial(dim=n, vector=sic.states[0], provenance=_PROBE_PROV)
-        cases.append((f"N={n}", fid, sic.tol))
-    details = []
-    for label, fid, tol in cases:
-        dev = max_overlap_deviation(fid)
-        if not dev <= tol:
-            return False, f"{label}: overlap deviation {dev:.3e} exceeds {tol:.1e}"
-        details.append(f"{label} dev {dev:.1e}")
+        dev = max_overlap_deviation(
+            Fiducial(dim=n, vector=sic.states[0], provenance=_PROBE_PROV))
+        if not dev <= sic.tol:
+            return False, f"N={n}: overlap deviation {dev:.3e} exceeds {sic.tol:.1e}"
+        details.append(f"N={n} dev {dev:.1e}")
     return True, ", ".join(details)
 
 
@@ -311,15 +305,14 @@ CHECKS = [
 ]
 
 
-def run_selftest(n_max: int, fiducial_cache: str | None, writer) -> int:
+def run_selftest(n_max: int, writer) -> int:
     """Run every check; write one PASS/FAIL line each to ``writer``; 0 iff all pass.
 
     ``n_max`` below 2 raises :class:`ParameterRangeError` before any check runs.
     """
     if n_max < 2:
         raise ParameterRangeError(f"n_max must be >= 2, got {n_max}")
-    ctx = {"n_max": n_max, "fiducial_cache": fiducial_cache,
-           "sic": lru_cache(maxsize=None)(obtain_sic)}
+    ctx = {"n_max": n_max, "sic": lru_cache(maxsize=None)(obtain_sic)}
     first_failure = None
     for name, fn in CHECKS:
         try:

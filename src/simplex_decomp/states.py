@@ -43,16 +43,15 @@ def max_entangled_projector(dim: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-@lru_cache(maxsize=4)
-def _generator_pair_sum(dim: int, transpose_second: bool) -> np.ndarray:
-    """sum_mu L_mu (x) L_mu (or L_mu (x) L_mu^T).
+@lru_cache(maxsize=2)
+def _generator_pair_sum(dim: int) -> np.ndarray:
+    """sum_mu L_mu (x) L_mu.
 
-    Each is a dense N^4 complex matrix, so only the last four (dimension,
-    flag) pairs are kept: both families at two dimensions.
+    Each is a dense N^4 complex matrix, so only the last two dimensions are
+    kept; the isotropic form reads its partial transpose.
     """
     mats = su_generators(dim)
-    second = mats.transpose(0, 2, 1) if transpose_second else mats
-    out = np.einsum("mab,mcd->acbd", mats, second).reshape(dim * dim, dim * dim)
+    out = np.einsum("mab,mcd->acbd", mats, mats).reshape(dim * dim, dim * dim)
     return _readonly(out)
 
 
@@ -81,7 +80,7 @@ def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = 
     n = dim
     if name == "tau":
         m = (np.eye(n * n, dtype=complex) / n**2
-             + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, False))
+             + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n))
         return DensityMatrix(m)
     # a*id + b*V written in place (V's row i*n+j has its 1 at column j*n+i):
     # every Werner certificate builds its closed form here.  The three
@@ -113,12 +112,13 @@ def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = 
 def isotropic_density(dim: int, *, eta: float | None = None,
                       tau: float | None = None) -> DensityMatrix:
     """Isotropic state from eta (white noise + maximally entangled projector)
-    or tau (transposed generator-pair correlation sum)."""
+    or tau (partially transposed generator-pair correlation sum)."""
     name, value = _one_parameter(StateKind.ISOTROPIC, dim, eta=eta, tau=tau)
     n = dim
     if name == "tau":
+        pair_sum = partial_transpose(_generator_pair_sum(n))
         m = (np.eye(n * n, dtype=complex) / n**2
-             + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n, True))
+             + (value / (4.0 * (n * n - 1.0))) * pair_sum)
     else:
         # (1 - eta)/N^2 on the diagonal plus eta*|Phi><Phi| at its N^2 nonzero
         # positions (ii, jj), written in place: every isotropic certificate

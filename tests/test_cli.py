@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplex_decomp import serialize
-from simplex_decomp.cli import ENV_CACHE, main, parse_n_list
+from simplex_decomp.cli import main, parse_n_list
 from simplex_decomp.errors import DimensionMismatchError, ParameterRangeError
 from simplex_decomp.params import (NonlocalityClass, ParamSet, RegionRow,
                                    convert_params, harmonic_number)
@@ -107,14 +106,21 @@ class TestSic:
         assert out == ""
         assert "malformed" in err
 
-    def test_env_var_overrides_cache_flag(self, capsys, tmp_path, monkeypatch):
-        env_cache = tmp_path / "env.json"
-        monkeypatch.setenv("SIMPLEX_DECOMP_CACHE", str(env_cache))
-        code, _, _ = run_cli(capsys, "sic", "2", "--find",
-                             "--cache", str(tmp_path / "flag.json"))
-        assert code == 0
-        assert env_cache.exists()
-        assert not (tmp_path / "flag.json").exists()
+    def test_cache_variable_is_not_read(self, capsys, tmp_path, monkeypatch):
+        """A cache path comes only from the command's own flag."""
+        argv = ("decompose", "werner", "4", "--tau", "0.1", "--r", "0.5",
+                "--fiducial-cache", str(DATA / "fid4.json"))
+        _, expected, _ = run_cli(capsys, *argv)
+        bad = tmp_path / "bad.json"
+        bad.write_text(MALFORMED_CACHES[0])
+        monkeypatch.setenv("SIMPLEX_DECOMP_CACHE", str(bad))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, expected, "")
+        unset = tmp_path / "env.json"
+        monkeypatch.setenv("SIMPLEX_DECOMP_CACHE", str(unset))
+        code, out, _ = run_cli(capsys, "sic", "2", "--find")
+        assert code == 0 and json.loads(out)["cache"] is None
+        assert not unset.exists()
 
 
 class TestDecompose:
@@ -426,6 +432,8 @@ class TestRegions:
             parse_n_list("1,2")
         with pytest.raises(ParameterRangeError):
             parse_n_list("...,5")
+        with pytest.raises(ParameterRangeError, match="bad range '10,...,2'"):
+            parse_n_list("10,...,2")
 
     def test_both_families_dim2(self, capsys):
         code, out, _ = run_cli(capsys, "regions", "--n-list", "2")
@@ -515,18 +523,6 @@ class TestSelftest:
         assert "[FAIL] factor-positivity" in out
         assert "selftest passed" not in out
 
-    def test_corrupted_cache_names_overlap_check(self, capsys, tmp_path):
-        cache = tmp_path / "bad.json"
-        v = np.ones(3, dtype=complex) / np.sqrt(3.0)
-        cache.write_text(json.dumps({
-            "N": 3, "vector": [[z.real, z.imag] for z in v],
-            "residual": 0.0, "seed": 0}))
-        code, out, _ = run_cli(capsys, "selftest", "--n-max", "2",
-                               "--fiducial-cache", str(cache))
-        assert code == 1
-        assert "[FAIL] sic-overlap" in out
-        assert "first failing invariant: sic-overlap" in out
-
 
 class TestBadInput:
     """Malformed values of well-typed flags exit 5 without a traceback."""
@@ -556,6 +552,11 @@ class TestBadInput:
         ("sic", "3"),
         ("sic", "3", "--verify", "--bogus"),
         ("selftest", "--tol", "1e-9"),  # the selftest gates by the library's tolerances
+        # Only sic and decompose read a fiducial cache.
+        ("selftest", "--n-max", "2", "--fiducial-cache", "x"),
+        # One radius or a sample count, never both.
+        ("decompose", "werner", "3", "--tau", "0.5", "--r", "0.9", "--count", "0"),
+        ("decompose", "werner", "3", "--tau", "0.5", "--count", "1", "--r", "0.9"),
         # A negative number in scientific notation reads as a flag.
         ("decompose", "werner", "3", "--tau", "-1e-17"),
     ], ids=lambda argv: " ".join(argv) or "no-arguments")
@@ -599,23 +600,19 @@ class TestBadInput:
 class TestNanCache:
     """A cached vector holding NaN is refused, never certified."""
 
-    @pytest.mark.parametrize("argv, expected", [
-        (("sic", "4", "--verify", "--cache"), 2),
-        (("decompose", "werner", "4", "--tau", "0.1", "--r", "0.5",
-          "--fiducial-cache"), 2),
-        (("selftest", "--n-max", "2", "--fiducial-cache"), 1),
-    ], ids=["sic", "decompose", "selftest"])
-    def test_exits_with_its_code(self, capsys, tmp_path, argv, expected):
+    @pytest.mark.parametrize("argv", [
+        ("sic", "4", "--verify", "--cache"),
+        ("decompose", "werner", "4", "--tau", "0.1", "--r", "0.5",
+         "--fiducial-cache"),
+    ], ids=["sic", "decompose"])
+    def test_exits_with_its_code(self, capsys, tmp_path, argv):
         cache = tmp_path / "nan.json"
         cache.write_text('{"N": 4, "vector": [[NaN, 0], [0.5, 0], [0.5, 0], [0.5, 0]],'
                          ' "residual": 0, "seed": 0}')
         code, out, err = run_cli(capsys, *argv, str(cache))
-        assert code == expected
+        assert code == 2
         assert "Traceback" not in err
-        if expected == 2:
-            assert out == "" and "malformed" in err
-        else:
-            assert "[FAIL] sic-overlap" in out and "selftest passed" not in out
+        assert out == "" and "malformed" in err
 
 
 FID4 = str(DATA / "fid4.json")
@@ -681,9 +678,7 @@ def cli_argv(draw):
 @example(argv=["classify", "iso", "2", "--eta", "0.1", "--bogus"])
 def test_every_invocation_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        os.environ.pop(ENV_CACHE, None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in range(6), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from simplex_decomp.cli import ENV_CACHE, main
+from simplex_decomp.cli import main
 from simplex_decomp.sicpovm import load_fiducial_cache, save_fiducial_cache
 
 DATA = Path(__file__).parent / "data"
@@ -53,8 +53,7 @@ def _argv(command):
 
 
 @pytest.mark.parametrize("command", list(GOLDEN), ids=" ".join)
-def test_cli_output_is_byte_identical(command, capsys, monkeypatch):
-    monkeypatch.delenv(ENV_CACHE, raising=False)
+def test_cli_output_is_byte_identical(command, capsys):
     code = main(_argv(command))
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(b"%d\n" % code + out).hexdigest() == GOLDEN[command]

@@ -185,6 +185,20 @@ class TestIsotropicDensity:
             b = isotropic_density(dim, tau=tau).entries
             assert np.abs(a - b).max() <= 1e-12
 
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_tau_form_is_bitwise_the_transposed_pair_sum(self, dim):
+        """The tau form partially transposes the Werner pair sum; the sum
+        over L (x) L^T, built with transposed second factors, is the
+        reference."""
+        mats = su_generators(dim)
+        pair_sum = np.einsum("mab,mcd->acbd", mats, mats.transpose(0, 2, 1))
+        pair_sum = pair_sum.reshape(dim * dim, dim * dim)
+        lo, hi = iso_tau_range(dim)
+        for tau in [*np.linspace(lo, hi, 5), 0.1, -0.0]:
+            expected = (np.eye(dim * dim, dtype=complex) / dim**2
+                        + (tau / (4.0 * (dim * dim - 1.0))) * pair_sum)
+            assert_bitwise_equal(isotropic_density(dim, tau=tau).entries, expected)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_twirl_invariance_u_conjugate(self, dim):
         rho = isotropic_density(dim, eta=0.61).entries
