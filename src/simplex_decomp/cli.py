@@ -202,6 +202,11 @@ def parse_n_list(text: str) -> list[int]:
         else:
             chunk = [_dimension(tok)]
         if ellipsis_pending:
+            # An ellipsis counts up: a descending pair before it is refused, as
+            # is an end below the number before it.
+            if len(values) >= 2 and values[-1] < values[-2]:
+                raise ParameterRangeError(
+                    f"bad range '{values[-2]},{values[-1]},...,{tok}'")
             if chunk[0] < values[-1]:
                 raise ParameterRangeError(f"bad range '{values[-1]},...,{tok}'")
             step = max(values[-1] - values[-2], 1) if len(values) >= 2 else 1

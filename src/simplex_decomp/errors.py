@@ -63,7 +63,8 @@ class FiducialSearchError(LookupError):
 
 
 class FiducialCacheError(ValueError):
-    """A fiducial cache file is not valid JSON or misses a required field."""
+    """A fiducial cache file is not valid JSON, misses a required field, or
+    holds the fiducial of another dimension."""
 
 
 class CertificateError(ValueError):

@@ -21,7 +21,6 @@ import contextlib
 import json
 import os
 import threading
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -364,8 +363,8 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
     """Registry fiducial (exact, N in {2, 3}) or a cached optimized one.
 
     Returns None when neither source covers a dimension of at least 2
-    (below 2, :class:`DimensionMismatchError`); a cache that holds another
-    dimension is not used, with a warning naming both.
+    (below 2, :class:`DimensionMismatchError`).  A cache that holds another
+    dimension raises :class:`FiducialCacheError` naming both.
     Cached entries are *not* trusted: a malformed file raises
     :class:`FiducialCacheError`, and a well-formed one is revalidated by
     :func:`sic_from_fiducial` at first use, so a wrong vector surfaces as a
@@ -383,10 +382,10 @@ def known_fiducial(dimension: int, cache_path: str | os.PathLike | None = None
         return Fiducial(dim=3, vector=v, provenance=Provenance(kind=EXACT_REGISTRY))
     if cache_path is not None and os.path.exists(cache_path):
         data = load_fiducial_cache(cache_path)
-        if data.dim == dimension:
-            return data
-        warnings.warn(f"fiducial cache {os.fspath(cache_path)} holds N = {data.dim}, "
-                      f"not N = {dimension}; it is not used", stacklevel=2)
+        if data.dim != dimension:
+            raise FiducialCacheError(f"fiducial cache {os.fspath(cache_path)} holds "
+                                     f"N = {data.dim}, not N = {dimension}")
+        return data
     return None
 
 

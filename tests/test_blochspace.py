@@ -14,6 +14,7 @@ from simplex_decomp.blochspace import (HERM_TOL, BlochVector, DensityMatrix,
 from simplex_decomp.decompose import decompose
 from simplex_decomp.errors import (DimensionMismatchError, HermiticityError)
 from simplex_decomp.params import psd_radius_bounds
+from simplex_decomp.selftest import check_pure_direction_psd_window
 from simplex_decomp.sicpovm import load_fiducial_cache, sic_from_fiducial
 
 from conftest import (assert_bitwise_equal, random_density, random_pure_state,
@@ -227,17 +228,8 @@ class TestPsdRadiusBounds:
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_sharpness_scan_both_endpoints(self, dim):
         """PSD flips within 1e-3 of both interval endpoints."""
-        rng = np.random.default_rng(50 + dim)
-        lo, hi = psd_radius_bounds(dim)
-        for _ in range(3):
-            v = random_pure_state(rng, dim)
-            direction = bloch_from_density(np.outer(v, v.conj())).direction
-            def eig_at(r):
-                return min_eigenvalue(density_from_bloch(BlochVector(dim, r * direction)))
-            assert eig_at(lo + 1e-3) >= -1e-9
-            assert eig_at(hi - 1e-3) >= -1e-9
-            assert eig_at(lo - 1e-3) < -1e-7
-            assert eig_at(hi + 1e-3) < -1e-7
+        ok, detail = check_pure_direction_psd_window(50 + dim, [dim], 3)
+        assert ok, detail
 
 
 class TestAntiparallelBound:

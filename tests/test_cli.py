@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -17,8 +18,9 @@ from simplex_decomp import serialize
 from simplex_decomp.cli import main, parse_n_list
 from simplex_decomp.errors import DimensionMismatchError, ParameterRangeError
 from simplex_decomp.params import (NonlocalityClass, ParamSet, RegionRow,
-                                   convert_params, harmonic_number)
+                                   StateClass, convert_params, harmonic_number)
 from simplex_decomp.sicpovm import OPTIMIZED, TOLERANCES
+from simplex_decomp.simplex import RegularSimplex
 
 
 DATA = Path(__file__).parent / "data"
@@ -221,13 +223,17 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["report"]["separable_certificate"] is True
 
-    def test_cache_for_another_dimension_warns_and_searches(self, capsys):
-        code, out, err = run_cli(capsys, "decompose", "werner", "5", "--tau", "0.1",
-                                 "--fiducial-cache", str(DATA / "fid4.json"))
-        assert code == 0
-        assert "N = 4" in err and "N = 5" in err
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "werner", "5", "--tau", "0.1", "--fiducial-cache"),
+        ("decompose", "werner", "12", "--tau", "0.1", "--count", "1", "--fiducial-cache"),
+        ("sic", "12", "--verify", "--cache"),
+    ], ids=["decompose-5", "decompose-12", "sic-verify-12"])
+    def test_cache_for_another_dimension_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, str(DATA / "fid4.json"))
+        assert code == 2
+        assert out == ""
+        assert "holds N = 4, not N = " in err
         assert "Traceback" not in err
-        assert json.loads(out)["report"]["separable_certificate"] is True
 
     def test_nan_radius_exits_5_without_traceback(self, capsys):
         code, out, err = run_cli(capsys, "decompose", "werner", "3",
@@ -434,6 +440,8 @@ class TestRegions:
             parse_n_list("...,5")
         with pytest.raises(ParameterRangeError, match="bad range '10,...,2'"):
             parse_n_list("10,...,2")
+        with pytest.raises(ParameterRangeError, match="bad range '5,3,...,8'"):
+            parse_n_list("5,3,...,8")
 
     def test_both_families_dim2(self, capsys):
         code, out, _ = run_cli(capsys, "regions", "--n-list", "2")
@@ -522,6 +530,83 @@ class TestSelftest:
         assert "[FAIL] reconstruction-fidelity" in out
         assert "[FAIL] factor-positivity" in out
         assert "selftest passed" not in out
+
+
+class TestSelftestChecks:
+    """The shared checks keep their bounds in one table, and the checks that
+    print no number fail when the library value they read is wrong."""
+
+    def test_no_float_literal_bound_outside_the_table(self):
+        # The table holds no comparison, so every ordering comparison in the
+        # module is outside it; 0 is a sign test, not a bound.
+        path = Path(importlib.import_module("simplex_decomp.selftest").__file__)
+        literals, compares = [], 0
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)):
+                continue
+            compares += 1
+            for operand in (node.left, *node.comparators):
+                if isinstance(operand, ast.UnaryOp):
+                    operand = operand.operand
+                if (isinstance(operand, ast.Constant) and isinstance(operand.value, float)
+                        and operand.value != 0):
+                    literals.append((node.lineno, operand.value))
+        assert compares > 10
+        assert literals == []
+
+    def test_psd_window_fails_on_a_widened_interval(self, monkeypatch):
+        module = importlib.import_module("simplex_decomp.selftest")
+        real = module.psd_radius_bounds
+        monkeypatch.setattr(module, "psd_radius_bounds",
+                            lambda n: (real(n)[0] - 1e-2, real(n)[1] + 1e-2))
+        assert module.check_pure_direction_psd_window(14, range(2, 4), 1)[0] is False
+
+    def test_ppt_agreement_fails_on_one_flipped_verdict(self, monkeypatch):
+        module = importlib.import_module("simplex_decomp.selftest")
+        real, calls = module.classify_isotropic, []
+
+        def flip_the_fifth(n, tau):
+            verdict = real(n, tau)
+            calls.append(tau)
+            if len(calls) != 5:
+                return verdict
+            return verdict._replace(label=StateClass.STEERABLE
+                                    if verdict.label is StateClass.SEPARABLE
+                                    else StateClass.SEPARABLE)
+        monkeypatch.setattr(module, "classify_isotropic", flip_the_fifth)
+        ok, detail = module.check_ppt_classification_agreement(range(2, 3), 41)
+        assert ok is False
+        assert "isotropic" in detail
+
+    @pytest.mark.parametrize("family, field, shift, reason", [
+        ("isotropic", "frac_ent", 1e-9, "fractions sum to"),
+        ("werner", "frac_sep", 2.0 ** -40, "separable fraction"),
+    ])
+    def test_region_fractions_fail_on_a_wrong_row(self, monkeypatch, family, field,
+                                                  shift, reason):
+        module = importlib.import_module("simplex_decomp.selftest")
+        real = module.region_table
+
+        def shifted(n):
+            return [row._replace(**{field: getattr(row, field) + shift})
+                    if row.family == family and n == 3 else row for row in real(n)]
+        monkeypatch.setattr(module, "region_table", shifted)
+        ok, detail = module.check_region_fractions(range(2, 5))
+        assert ok is False
+        assert f"{family} N = 3" in detail and reason in detail
+
+    def test_sic_bloch_simplex_fails_on_a_tilted_vertex(self, registry_sics):
+        # Inside the 1e-6 simplex tolerance, outside the check's 1e-8 bound.
+        module = importlib.import_module("simplex_decomp.selftest")
+        sic = registry_sics[2]
+        vertices = sic.bloch.vertices.copy()
+        vertices[0] += 1e-7 * vertices[1]
+        vertices[0] /= np.linalg.norm(vertices[0])
+        tilted = dataclasses.replace(sic, bloch=RegularSimplex(
+            ambient_dim=3, vertices=vertices, tol=1e-6))
+        assert module.check_sic_bloch_simplex([sic])[0] is True
+        assert module.check_sic_bloch_simplex([tilted])[0] is False
 
 
 class TestBadInput:

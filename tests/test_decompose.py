@@ -17,10 +17,10 @@ from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
                                    NotSeparableError, ParameterRangeError)
 from simplex_decomp.params import (StateKind, admissible_r_interval,
                                    psd_radius_bounds)
+from simplex_decomp.selftest import check_pt_duality
 from simplex_decomp.sicpovm import known_fiducial, sic_from_fiducial
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
-from simplex_decomp.states import (isotropic_density, partial_transpose,
-                                   swap_operator, werner_density)
+from simplex_decomp.states import isotropic_density, swap_operator, werner_density
 
 from conftest import assert_bitwise_equal, reference_su_generators
 
@@ -420,13 +420,10 @@ class TestVerifyDecomposition:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_pt_duality_of_reconstructions(self, registry_sics, dim):
-        sic = registry_sics[dim]
-        for tau in (-2.0 / dim, -0.1, 0.0, 0.4, 2.0 * (dim - 1) / dim):
-            intervals = admissible_r_interval(dim, tau)
-            r = intervals[-1][1]
-            w = reconstruct(decompose("werner", dim, tau, r, sic.bloch))
-            i = reconstruct(decompose("iso", dim, tau, r, sic.bloch))
-            assert np.abs(partial_transpose(w) - i.entries).max() <= 1e-11
+        ok, detail = check_pt_duality(
+            [(dim, tau, admissible_r_interval(dim, tau)[-1][1], registry_sics[dim].bloch)
+             for tau in (-2.0 / dim, -0.1, 0.0, 0.4, 2.0 * (dim - 1) / dim)])
+        assert ok, detail
 
 
 class TestContourSample:

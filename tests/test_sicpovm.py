@@ -588,9 +588,11 @@ class TestCache:
         save_fiducial_cache(path, result)
         got = known_fiducial(5, cache_path=path)
         assert got is not None and got.dim == 5
-        # a cache for another dimension is not used, and says so
-        with pytest.warns(UserWarning, match="holds N = 5, not N = 6"):
-            assert known_fiducial(6, cache_path=path) is None
+        # a cache for another dimension is refused, naming both
+        with pytest.raises(FiducialCacheError, match="holds N = 5, not N = 6"):
+            known_fiducial(6, cache_path=path)
+        # the registry wins at N = 2 and 3, where the cache is never read
+        assert known_fiducial(3, cache_path=path).provenance.kind == EXACT_REGISTRY
 
     def test_non_unit_cached_vector_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
