@@ -155,7 +155,7 @@ def _gell_mann_table(n: int) -> tuple:
     return (*table, batches)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def su_generators(dimension: int) -> np.ndarray:
     """Generalized Gell-Mann basis of su(N), Tr[L_mu L_nu] = 2 delta_mu_nu.
 

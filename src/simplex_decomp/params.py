@@ -14,7 +14,7 @@ import enum
 import math
 from collections import namedtuple
 from functools import lru_cache, reduce
-from operator import add
+from operator import add, index
 
 from .errors import (DimensionMismatchError, InadmissibleRadiusError,
                      NotSeparableError, ParameterRangeError)
@@ -134,7 +134,15 @@ def harmonic_number(n: int) -> float:
 
 
 def check_dimension(n: int) -> None:
-    """Refuse a Hilbert-space dimension below 2."""
+    """Refuse a Hilbert-space dimension that is not an integer of at least 2.
+
+    Integers are what ``operator.index`` accepts: Python's and numpy's, not
+    a float such as 2.0.
+    """
+    try:
+        index(n)
+    except TypeError:
+        raise DimensionMismatchError(f"dimension must be an integer, got {n!r}") from None
     if n < 2:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
 

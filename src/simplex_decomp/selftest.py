@@ -27,7 +27,7 @@ from .sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES, Fiducial,
                       Provenance, frame_potential, frame_potential_minimum,
                       max_overlap_deviation, obtain_sic)
 from .simplex import (RegularSimplex, canonical_simplex, gram_identities,
-                      orthogonal_extension)
+                      orthogonal_extension, verify_simplex)
 from .states import isotropic_density, partial_transpose, werner_density
 
 # The bounds of the checks that no library tolerance gives, by what they bound.
@@ -175,11 +175,8 @@ def check_sic_overlap(sics):
 
 def check_sic_bloch_simplex(sics):
     for sic in sics:
-        n = sic.dim
-        dots = sic.bloch.vertices @ sic.bloch.vertices.T
-        off = ~np.eye(n * n, dtype=bool)
-        if not np.abs(dots[off] + 1.0 / (n * n - 1.0)).max() <= BOUNDS["sic-bloch-dots"]:
-            return False, f"N = {n}: pairwise dots deviate from -1/(N^2-1)"
+        if not verify_simplex(sic.bloch).max_dot_dev <= BOUNDS["sic-bloch-dots"]:
+            return False, f"N = {sic.dim}: pairwise dots deviate from -1/(N^2-1)"
     return True, "unit Bloch directions form regular simplexes"
 
 

@@ -106,25 +106,38 @@ class FiducialSearchFailure:
     best_residual: float
 
 
-@lru_cache(maxsize=None)
-def wh_displacements(dimension: int) -> np.ndarray:
-    """Weyl-Heisenberg displacements D_jk = X^j Z^k, shape (N^2, N, N).
+@lru_cache(maxsize=None, typed=True)
+def _wh_tables(dimension: int) -> tuple:
+    """Every displacement D_p = X^j Z^k, p = jN + k, as a gather with phases.
 
-    X is the cyclic shift, Z the clock matrix with phases exp(2 pi i j / N);
-    ordering is lexicographic in (j, k) so the identity comes first.
-    """
+    X is the cyclic shift, Z = diag(exp(2 pi i m / N)) and ph[k] the diagonal
+    of Z^k: (D_p z)_i = ph[k, i-j] z_{i-j} and (D_p^dagger z)_i =
+    conj(ph[k, i]) z_{i+j}, indices mod N.  Read-only ``(back, ph_back, fwd,
+    ph_fwd)``, each (N^2, N): ``ph_back * z[back]`` stacks the D_p z and
+    ``ph_fwd * z[fwd]`` the D_p^dagger z."""
     n = dimension
     check_dimension(n)
-    omega = np.exp(2j * np.pi / n)
-    x = np.zeros((n, n), dtype=complex)
-    x[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    z = np.diag(omega ** np.arange(n))
-    xp = [np.linalg.matrix_power(x, j) for j in range(n)]
-    zp = [np.linalg.matrix_power(z, k) for k in range(n)]
-    return _readonly([xp[j] @ zp[k] for j in range(n) for k in range(n)])
+    z = np.diag(np.exp(2j * np.pi / n) ** np.arange(n))
+    # + 0.0 turns a -0 part (N = 32) into the +0 the product I @ Z^k gave.
+    ph = np.array([np.linalg.matrix_power(z, k).diagonal() for k in range(n)]) + 0.0
+    j, k = np.divmod(np.arange(n * n), n)
+    back = (np.arange(n) - j[:, None]) % n
+    fwd = (np.arange(n) + j[:, None]) % n
+    return tuple(map(_readonly, (back, ph[k[:, None], back], fwd, ph[k].conj())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
+def wh_displacements(dimension: int) -> np.ndarray:
+    """Weyl-Heisenberg displacements D_jk = X^j Z^k, shape (N^2, N, N),
+    lexicographic in (j, k) so the identity comes first: the scatter of
+    :func:`_wh_tables`, which the library applies by gather instead."""
+    back, ph_back = _wh_tables(dimension)[:2]
+    d = np.zeros(back.shape + back.shape[1:], dtype=complex)
+    np.put_along_axis(d, back[..., None], ph_back[..., None], axis=2)
+    return _readonly(d)
+
+
+@lru_cache(maxsize=None, typed=True)
 def zauner_unitary(dimension: int) -> np.ndarray:
     """Zauner's order-3 Clifford unitary U_Z, shape (N, N).
 
@@ -171,21 +184,29 @@ def frame_potential(f: Fiducial) -> float:
     Non-negative, bounded below by ``frame_potential_minimum``; the bound is
     attained exactly when the displacement orbit of the vector is a SIC.
     """
-    d = wh_displacements(f.dim)[1:]
-    c = np.einsum("i,dij,j->d", f.vector.conj(), d, f.vector)
+    c = _displaced(f)[1:] @ f.vector.conj()
     return float(np.sum(np.abs(c) ** 4))
+
+
+def _displaced(f: Fiducial) -> np.ndarray:
+    """Every D_p f, shape (N^2, N), rounded as the einsum over ``wh_displacements``."""
+    back, ph = _wh_tables(f.dim)[:2]
+    v = f.vector[back]
+    states = np.empty(back.shape, dtype=complex)
+    states.real = ph.real * v.real - ph.imag * v.imag
+    states.imag = ph.real * v.imag + ph.imag * v.real
+    return states + 0.0
 
 
 def _orbit(f: Fiducial) -> tuple[np.ndarray, float]:
     """Displacement orbit of ``f``, shape (N^2, N), and the worst deviation
     of its squared overlaps from equiangularity."""
-    n = f.dim
-    states = np.einsum("dij,j->di", wh_displacements(n), f.vector)
+    states = _displaced(f)
     overlaps = np.abs(states.conj() @ states.T) ** 2
     # The target (N delta_ij + 1)/(N + 1) is exactly 1 on the diagonal and
     # 1/(N + 1) off it: compared in place, with no dense target.
     diagonal = overlaps.diagonal().copy()
-    overlaps -= 1.0 / (n + 1.0)
+    overlaps -= 1.0 / (f.dim + 1.0)
     np.abs(overlaps, out=overlaps)
     np.fill_diagonal(overlaps, np.abs(diagonal - 1.0))
     return states, float(overlaps.max())
@@ -240,24 +261,6 @@ def _pair_rows(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     return p[keep], np.where(p[keep] == partner[keep], 1.0, np.sqrt(2.0))
 
 
-def _displacement_gathers(dimension: int, rows: np.ndarray) -> tuple:
-    """Gather tables for D_p z and D_p^dagger z over displacement indices p.
-
-    D_jk = X^j Z^k is a monomial matrix: (D_jk z)_i = ph[k, i-j] z_{i-j} and
-    (D_jk^dagger z)_i = conj(ph[k, i]) z_{i+j}, indices mod N, with ph[k]
-    the diagonal of Z^k.  Returns ``(back, ph_back, fwd, ph_fwd)``, each of
-    shape (len(rows), N), so that ``ph_back * z[back]`` stacks the D_p z and
-    ``ph_fwd * z[fwd]`` the D_p^dagger z.
-    """
-    n = dimension
-    ph = np.diagonal(wh_displacements(n)[:n], axis1=1, axis2=2)
-    j, k = np.divmod(rows, n)
-    i = np.arange(n)
-    back = (i - j[:, None]) % n
-    fwd = (i + j[:, None]) % n
-    return back, ph[k[:, None], back], fwd, ph[k].conj()
-
-
 def _overlap_residuals(dimension: int):
     """Residual vector f_p = |<psi|D_p|psi>|^2 - 1/(N+1) and its Jacobian.
 
@@ -268,28 +271,23 @@ def _overlap_residuals(dimension: int):
     solver converge to overlap deviations near machine precision instead of
     stalling at the square root of it.
 
-    There is one weighted row per pair {p, -p} (see :func:`_pair_rows`),
-    (N^2 - 1 + s)/2 rows with s = 3 for even N and 0 for odd N, so the
-    Gauss-Newton steps are those of the full system.  Each row is gathered
-    from the monomial structure of D_p (see :func:`_displacement_gathers`):
-    a call costs O(N^3), and the kernel holds no N^4 tensor.
+    One weighted row per pair {p, -p} (see :func:`_pair_rows`) keeps the
+    Gauss-Newton steps of the full system.  Each row is a gather from
+    :func:`_wh_tables`: a call costs O(N^3) and holds no N^4 tensor.
     """
     n = dimension
     rows, weight = _pair_rows(n)
-    back, ph_back, fwd, ph_fwd = _displacement_gathers(n, rows)
+    back, ph_back, fwd, ph_fwd = (t[rows] for t in _wh_tables(n))
     target = 1.0 / (n + 1.0)
 
-    def unpack(x):
-        return x[:n] + 1j * x[n:]
-
     def fun(x):
-        z = unpack(x)
+        z = x[:n] + 1j * x[n:]
         u = np.real(np.vdot(z, z))
         c = ((ph_back * z[back]) @ z.conj()) / u
         return weight * (np.abs(c) ** 2 - target)
 
     def jac(x):
-        z = unpack(x)
+        z = x[:n] + 1j * x[n:]
         u = np.real(np.vdot(z, z))
         dz = ph_back * z[back]
         dhz = ph_fwd * z[fwd]
@@ -419,9 +417,13 @@ def load_fiducial_cache(path: str | os.PathLike) -> Fiducial:
             # -0 as -0.0, so a component keeps its sign; other integers,
             # such as the seed, stay exact.
             data = json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-        return Fiducial(dim=int(data["N"]), vector=decode_cmatrix(data["vector"]),
-                        provenance=Provenance(kind=OPTIMIZED, seed=int(data["seed"]),
-                                              residual=float(data["residual"])))
+        n, seed, residual = (data[key] for key in ("N", "seed", "residual"))
+        # N and seed as JSON integers, not bool; a 0.0 residual is saved as 0.
+        if (type(n) is not int or type(seed) is not int or seed < 0
+                or type(residual) not in (int, float) or not 0.0 <= residual < np.inf):
+            raise ValueError(f"N {n!r}, seed {seed!r} or residual {residual!r} invalid")
+        return Fiducial(dim=n, vector=decode_cmatrix(data["vector"]), provenance=Provenance(
+            kind=OPTIMIZED, seed=seed, residual=float(residual)))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FiducialCacheError(f"fiducial cache {os.fspath(path)} is malformed: "
                                  f"{type(exc).__name__}: {exc}") from exc
@@ -434,12 +436,9 @@ def save_fiducial_cache(path: str | os.PathLike, f: Fiducial) -> None:
     sees a partial file and a failed write keeps the previous cache.  A
     write that fails raises an ``OSError`` whose message names ``path``.
     """
-    payload = {
-        "N": f.dim,
-        "vector": encode_cmatrix(f.vector),
-        "residual": float(f.provenance.residual or 0.0),
-        "seed": int(f.provenance.seed or 0),
-    }
+    payload = {"N": f.dim, "vector": encode_cmatrix(f.vector),
+               "residual": float(f.provenance.residual or 0.0),
+               "seed": int(f.provenance.seed or 0)}
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

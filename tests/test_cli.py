@@ -24,7 +24,28 @@ from simplex_decomp.simplex import RegularSimplex
 
 
 DATA = Path(__file__).parent / "data"
-MALFORMED_CACHES = ['{bad', '{"N": 4, "seed": 0, "residual": 0.0}']
+
+
+def fid4_with(**fields):
+    """tests/data/fid4.json with some fields replaced."""
+    return json.dumps({**json.loads((DATA / "fid4.json").read_text()), **fields})
+
+
+MALFORMED_CACHES = {
+    "invalid-json": '{bad',
+    "missing-key": '{"N": 4, "seed": 0, "residual": 0.0}',
+    # N and seed must be JSON integers, the seed at least 0.
+    "float-N": fid4_with(N=4.7),
+    "string-N": fid4_with(N="4"),
+    "negative-seed": fid4_with(seed=-3),
+    "float-seed": fid4_with(seed=2.9),
+    "bool-seed": fid4_with(seed=True),
+    # The residual must be a finite number, at least 0.
+    "negative-residual": fid4_with(residual=-1e-30),
+    "nan-residual": fid4_with(residual=float("nan")),
+    "infinite-residual": fid4_with(residual=float("inf")),
+    "string-residual": fid4_with(residual="0"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -99,7 +120,7 @@ class TestSic:
         assert json.loads(out)["ok"] is False
         assert "not equiangular" in err
 
-    @pytest.mark.parametrize("text", MALFORMED_CACHES, ids=["invalid-json", "missing-key"])
+    @pytest.mark.parametrize("text", MALFORMED_CACHES.values(), ids=MALFORMED_CACHES.keys())
     def test_verify_malformed_cache_exits_2(self, capsys, tmp_path, text):
         cache = tmp_path / "bad.json"
         cache.write_text(text)
@@ -114,7 +135,7 @@ class TestSic:
                 "--fiducial-cache", str(DATA / "fid4.json"))
         _, expected, _ = run_cli(capsys, *argv)
         bad = tmp_path / "bad.json"
-        bad.write_text(MALFORMED_CACHES[0])
+        bad.write_text(MALFORMED_CACHES["invalid-json"])
         monkeypatch.setenv("SIMPLEX_DECOMP_CACHE", str(bad))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (0, expected, "")
@@ -277,7 +298,7 @@ class TestDecompose:
         assert "certificate failed" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("text", MALFORMED_CACHES, ids=["invalid-json", "missing-key"])
+    @pytest.mark.parametrize("text", MALFORMED_CACHES.values(), ids=MALFORMED_CACHES.keys())
     def test_malformed_fiducial_cache_exits_2(self, capsys, tmp_path, text):
         cache = tmp_path / "bad.json"
         cache.write_text(text)

@@ -119,3 +119,30 @@ def test_every_dimension_floor_is_check_dimension(call):
     with pytest.raises(DimensionMismatchError) as err:
         call()
     assert str(err.value) == "dimension must be >= 2, got 1"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: params.check_dimension(2.0),
+    lambda: params.check_dimension(2.5),
+    lambda: params.classify("werner", 2.5, 0.1),
+    lambda: params.separable_interval(2.5),
+    lambda: params.psd_radius_bounds(3.0),
+    lambda: states.werner_density(2.5, phi=0.1),
+    lambda: params.region_table(2.5),
+    # A cached function is first called with an equal numpy integer, whose
+    # cache key an untyped cache would share with the float.
+    lambda: sicpovm.wh_displacements(np.int64(3)) is sicpovm.wh_displacements(3.0),
+    lambda: sicpovm.zauner_unitary(np.int64(3)) is sicpovm.zauner_unitary(3.0),
+    lambda: blochspace.su_generators(np.int64(3)) is blochspace.su_generators(3.0),
+], ids=["check_dimension-2.0", "check_dimension-2.5", "classify", "separable_interval",
+        "psd_radius_bounds", "werner_density", "region_table", "wh_displacements",
+        "zauner_unitary", "su_generators"])
+def test_a_float_dimension_is_refused(call):
+    with pytest.raises(DimensionMismatchError, match="dimension must be an integer, got"):
+        call()
+
+
+@pytest.mark.parametrize("n", [np.int64(3), np.int32(3), np.intp(3)])
+def test_numpy_integer_dimensions_pass(n):
+    params.check_dimension(n)
+    assert params.separable_interval(n) == params.separable_interval(3)

@@ -10,6 +10,7 @@ import pytest
 
 import simplex_decomp.sicpovm as sicpovm
 from simplex_decomp.blochspace import _bloch_coordinates
+from simplex_decomp.cli import main
 from simplex_decomp.errors import (FiducialCacheError, FiducialSearchError,
                                    NotAFiducialError, ParameterRangeError)
 from simplex_decomp.sicpovm import (EXACT_REGISTRY, OPTIMIZED, TOLERANCES,
@@ -29,7 +30,26 @@ def overlap_table(states):
     return np.abs(states.conj() @ states.T) ** 2
 
 
+def reference_wh_displacements(n):
+    """D_jk = X^j Z^k as matrix products, in the order of ``wh_displacements``:
+    an oracle independent of the gather table the library applies."""
+    x = np.zeros((n, n), dtype=complex)
+    x[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    z = np.diag(np.exp(2j * np.pi / n) ** np.arange(n))
+    xp = [np.linalg.matrix_power(x, j) for j in range(n)]
+    zp = [np.linalg.matrix_power(z, k) for k in range(n)]
+    return np.array([xp[j] @ zp[k] for j in range(n) for k in range(n)])
+
+
 class TestDisplacements:
+    @pytest.mark.parametrize("dim", range(2, 41))
+    def test_equals_the_matrix_products(self, dim):
+        """The same values; some zeros may differ in sign."""
+        try:
+            assert np.array_equal(wh_displacements(dim), reference_wh_displacements(dim))
+        finally:
+            wh_displacements.cache_clear()  # N^4 complex numbers each
+
     def test_qubit_set(self):
         d = wh_displacements(2)
         assert d.shape == (4, 2, 2)
@@ -180,6 +200,16 @@ class TestFramePotential:
         fid = known_fiducial(3)
         assert abs(frame_potential(fid) - 0.5) <= 1e-14
         assert abs(frame_potential_minimum(3) - 0.5) <= 1e-16
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_equals_the_dense_contraction(self, dim):
+        rng = np.random.default_rng(600 + dim)
+        fid = Fiducial(dim=dim, vector=random_pure_state(rng, dim),
+                       provenance=Provenance(kind=OPTIMIZED))
+        c = np.einsum("i,dij,j->d", fid.vector.conj(),
+                      reference_wh_displacements(dim)[1:], fid.vector)
+        want = float(np.sum(np.abs(c) ** 4))
+        assert abs(frame_potential(fid) - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("dim", range(2, 7))
     def test_lower_bound_on_sampled_vectors(self, dim):
@@ -355,7 +385,7 @@ class TestStopRule:
 def dense_overlap_residuals(n):
     """Reference: one residual row per non-identity displacement, by einsum
     over the full (N^2 - 1, N, N) stack, as the search once computed them."""
-    displ = wh_displacements(n)[1:]
+    displ = reference_wh_displacements(n)[1:]
     displ_h = displ.conj().transpose(0, 2, 1)
     target = 1.0 / (n + 1.0)
 
@@ -401,18 +431,18 @@ class TestResidualKernel:
         assert rel(j.T @ j, ref_j.T @ ref_j) <= 1e-13
         assert rel(j.T @ f, ref_j.T @ ref_f) <= 1e-13
 
-    @pytest.mark.parametrize("dim", range(2, 21))
+    # At N = 32 a power of Z holds a -0 on its diagonal, where the product
+    # with the identity gives +0.
+    @pytest.mark.parametrize("dim", [*range(2, 21), 32])
     def test_gathers_equal_the_displacement_products(self, dim):
-        rng = np.random.default_rng(dim)
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        displ = wh_displacements(dim)
-        back, ph_back, fwd, ph_fwd = sicpovm._displacement_gathers(
-            dim, np.arange(dim * dim))
-        for p, d in enumerate(displ):
-            for got, want in ((ph_back[p] * z[back[p]], d @ z),
-                              (ph_fwd[p] * z[fwd[p]], d.conj().T @ z)):
-                ulps = np.abs(got - want) / (np.finfo(float).eps * np.abs(want))
-                assert ulps.max() <= 4.0, (p, ulps.max())
+        """Row i of D_p holds its one nonzero at column back[p, i], with the
+        bits of ph_back[p, i]; row i of D_p^dagger at fwd[p, i], ph_fwd[p, i]."""
+        back, ph_back, fwd, ph_fwd = sicpovm._wh_tables(dim)
+        rows = np.arange(dim)
+        for p, d in enumerate(reference_wh_displacements(dim)):
+            assert np.count_nonzero(d) == dim
+            assert_bitwise_equal(d[rows, back[p]], ph_back[p])
+            assert_bitwise_equal(d.conj().T[rows, fwd[p]], ph_fwd[p])
 
     def test_search_does_not_depend_on_blas_threads(self):
         """OpenBLAS runs a gemv on more than one thread once m n >= 9216.
@@ -457,7 +487,7 @@ def reference_bloch_coordinates(projectors):
 def reference_orbit(vector):
     """Orbit states and worst overlap deviation by the dense formulas."""
     n = vector.size
-    states = np.einsum("dij,j->di", wh_displacements(n), vector)
+    states = np.einsum("dij,j->di", reference_wh_displacements(n), vector)
     overlaps = np.abs(states.conj() @ states.T) ** 2
     target = (n * np.eye(n * n) + 1.0) / (n + 1.0)
     return states, float(np.abs(overlaps - target).max())
@@ -505,7 +535,12 @@ class TestBlochCoordinatesBitwise:
             signed[1] = complex(-0.0, -0.0)
         signed /= np.linalg.norm(signed)
         for vector in (plain, signed):
-            projectors = orbit_projectors(reference_orbit(vector)[0])
+            states, max_dev = reference_orbit(vector)
+            fid = Fiducial(dim=dim, vector=vector, provenance=Provenance(kind=OPTIMIZED))
+            got_states, got_dev = sicpovm._orbit(fid)
+            assert_bitwise_equal(got_states, states)
+            assert got_dev == max_dev
+            projectors = orbit_projectors(states)
             assert_bitwise_equal(_bloch_coordinates(projectors),
                                  reference_bloch_coordinates(projectors))
 
@@ -538,7 +573,7 @@ class TestBlochCoordinatesBitwise:
         n = 18
         fid = Fiducial(dim=n, vector=np.full(n, n ** -0.5, dtype=complex),
                        provenance=Provenance(kind=OPTIMIZED))
-        sicpovm._orbit(fid)  # builds the cached displacements
+        sicpovm._orbit(fid)  # builds the cached displacement table
         tracemalloc.start()
         try:
             sicpovm._orbit(fid)
@@ -546,6 +581,36 @@ class TestBlochCoordinatesBitwise:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * 16 * n ** 4
+
+
+class TestNoDenseStack:
+    """No library path builds the dense displacement stack: with
+    ``wh_displacements`` raising, searches, certifications and the CLI run."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_dense_stack(self, monkeypatch):
+        def refuse(dimension):
+            raise AssertionError(f"wh_displacements({dimension}) was called")
+        monkeypatch.setattr(sicpovm, "wh_displacements", refuse)
+
+    def test_search(self):
+        assert obtain_sic(4).bloch.n_vertices == 16
+
+    @pytest.mark.parametrize("source", CERTIFIED)
+    def test_certified_fiducials(self, source):
+        fid = certified_fiducial(source)
+        assert sic_from_fiducial(fid).dim == fid.dim
+
+    def test_frame_potential(self):
+        assert abs(frame_potential(known_fiducial(3)) - 0.5) <= 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ("sic", "4", "--find", "--seed", "0"),
+        ("decompose", "werner", "4", "--tau", "0.5", "--count", "2",
+         "--fiducial-cache", str(DATA / "fid4.json")),
+    ], ids=["sic-find", "decompose-cached"])
+    def test_cli(self, capsys, argv):
+        assert main(list(argv)) == 0, capsys.readouterr().err
 
 
 class TestCache:
@@ -625,6 +690,15 @@ class TestCache:
             load_fiducial_cache(path)
         with pytest.raises(FiducialCacheError):
             known_fiducial(4, cache_path=path)
+
+    def test_zero_residual_round_trips(self, tmp_path):
+        """A 0.0 residual is written as the JSON integer 0 and read back."""
+        fid = load_fiducial_cache(DATA / "fid4.json")
+        path = tmp_path / "fid4.json"
+        save_fiducial_cache(path, Fiducial(dim=4, vector=fid.vector, provenance=Provenance(
+            kind=OPTIMIZED, seed=0, residual=0.0)))
+        assert '"residual": 0,' in path.read_text()
+        assert load_fiducial_cache(path).provenance.residual == 0.0
 
     def test_failed_write_keeps_the_previous_cache(self, tmp_path, monkeypatch):
         result = find_fiducial(4, seed=0)
