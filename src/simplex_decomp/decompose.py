@@ -13,6 +13,11 @@ directions, which requires the simplex to come from a SIC-POVM and tau to
 lie in the separable interval [-2/N, 2(N-1)/N].  Then every point of the
 hyperbola r s = tau with admissible r yields an explicit separable
 decomposition.
+
+Over a SIC simplex the factor pairs form the Weyl-Heisenberg orbit of the
+first pair, and :func:`verify_decomposition` certifies such a mixture from
+its N x N orbit table in O(N^4); any other stack is certified by the
+explicit O(N^6) Kronecker sum of :func:`reconstruct`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
 from .params import (RANGE_ATOL, StateKind, admissible_r_interval,
                      check_radius, convert_params, separable_interval)
-from .sicpovm import SicPovm
+from .sicpovm import SicPovm, _wh_tables
 from .simplex import RegularSimplex
 from .states import isotropic_density, werner_density
 
@@ -93,7 +98,13 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Reconstruction error against the closed form plus factor positivity."""
+    """Reconstruction error against the closed form plus factor positivity.
+
+    ``reconstruction_error`` is the max-norm error of the mixture that
+    :func:`verify_decomposition`'s route read: the orbit table's dense image
+    or the Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s``
+    are the smallest eigenvalues over the full factor stacks.
+    """
 
     reconstruction_error: float
     min_eig_r: float
@@ -147,7 +158,13 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
     serve as an independent oracle against the state constructors.  Only
     the blocks (a, b) with a <= b are summed; the others are mirrored,
     which the exact Hermiticity of every :class:`Decomposition` allows.
+    A sum whose trace is not 1 raises :class:`HermiticityError`.
     """
+    return DensityMatrix(_kronecker_sum(d))
+
+
+def _kronecker_sum(d: Decomposition) -> np.ndarray:
+    """The read-only matrix :func:`reconstruct` wraps, of any trace."""
     n = d.dim
     # Block (a, b) of R_i (x) S_i is R_i[a, b] S_i, and exact Hermiticity
     # makes block (b, a) the conjugate transpose of block (a, b); the complex
@@ -183,7 +200,7 @@ def reconstruct(d: Decomposition) -> DensityMatrix:
             np.conjugate(blocks[:row, row].transpose(0, 2, 1), out=lower)
             np.add(lower, 0.0, out=lower)
     rho.setflags(write=False)
-    return DensityMatrix(rho)
+    return rho
 
 
 def separable_decompose(kind, dim: int, tau: float, r: float,
@@ -202,17 +219,119 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
     return decompose(kind, dim, tau, r, sic.bloch)
 
 
+# Rounding allowance of the covariance check, in units of eps * max|F|.
+# Each phase of `_roots_of_unity` is within 4 eps of exact (against 100-bit
+# values for N = 2..89, 100, 128, 200 and 300 the worst is 3.3 eps), so the
+# two phases of a conjugation add 8 eps; the gather's two complex products
+# add 2 sqrt(2) eps, and the difference with the stack and its modulus, of
+# size at most 2 max|F|, 4 eps more.
+_COVARIANCE_ULPS = 16
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    """(N, N) table of exp(2 pi i k m / N), each within 4 eps of exact.
+
+    The exponent k m is reduced mod N into (-N/2, N/2], so the angle stays
+    within pi and carries three roundings.  The phases of
+    ``sicpovm._wh_tables`` are the search's powers of one rounded root,
+    which drift up to 380 eps from exact by N = 30.
+    """
+    t = np.arange(n)[:, None] * np.arange(n) % n
+    angle = 2.0 * np.pi * np.where(2 * t > n, t - n, t) / n
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+def _covariance_deviation(stack: np.ndarray, roots: np.ndarray) -> float:
+    """max_p |F_p - D_p F_0 D_p^dagger| over a stack in ``_wh_tables`` order.
+
+    For p = jN + k, (D_p F D_p^dagger)[i, l] = w^(k (i-j)) F[i-j, l-j]
+    w^(-k (l-j)) with w = exp(2 pi i / N): a read-only gather with phases,
+    with no matrix product, into one stack-sized scratch array.
+    """
+    n = stack.shape[1]
+    back = _wh_tables(n)[0]  # [p, i]: i - j mod N
+    phase = roots[(np.arange(n * n) % n)[:, None], back]  # [p, i]: w^(k (i-j))
+    image = stack[0][back[:, :, None], back[:, None, :]]
+    image *= phase[:, :, None]
+    image *= phase.conj()[:, None, :]
+    return float(np.abs(np.subtract(stack, image, out=image)).max())
+
+
+def _orbit_image(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """Dense image of the orbit mixture sum_p D_p R_0 D_p^dagger (x)
+    D_p S_0 D_p^dagger / N^2 (isotropic: the second factor transposed).
+
+    Summing over the displacements leaves the entry <a, b| . |a+u, b-u>
+    (isotropic: |a+u, b+u>) equal to M(u, b-a), with
+    M(u, v) = (1/N) sum_x R_0(x, x+u) S_0(x+v, x+v-u) (isotropic:
+    S_0(x+v+u, x+v)), and every other entry exactly 0.  M is summed term
+    by term in x, O(N^3); the image is O(N^4).
+    """
+    n = r0.shape[0]
+    x = np.arange(n)
+    u = x[:, None, None]
+    shifted = (x[:, None] + x) % n  # [u, x] or [v, x]: x + u or x + v
+    left = r0[x, shifted]  # [u, x]: R_0(x, x+u)
+    a, b = x[:, None], x  # with u: [u, a, b]
+    if kind is StateKind.WERNER:
+        right = s0[shifted, (shifted - u) % n]  # [u, v, x]
+        b_out = (b - u) % n
+    else:
+        right = s0[(shifted + u) % n, shifted]
+        b_out = (b + u) % n
+    table = np.sum(left[:, None, :] * right, axis=-1) / n
+    image = np.zeros((n * n, n * n), dtype=complex)
+    image[a * n + b, (a + u) % n * n + b_out] = table[u, (b - a) % n]
+    return image
+
+
+def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float) -> float | None:
+    """The orbit route's reconstruction error, or None where it cannot
+    certify ``d`` at ``target_tol``.
+
+    The stacks' mixture differs from the orbit mixture of R_0 and S_0 by at
+    most max|R| delta_S + max|S| delta_R + delta_R delta_S per entry, with
+    delta the covariance deviation plus its rounding allowance; the route
+    certifies when the image's error plus that gap is within the gate.
+    """
+    n = d.dim
+    if d.n_factors != n * n:
+        return None
+    roots = _roots_of_unity(n)
+    ulps = _COVARIANCE_ULPS * np.finfo(float).eps
+    r_max, s_max = (float(np.abs(f).max()) for f in (d.factors_r, d.factors_s))
+    delta_r = _covariance_deviation(d.factors_r, roots) + ulps * r_max
+    delta_s = _covariance_deviation(d.factors_s, roots) + ulps * s_max
+    gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
+    image = _orbit_image(d.kind, d.factors_r[0], d.factors_s[0])
+    err = float(np.abs(np.subtract(image, closed, out=image)).max())
+    return err if err + gap <= target_tol else None
+
+
 def verify_decomposition(d: Decomposition, target_tol: float | None = None
                          ) -> VerificationReport:
-    """Compare the Kronecker reconstruction with the closed-form state.
+    """Compare the factor pairs' mixture with the closed-form state.
 
     The closed form is built through the swap-operator (Werner) or
     maximally-entangled-projector (isotropic) formula, a code path disjoint
-    from the Bloch sums used here, so agreement is a genuine two-route
-    check.  The separable certificate also demands PSD factors and an error
-    of at most ``target_tol``, by default the simplex's ``tol`` (over a SIC,
-    the certificate tolerance of its provenance).  The factor eigenvalues
-    come from the stacks as built, which are exactly Hermitian.
+    from the factor sums used here, so agreement is a genuine two-route
+    check.  The mixture is read one of two ways:
+
+    * the orbit route, for stacks that are the Weyl-Heisenberg orbit of
+      their first pair in ``_wh_tables`` order (every decomposition over a
+      :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex): it
+      measures how far each factor is from the displaced first one, and
+      compares the dense image of the orbit's N x N table with the closed
+      form in O(N^4).  It decides when that error plus the bound on the
+      gap between the two mixtures is at most ``target_tol``, and the
+      error is ``reconstruction_error``;
+    * otherwise the dense route: the Kronecker sum of :func:`reconstruct`,
+      O(N^6), of any trace, whose error is ``reconstruction_error``.
+
+    The separable certificate also demands PSD factors and an error of at
+    most ``target_tol``, by default the simplex's ``tol`` (over a SIC, the
+    certificate tolerance of its provenance).  The factor eigenvalues come
+    from the full stacks as built, which are exactly Hermitian.
     """
     if target_tol is None:
         target_tol = d.simplex.tol
@@ -221,8 +340,9 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
         closed = werner_density(d.dim, phi=params.phi)
     else:
         closed = isotropic_density(d.dim, eta=params.eta)
-    rec = reconstruct(d)
-    err = float(np.abs(rec.entries - closed.entries).max())
+    err = _orbit_error(d, closed.entries, target_tol)
+    if err is None:
+        err = float(np.abs(_kronecker_sum(d) - closed.entries).max())
     min_eig_r = float(np.linalg.eigvalsh(d.factors_r)[:, 0].min())
     min_eig_s = float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
     all_psd = min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
-from simplex_decomp.blochspace import _bloch_operators
-from simplex_decomp.decompose import (Decomposition, certify, contour_radii,
-                                      contour_sample, decompose, reconstruct,
-                                      separable_decompose, verify_decomposition)
+from simplex_decomp.blochspace import PSD_TOL, _bloch_operators
+from simplex_decomp.decompose import (Decomposition, VerificationReport, certify,
+                                      contour_radii, contour_sample, decompose,
+                                      reconstruct, separable_decompose,
+                                      verify_decomposition)
 from simplex_decomp.errors import (CertificateError, DimensionMismatchError,
                                    HermiticityError, InadmissibleRadiusError,
                                    NotSeparableError, ParameterRangeError)
-from simplex_decomp.params import (StateKind, admissible_r_interval,
-                                   psd_radius_bounds)
+from simplex_decomp.params import (StateKind, admissible_r_interval, convert_params,
+                                   psd_radius_bounds, separable_interval)
 from simplex_decomp.selftest import check_pt_duality
-from simplex_decomp.sicpovm import known_fiducial, sic_from_fiducial
+from simplex_decomp.sicpovm import known_fiducial, load_fiducial_cache, sic_from_fiducial
 from simplex_decomp.simplex import RegularSimplex, canonical_simplex
 from simplex_decomp.states import isotropic_density, swap_operator, werner_density
 
@@ -658,3 +661,191 @@ class TestReconstructHermitianHalf:
                            match=f"{stack} is not exactly Hermitian: deviation nan"):
             Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s,
                           simplex=d.simplex, **factors)
+
+
+DATA = Path(__file__).parent / "data"
+EPS = np.finfo(float).eps
+
+
+def dense_report(d, target_tol=None):
+    """`verify_decomposition` by the Kronecker sum alone: the bitwise oracle
+    of every report the dense route decides."""
+    if target_tol is None:
+        target_tol = d.simplex.tol
+    params = convert_params(d.kind, d.dim, "tau", d.tau)
+    if d.kind is StateKind.WERNER:
+        closed = werner_density(d.dim, phi=params.phi)
+    else:
+        closed = isotropic_density(d.dim, eta=params.eta)
+    err = float(np.abs(reconstruct(d).entries - closed.entries).max())
+    min_eig_r = float(np.linalg.eigvalsh(d.factors_r)[:, 0].min())
+    min_eig_s = float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
+    all_psd = min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL
+    return VerificationReport(
+        reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
+        all_factors_psd=all_psd, separable_certificate=bool(all_psd and err <= target_tol))
+
+
+def orbit_image_bound(d):
+    """Per-entry bound on |orbit table's image - Kronecker sum|: the gap
+    between the two mixtures, as the route bounds it, plus the rounding of
+    both sums, of N^2 and of N products of at most max|R| max|S| each."""
+    n = d.dim
+    roots = decompose_module._roots_of_unity(n)
+    ulps = decompose_module._COVARIANCE_ULPS * EPS
+    r_max, s_max = np.abs(d.factors_r).max(), np.abs(d.factors_s).max()
+    delta_r = decompose_module._covariance_deviation(d.factors_r, roots) + ulps * r_max
+    delta_s = decompose_module._covariance_deviation(d.factors_s, roots) + ulps * s_max
+    gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
+    return gap + (n * n + n + 4) * EPS * r_max * s_max
+
+
+def dense_sums(monkeypatch):
+    """The decompositions the dense route sums, as a list that grows."""
+    real, summed = decompose_module._kronecker_sum, []
+    monkeypatch.setattr(decompose_module, "_kronecker_sum",
+                        lambda d: summed.append(d) or real(d))
+    return summed
+
+
+def with_factors(d, factors_r, factors_s):
+    return Decomposition(kind=d.kind, dim=d.dim, tau=d.tau, r=d.r, s=d.s,
+                         simplex=d.simplex, factors_r=factors_r, factors_s=factors_s)
+
+
+# (kind, SIC source, tau, radii or contour count) of each decompose golden.
+GOLDEN_GRIDS = [("werner", 2, 1.0, [1.0]), ("isotropic", 3, 0.7, 4),
+                ("werner", 3, -0.5, 3), ("werner", "fid4.json", 0.5, 2),
+                ("isotropic", "fid8.json", 0.25, 2), ("werner", "fid12.json", 0.1, 4)]
+
+
+class TestOrbitRoute:
+    """`verify_decomposition` certifies a Weyl-Heisenberg orbit from its
+    N x N table, and any other stack by the Kronecker sum as before."""
+
+    @staticmethod
+    def check_routes_agree(d):
+        image = decompose_module._orbit_image(d.kind, d.factors_r[0], d.factors_s[0])
+        assert np.abs(image - reconstruct(d).entries).max() <= orbit_image_bound(d)
+        # The orbit route decides: the Kronecker sum never runs.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose_module, "_kronecker_sum", None)
+            rep = verify_decomposition(d)
+        ref = dense_report(d)
+        assert rep.separable_certificate == ref.separable_certificate
+        assert repr(dataclasses.replace(rep, reconstruction_error=0.0)) == repr(
+            dataclasses.replace(ref, reconstruction_error=0.0))
+        assert abs(rep.reconstruction_error - ref.reconstruction_error) <= orbit_image_bound(d)
+
+    @pytest.mark.parametrize("kind, source, tau, radii", GOLDEN_GRIDS)
+    def test_golden_grids(self, kind, source, tau, radii):
+        fid = known_fiducial(source) if source in (2, 3) else load_fiducial_cache(DATA / source)
+        sic = sic_from_fiducial(fid)
+        if isinstance(radii, int):
+            radii = contour_radii(sic.dim, tau, radii)
+        for r in radii:
+            d = separable_decompose(kind, sic.dim, tau, r, sic=sic)
+            self.check_routes_agree(d)
+            assert verify_decomposition(d).separable_certificate
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(StateKind)), dim=st.integers(2, 8),
+           t=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
+    def test_drawn_decompositions(self, registry_sics, searched_sic, kind, dim, t, u):
+        sic = registry_sics[dim] if dim in registry_sics else searched_sic(dim)
+        lo, hi = separable_interval(dim)
+        tau = lo + t * (hi - lo)
+        intervals = admissible_r_interval(dim, tau)
+        pick = u * sum(b - a for a, b in intervals)
+        for a, b in intervals:
+            r = min(a + pick, b)
+            pick -= b - a
+            if pick <= 0.0:
+                break
+        self.check_routes_agree(decompose(kind, dim, tau, r, sic.bloch))
+
+    @pytest.mark.parametrize("kind", list(StateKind))
+    @pytest.mark.parametrize("source", [3, "fid4.json"])
+    def test_swapped_pairs_take_the_dense_route(self, monkeypatch, kind, source):
+        fid = known_fiducial(source) if source == 3 else load_fiducial_cache(DATA / source)
+        d = separable_decompose(kind, fid.dim, 0.5, 1.0, sic=sic_from_fiducial(fid))
+        order = np.arange(d.n_factors)
+        order[[1, 5]] = order[[5, 1]]
+        swapped = with_factors(d, d.factors_r[order], d.factors_s[order])
+        summed = dense_sums(monkeypatch)
+        rep = verify_decomposition(swapped)
+        assert summed == [swapped]
+        assert repr(rep) == repr(dense_report(swapped))
+        assert rep.separable_certificate
+
+    def test_conjugated_factor_takes_the_dense_route(self, registry_sics, monkeypatch):
+        d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
+        factors_r = np.array(d.factors_r)
+        assert np.abs(factors_r[4].imag).max() > 0.1
+        factors_r[4] = factors_r[4].conj()
+        conjugated = with_factors(d, factors_r, d.factors_s)
+        summed = dense_sums(monkeypatch)
+        rep = verify_decomposition(conjugated)
+        assert summed == [conjugated]
+        assert repr(rep) == repr(dense_report(conjugated))
+        assert not rep.separable_certificate
+
+    def test_extra_pair_takes_the_dense_route(self, registry_sics, monkeypatch):
+        """N^2 + 1 pairs, the first repeated: its first N^2 rows are the
+        orbit, but the mixture weighs the first pair twice."""
+        d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
+        order = np.r_[np.arange(d.n_factors), 0]
+        extra = with_factors(d, d.factors_r[order], d.factors_s[order])
+        summed = dense_sums(monkeypatch)
+        rep = verify_decomposition(extra)
+        assert summed == [extra]
+        assert repr(rep) == repr(dense_report(extra))
+        assert not rep.separable_certificate
+
+    def test_selftest_rotated_simplexes_take_the_dense_route(self, monkeypatch):
+        selftest = importlib.import_module("simplex_decomp.selftest")
+        summed, checked = dense_sums(monkeypatch), []
+
+        def checked_verify(d):
+            rep = verify_decomposition(d)
+            assert summed[-1] is d
+            assert repr(rep) == repr(dense_report(d))
+            checked.append(d)
+            return rep
+        monkeypatch.setattr(selftest, "verify_decomposition", checked_verify)
+        ok, detail = dict(selftest._selftest_checks(3))["simplex-universality"]()
+        assert ok, detail
+        # One Kronecker sum for each verification and one for its oracle.
+        assert len(checked) == 16 and len(summed) == 32
+
+    @pytest.mark.parametrize("bump, certified", [(1e-9, True), (1e-8, False)])
+    def test_sum_off_trace_one_gets_a_report(self, registry_sics, bump, certified):
+        """One diagonal entry off by 1e-9 moves the sum's trace by 1.1e-10,
+        past ``DensityMatrix``'s 1e-10, and its error by about 5e-11, within
+        the exact gate; 1e-8 moves the error past the gate."""
+        d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
+        factors_r = np.array(d.factors_r)
+        factors_r[4, 1, 1] += bump
+        bad = with_factors(d, factors_r, d.factors_s)
+        with pytest.raises(HermiticityError, match="trace"):
+            reconstruct(bad)
+        rep = verify_decomposition(bad)
+        closed = werner_density(3, phi=convert_params("werner", 3, "tau", 0.5).phi)
+        assert rep.reconstruction_error == np.abs(reference_reconstruct(bad)
+                                                  - closed.entries).max()
+        assert rep.separable_certificate is certified
+        if certified:
+            assert certify(bad) == rep
+        else:
+            with pytest.raises(CertificateError):
+                certify(bad)
+
+    def test_roots_of_unity_within_four_eps(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(100):
+            for n in range(2, 41):
+                roots = decompose_module._roots_of_unity(n)
+                worst = max(abs(mpmath.mpc(complex(roots[k, m]))
+                                - mpmath.expjpi(mpmath.mpf(2 * (k * m % n)) / n))
+                            for k in range(n) for m in range(n))
+                assert worst <= 4 * EPS, n

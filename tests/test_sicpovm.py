@@ -583,6 +583,27 @@ class TestBlochCoordinatesBitwise:
         assert peak <= 1.6 * 16 * n ** 4
 
 
+class TestOrbitOrder:
+    """`verify_decomposition`'s orbit route reads factor p of a SIC
+    decomposition as the displaced first one, D_p F_0 D_p^dagger, with
+    p = jN + k in the order of ``_wh_tables``."""
+
+    @pytest.mark.parametrize("source", CERTIFIED)
+    def test_vertex_p_is_the_displaced_fiducial(self, source):
+        fid = certified_fiducial(source)
+        n = fid.dim
+        displacements = reference_wh_displacements(n)
+        # Row p of the table gathers from column back[p, i] of D_p's row i.
+        assert np.array_equal(np.abs(displacements).argmax(axis=2), sicpovm._wh_tables(n)[0])
+        p0 = np.outer(fid.vector, fid.vector.conj())
+        coords = reference_bloch_coordinates(
+            displacements @ p0 @ displacements.conj().transpose(0, 2, 1)).real
+        directions = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+        # At most 5.4 eps apart over these five SICs.
+        assert (np.abs(directions - sic_from_fiducial(fid).bloch.vertices).max()
+                <= 16 * np.finfo(float).eps)
+
+
 class TestNoDenseStack:
     """No library path builds the dense displacement stack: with
     ``wh_displacements`` raising, searches, certifications and the CLI run."""
