@@ -23,22 +23,22 @@ GOLDEN = {
     ("decompose", "werner", "2", "--tau", "1", "--r", "1"):
         "d2813555ea23f5d9edaf108de934cd7abf05a37eab3673b5bc5c8c0ce0405eaf",
     ("decompose", "iso", "3", "--tau", "0.7", "--count", "4"):
-        "4ff0cb16c15e407fb3b8b190312fbb72caec3774ce0c1a8b82aa01eb4771a21e",
+        "41238cbdd2c0873a6473e108b28dd8a691eda5fbf3fb829aa31354ddbf70b9df",
     ("decompose", "werner", "3", "--tau", "-0.5", "--count", "3"):
-        "ac7dd2a773c98863fffe35ed8aba66997b29d8610d0d088b6233daa86bc774d8",
+        "11e4604ad443d3c7ad94c401f2eed036f3fca55c6cc1a2ad2bd3b9897abfea10",
     ("sic", "3", "--verify"):
         "e71678ffac855266f83262f19644dec746b719b237e30a3d6539fb7d6faefaab",
     ("sic", "4", "--find", "--seed", "0"):
         "4df124d366defb24c1c8cda5ac6231b08fde81098c3c1bf9c9939459c28a20d3",
     ("decompose", "werner", "4", "--tau", "0.5", "--count", "2",
      "--fiducial-cache", "fid4.json"):
-        "8459138a132fefc70ef0acbcb5e4f02cdf69d15bb24d5074f7465a2edcdf036c",
+        "94f552e5f5d37523dc652011a0e6e48c390a298dc08e2268dffb2cb076cf16d1",
     ("decompose", "iso", "8", "--tau", "0.25", "--count", "2",
      "--fiducial-cache", "fid8.json"):
-        "345fa5027b2982b628039f74d34f2a24edb6a0bb3e270288512ce330597d0cf2",
+        "6c7fe9676899489fb7ded47e80da8aae514560e9576e1d0382f7f41f19936e1e",
     ("decompose", "werner", "12", "--tau", "0.1", "--count", "4",
      "--fiducial-cache", "fid12.json"):
-        "5ad741abdd6f8abfddec23a789cdc5962d2f6ee59e55be4742b3ed7cade65dce",
+        "075831fb0e54f2a191c4f25624154ca97bd46ca15a4c4d8a922da239a9cdb229",
     ("classify", "werner", "5", "--tau", "0.3"):
         "55198593f6935e58075ce827d8ad1244fbe89a559897144404b2c47575d39393",
     ("regions", "--family", "both", "--n-list", "2,3,...,40"):
