@@ -180,12 +180,16 @@ def _bloch_operators(coords: np.ndarray, dim: int) -> np.ndarray:
     Equal bit for bit to ``einsum("km,mij->kij", coords, su_generators(N))``:
     the skipped products are exact zeros, the kept ones are added to +0 in
     generator order, and each product is the same complex multiplication
-    of a real coordinate.
+    of a real coordinate.  The rows run in blocks of N, so the scratch of a
+    batch's gather, product and scatter is about 2.5/N of the stack: a
+    SIC's N^2 operators peak near 1.4 stacks at N = 12, not 4.
     """
     *_, batches = _gell_mann_table(dim)
     ops = np.zeros((coords.shape[0], dim, dim), dtype=complex)
-    for rows, cols, owner, coef in batches:
-        ops[:, rows, cols] += coords[:, owner] * coef
+    for start in range(0, coords.shape[0], dim):
+        block, block_coords = ops[start:start + dim], coords[start:start + dim]
+        for rows, cols, owner, coef in batches:
+            block[:, rows, cols] += block_coords[:, owner] * coef
     return ops
 
 

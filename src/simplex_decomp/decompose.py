@@ -16,15 +16,19 @@ decomposition.
 
 Over a SIC simplex the factor pairs form the Weyl-Heisenberg orbit of the
 first pair, and :func:`verify_decomposition` certifies such a mixture from
-its N x N orbit table in O(N^4); any other stack is certified by the
-explicit O(N^6) Kronecker sum of :func:`reconstruct`.
+its N x N orbit table in O(N^4), and the positivity of every factor from
+the first pair's spectrum; any other stack is certified by the explicit
+O(N^6) Kronecker sum of :func:`reconstruct` and the spectra of all
+factors.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +100,11 @@ class Decomposition:
         return np.full(self.n_factors, 1.0 / self.n_factors)
 
 
+def _stack_min_eig(stack: np.ndarray) -> float:
+    """Smallest eigenvalue over a stack of exactly Hermitian matrices."""
+    return float(np.linalg.eigvalsh(stack)[:, 0].min())
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Reconstruction error against the closed form plus factor positivity.
@@ -103,14 +112,39 @@ class VerificationReport:
     ``reconstruction_error`` is the max-norm error of the mixture that
     :func:`verify_decomposition`'s route read: the orbit table's dense image
     or the Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s``
-    are the smallest eigenvalues over the full factor stacks.
+    are the smallest eigenvalues over the full factor stacks, computed on
+    first read from the stacks the report keeps (or kept from the check
+    that needed them), so a caller that reads only the verdicts of an
+    orbit-certified decomposition runs no eigensolver over the stacks.
+    The repr and equality read all five values, as a plain record's would.
     """
 
     reconstruction_error: float
-    min_eig_r: float
-    min_eig_s: float
     all_factors_psd: bool
     separable_certificate: bool
+    _stacks: tuple = field(repr=False, compare=False)  # (factors_r, factors_s)
+
+    @cached_property
+    def min_eig_r(self) -> float:
+        return _stack_min_eig(self._stacks[0])
+
+    @cached_property
+    def min_eig_s(self) -> float:
+        return _stack_min_eig(self._stacks[1])
+
+    def _values(self) -> dict:
+        names = ("reconstruction_error", "min_eig_r", "min_eig_s",
+                 "all_factors_psd", "separable_certificate")
+        return {name: getattr(self, name) for name in names}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in self._values().items())
+        return f"{type(self).__name__}({body})"
 
 
 def decompose(kind, dim: int, tau: float, r: float,
@@ -122,6 +156,10 @@ def decompose(kind, dim: int, tau: float, r: float,
     is derived as tau/r (and set to 0 when tau is 0, where any r works).
     The simplex is not checked again: a :class:`RegularSimplex` is regular
     at its ``tol`` from construction.
+
+    The operator stack a_i . L is built once per simplex object, kept
+    read-only while the simplex lives, and shared by every decomposition
+    over it; each factor stack is a new array, mixed + (r/2) ops.
     """
     kind = StateKind.parse(kind)
     convert_params(kind, dim, "tau", tau)
@@ -139,16 +177,36 @@ def decompose(kind, dim: int, tau: float, r: float,
         raise ParameterRangeError(f"r = 0 cannot realize tau = {tau} on the contour r*s = tau")
     else:
         s = tau / r
-    ops = _bloch_operators(simplex.vertices, dim)
+    ops = _simplex_operators(simplex, dim)
     mixed = np.eye(dim, dtype=complex) / dim
-    factors_r = mixed + (r / 2.0) * ops
-    # The operator stack becomes the right factors in place: the same
-    # operations, in the same operand order, as mixed + (s / 2.0) * ops.
-    factors_s = np.add(mixed, np.multiply(s / 2.0, ops, out=ops), out=ops)
-    factors_r.setflags(write=False)
-    factors_s.setflags(write=False)
+    factors_r, factors_s = (_factor_stack(mixed, radius / 2.0, ops) for radius in (r, s))
     return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex,
                          factors_r=factors_r, factors_s=factors_s)
+
+
+# Operator stack of each live simplex, keyed by identity: a RegularSimplex
+# compares by identity, and its entry goes when the simplex is collected.
+_OPERATORS = weakref.WeakKeyDictionary()
+
+
+def _simplex_operators(simplex: RegularSimplex, dim: int) -> np.ndarray:
+    """The read-only stack ``_bloch_operators(simplex.vertices, dim)``,
+    built on the first call for ``simplex``."""
+    ops = _OPERATORS.get(simplex)
+    if ops is None:
+        ops = _bloch_operators(simplex.vertices, dim)
+        ops.setflags(write=False)
+        _OPERATORS[simplex] = ops
+    return ops
+
+
+def _factor_stack(mixed: np.ndarray, half_radius: float, ops: np.ndarray) -> np.ndarray:
+    """``mixed + half_radius * ops`` bit for bit, read-only, with the sum
+    written over the product instead of into a second new stack."""
+    stack = np.multiply(half_radius, ops)
+    np.add(mixed, stack, out=stack)
+    stack.setflags(write=False)
+    return stack
 
 
 def reconstruct(d: Decomposition) -> DensityMatrix:
@@ -246,26 +304,31 @@ def _covariance_deviation(stack: np.ndarray, roots: np.ndarray) -> float:
 
     For p = jN + k, (D_p F D_p^dagger)[i, l] = w^(k (i-j)) F[i-j, l-j]
     w^(-k (l-j)) with w = exp(2 pi i / N): a read-only gather with phases,
-    with no matrix product, into one stack-sized scratch array.
+    with no matrix product, into one stack-sized scratch array.  The shift
+    depends on j alone, so F_0 is gathered once per shift, O(N^3), and the
+    phases broadcast it over k.
     """
     n = stack.shape[1]
     back = _wh_tables(n)[0]  # [p, i]: i - j mod N
-    phase = roots[(np.arange(n * n) % n)[:, None], back]  # [p, i]: w^(k (i-j))
-    image = stack[0][back[:, :, None], back[:, None, :]]
-    image *= phase[:, :, None]
-    image *= phase.conj()[:, None, :]
+    phase = roots[(np.arange(n * n) % n)[:, None], back].reshape(n, n, n)  # [j, k, i]
+    shifted = stack[0][back[::n, :, None], back[::n, None, :]]  # [j, i, l]: F[i-j, l-j]
+    image = np.multiply(shifted[:, None], phase[..., None])
+    image *= phase.conj()[:, :, None, :]
+    image = image.reshape(stack.shape)
     return float(np.abs(np.subtract(stack, image, out=image)).max())
 
 
-def _orbit_image(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """Dense image of the orbit mixture sum_p D_p R_0 D_p^dagger (x)
-    D_p S_0 D_p^dagger / N^2 (isotropic: the second factor transposed).
+def _orbit_support(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> tuple:
+    """Nonzero entries of the orbit mixture sum_p D_p R_0 D_p^dagger (x)
+    D_p S_0 D_p^dagger / N^2 (isotropic: the second factor transposed) in
+    its dense (N^2, N^2) image: ``(rows, cols, values)``, which broadcast to
+    (N, N, N).
 
     Summing over the displacements leaves the entry <a, b| . |a+u, b-u>
     (isotropic: |a+u, b+u>) equal to M(u, b-a), with
     M(u, v) = (1/N) sum_x R_0(x, x+u) S_0(x+v, x+v-u) (isotropic:
     S_0(x+v+u, x+v)), and every other entry exactly 0.  M is summed term
-    by term in x, O(N^3); the image is O(N^4).
+    by term in x, O(N^3), and each of the N^3 entries appears once.
     """
     n = r0.shape[0]
     x = np.arange(n)
@@ -280,14 +343,13 @@ def _orbit_image(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> np.ndarray:
         right = s0[(shifted + u) % n, shifted]
         b_out = (b + u) % n
     table = np.sum(left[:, None, :] * right, axis=-1) / n
-    image = np.zeros((n * n, n * n), dtype=complex)
-    image[a * n + b, (a + u) % n * n + b_out] = table[u, (b - a) % n]
-    return image
+    return a * n + b, (a + u) % n * n + b_out, table[u, (b - a) % n]
 
 
-def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float) -> float | None:
-    """The orbit route's reconstruction error, or None where it cannot
-    certify ``d`` at ``target_tol``.
+def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float
+                 ) -> tuple[float, float, float] | None:
+    """The orbit route's reconstruction error with delta_R and delta_S, or
+    None where it cannot certify ``d`` at ``target_tol``.
 
     The stacks' mixture differs from the orbit mixture of R_0 and S_0 by at
     most max|R| delta_S + max|S| delta_R + delta_R delta_S per entry, with
@@ -303,9 +365,27 @@ def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float) -> flo
     delta_r = _covariance_deviation(d.factors_r, roots) + ulps * r_max
     delta_s = _covariance_deviation(d.factors_s, roots) + ulps * s_max
     gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
-    image = _orbit_image(d.kind, d.factors_r[0], d.factors_s[0])
-    err = float(np.abs(np.subtract(image, closed, out=image)).max())
-    return err if err + gap <= target_tol else None
+    # |image - closed| over all N^4 entries, bit for bit: off the support
+    # the image is 0, and |0 - c| is |c|.
+    rows, cols, values = _orbit_support(d.kind, d.factors_r[0], d.factors_s[0])
+    diff = np.abs(closed)
+    diff[rows, cols] = np.abs(values - closed[rows, cols])
+    err = float(diff.max())
+    return (err, delta_r, delta_s) if err + gap <= target_tol else None
+
+
+def _orbit_psd(d: Decomposition, delta_r: float, delta_s: float) -> bool:
+    """True where Weyl's inequality puts every factor at or above -PSD_TOL.
+
+    Factor p is within delta per entry of D_p F_0 D_p^dagger, whose spectrum
+    is F_0's, so within N delta in spectral norm, and its smallest
+    eigenvalue is at least that of F_0 less N delta.  N delta is at least
+    16 N ulps of max|F|, beyond the rounding of the eigensolvers.  False
+    says only that the bound does not reach the gate.
+    """
+    lows = [float(np.linalg.eigvalsh(f[0])[0]) - d.dim * delta
+            for f, delta in ((d.factors_r, delta_r), (d.factors_s, delta_s))]
+    return bool(min(lows) >= -PSD_TOL)
 
 
 def verify_decomposition(d: Decomposition, target_tol: float | None = None
@@ -330,8 +410,12 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
 
     The separable certificate also demands PSD factors and an error of at
     most ``target_tol``, by default the simplex's ``tol`` (over a SIC, the
-    certificate tolerance of its provenance).  The factor eigenvalues come
-    from the full stacks as built, which are exactly Hermitian.
+    certificate tolerance of its provenance).  Where the orbit route
+    decides, the factors are PSD when the smallest eigenvalues of R_0 and
+    S_0, less N delta_R and N delta_S, are at least -PSD_TOL: two N x N
+    eigensolves.  Otherwise the full stacks' minima decide, as the report's
+    ``min_eig_r`` and ``min_eig_s`` print them; the orbit bound says PSD
+    only where those minima do.
     """
     if target_tol is None:
         target_tol = d.simplex.tol
@@ -340,16 +424,23 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
         closed = werner_density(d.dim, phi=params.phi)
     else:
         closed = isotropic_density(d.dim, eta=params.eta)
-    err = _orbit_error(d, closed.entries, target_tol)
-    if err is None:
+    orbit = _orbit_error(d, closed.entries, target_tol)
+    if orbit is None:
         err = float(np.abs(_kronecker_sum(d) - closed.entries).max())
-    min_eig_r = float(np.linalg.eigvalsh(d.factors_r)[:, 0].min())
-    min_eig_s = float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
-    all_psd = min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL
-    return VerificationReport(
-        reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
-        all_factors_psd=all_psd,
-        separable_certificate=bool(all_psd and err <= target_tol))
+        all_psd = False
+    else:
+        err, delta_r, delta_s = orbit
+        all_psd = _orbit_psd(d, delta_r, delta_s)
+    minima = {}
+    if not all_psd:
+        minima = {"min_eig_r": _stack_min_eig(d.factors_r),
+                  "min_eig_s": _stack_min_eig(d.factors_s)}
+        all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
+    report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
+                                separable_certificate=bool(all_psd and err <= target_tol),
+                                _stacks=(d.factors_r, d.factors_s))
+    report.__dict__.update(minima)  # the minima read here, as the properties cache them
+    return report
 
 
 def certify(d: Decomposition, target_tol: float | None = None) -> VerificationReport:

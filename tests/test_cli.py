@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import copy
 import dataclasses
 import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -515,11 +517,19 @@ class TestSelftest:
         assert code == 0, out
         assert "[PASS] ppt-classification-agreement" in out
 
+    @staticmethod
+    def with_minima(rep, **minima):
+        """A copy of ``rep`` whose ``min_eig_r`` / ``min_eig_s`` read the
+        given values: the report's cached minima, set ahead of the read."""
+        fake = copy.copy(rep)
+        fake.__dict__.update(minima)
+        return fake
+
     def test_exact_sic_factor_floor_is_gated_at_1e_9(self, capsys, monkeypatch):
         module = importlib.import_module("simplex_decomp.selftest")
         real = module.verify_decomposition
         monkeypatch.setattr(module, "verify_decomposition",
-                            lambda d: dataclasses.replace(real(d), min_eig_r=-1e-8))
+                            lambda d: self.with_minima(real(d), min_eig_r=-1e-8))
         code, out, _ = run_cli(capsys, "selftest", "--n-max", "2")
         assert code == 1
         assert "[FAIL] factor-positivity" in out
@@ -533,7 +543,7 @@ class TestSelftest:
         def low_floor(d):
             rep = real(d)
             if d.simplex.tol == TOLERANCES[OPTIMIZED].certificate:
-                rep = dataclasses.replace(rep, min_eig_r=-1e-7)
+                rep = self.with_minima(rep, min_eig_r=-1e-7)
             return rep
         monkeypatch.setattr(module, "verify_decomposition", low_floor)
         code, out, _ = run_cli(capsys, "selftest", "--n-max", "4")
@@ -544,12 +554,14 @@ class TestSelftest:
     def test_nan_report_fails_both_checks(self, capsys, monkeypatch):
         module = importlib.import_module("simplex_decomp.selftest")
         real, nan = module.verify_decomposition, float("nan")
-        monkeypatch.setattr(module, "verify_decomposition", lambda d: dataclasses.replace(
-            real(d), reconstruction_error=nan, min_eig_r=nan, min_eig_s=nan))
+        monkeypatch.setattr(module, "verify_decomposition", lambda d: self.with_minima(
+            dataclasses.replace(real(d), reconstruction_error=nan), min_eig_r=nan, min_eig_s=nan))
         code, out, _ = run_cli(capsys, "selftest", "--n-max", "2")
         assert code == 1
-        assert "[FAIL] reconstruction-fidelity" in out
-        assert "[FAIL] factor-positivity" in out
+        # Each fails on the NaN it reads, not on a crash of the fake.
+        assert "raised" not in out
+        assert re.search(r"\[FAIL\] reconstruction-fidelity +max reconstruction error nan ", out)
+        assert re.search(r"\[FAIL\] factor-positivity +min factor eigenvalue nan\n", out)
         assert "selftest passed" not in out
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import importlib
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
 from simplex_decomp.blochspace import PSD_TOL, _bloch_operators
-from simplex_decomp.decompose import (Decomposition, VerificationReport, certify,
+from simplex_decomp.decompose import (Decomposition, certify,
                                       contour_radii, contour_sample, decompose,
                                       reconstruct, separable_decompose,
                                       verify_decomposition)
@@ -185,16 +187,30 @@ class TestDecompose:
         assert not own.factors_r.flags.writeable and not own.factors_s.flags.writeable
 
     def test_factor_stacks_are_built_without_copies(self, searched_sic):
-        """At N = 12 the peak is the operator kernel's scratch, not extra stacks."""
+        """At N = 12 the operator stack is cached, so the peak is the two new
+        stacks and the Hermiticity check's scratch (1.39 of the two)."""
         simplex = searched_sic(12).bloch
-        decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached entry table
+        decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached tables
         tracemalloc.start()
         try:
             d = decompose("werner", 12, 0.1, 1.0, simplex)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * (d.factors_r.nbytes + d.factors_s.nbytes)
+        assert peak <= 1.5 * (d.factors_r.nbytes + d.factors_s.nbytes)
+
+    def test_operator_kernel_scratch_is_a_fraction_of_the_stack(self, searched_sic):
+        """Vertex blocks of N keep the scratch near 2.5/N of the stack: at
+        N = 12 the peak is 1.36 stacks (4.1 over all vertices at once)."""
+        vertices = searched_sic(12).bloch.vertices
+        _bloch_operators(vertices, 12)  # builds the cached entry table
+        tracemalloc.start()
+        try:
+            ops = _bloch_operators(vertices, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ops.nbytes
 
     def test_reconstruction_is_built_without_copies(self, searched_sic):
         """At N = 12 the peak is the Hermiticity check's scratch, not copies."""
@@ -667,23 +683,36 @@ DATA = Path(__file__).parent / "data"
 EPS = np.finfo(float).eps
 
 
-def dense_report(d, target_tol=None):
-    """`verify_decomposition` by the Kronecker sum alone: the bitwise oracle
-    of every report the dense route decides."""
-    if target_tol is None:
-        target_tol = d.simplex.tol
+REPORT_VALUES = ("reconstruction_error", "min_eig_r", "min_eig_s",
+                 "all_factors_psd", "separable_certificate")
+
+
+def report_values(rep, **replaced):
+    """The five values a report prints, by name and in its repr's order,
+    with some replaced; compared through ``repr``, which keeps every bit."""
+    return {name: replaced.get(name, getattr(rep, name)) for name in REPORT_VALUES}
+
+
+def closed_form(d):
     params = convert_params(d.kind, d.dim, "tau", d.tau)
     if d.kind is StateKind.WERNER:
-        closed = werner_density(d.dim, phi=params.phi)
-    else:
-        closed = isotropic_density(d.dim, eta=params.eta)
-    err = float(np.abs(reconstruct(d).entries - closed.entries).max())
+        return werner_density(d.dim, phi=params.phi).entries
+    return isotropic_density(d.dim, eta=params.eta).entries
+
+
+def dense_report(d, target_tol=None):
+    """The values of `verify_decomposition` by the Kronecker sum and the
+    full stacks' spectra alone: the bitwise oracle of every report the
+    dense route decides, and of the minima of every report."""
+    if target_tol is None:
+        target_tol = d.simplex.tol
+    err = float(np.abs(reconstruct(d).entries - closed_form(d)).max())
     min_eig_r = float(np.linalg.eigvalsh(d.factors_r)[:, 0].min())
     min_eig_s = float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
     all_psd = min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL
-    return VerificationReport(
-        reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
-        all_factors_psd=all_psd, separable_certificate=bool(all_psd and err <= target_tol))
+    return dict(reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
+                all_factors_psd=all_psd,
+                separable_certificate=bool(all_psd and err <= target_tol))
 
 
 def orbit_image_bound(d):
@@ -700,12 +729,29 @@ def orbit_image_bound(d):
     return gap + (n * n + n + 4) * EPS * r_max * s_max
 
 
+def orbit_image(d):
+    """Dense image of the orbit table: its support's values, 0 elsewhere."""
+    rows, cols, values = decompose_module._orbit_support(d.kind, d.factors_r[0],
+                                                         d.factors_s[0])
+    image = np.zeros((d.dim ** 2, d.dim ** 2), dtype=complex)
+    image[rows, cols] = values
+    return image
+
+
 def dense_sums(monkeypatch):
     """The decompositions the dense route sums, as a list that grows."""
     real, summed = decompose_module._kronecker_sum, []
     monkeypatch.setattr(decompose_module, "_kronecker_sum",
                         lambda d: summed.append(d) or real(d))
     return summed
+
+
+def eigvalsh_shapes(monkeypatch):
+    """The shapes `np.linalg.eigvalsh` runs on, as a list that grows."""
+    real, shapes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kwargs: shapes.append(a.shape) or real(a, *args, **kwargs))
+    return shapes
 
 
 def with_factors(d, factors_r, factors_s):
@@ -725,17 +771,22 @@ class TestOrbitRoute:
 
     @staticmethod
     def check_routes_agree(d):
-        image = decompose_module._orbit_image(d.kind, d.factors_r[0], d.factors_s[0])
+        image = orbit_image(d)
         assert np.abs(image - reconstruct(d).entries).max() <= orbit_image_bound(d)
-        # The orbit route decides: the Kronecker sum never runs.
+        # The orbit route decides: the Kronecker sum never runs, and the
+        # first pair's spectra show every factor PSD.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose_module, "_kronecker_sum", None)
+            shapes = eigvalsh_shapes(mp)
             rep = verify_decomposition(d)
+        assert rep.all_factors_psd and shapes == [(d.dim, d.dim)] * 2
+        assert rep.reconstruction_error == np.abs(image - closed_form(d)).max()
         ref = dense_report(d)
-        assert rep.separable_certificate == ref.separable_certificate
-        assert repr(dataclasses.replace(rep, reconstruction_error=0.0)) == repr(
-            dataclasses.replace(ref, reconstruction_error=0.0))
-        assert abs(rep.reconstruction_error - ref.reconstruction_error) <= orbit_image_bound(d)
+        assert rep.all_factors_psd == (min(rep.min_eig_r, rep.min_eig_s) >= -PSD_TOL)
+        assert rep.separable_certificate == ref["separable_certificate"]
+        assert repr(report_values(rep, reconstruction_error=0.0)) == repr(
+            {**ref, "reconstruction_error": 0.0})
+        assert abs(rep.reconstruction_error - ref["reconstruction_error"]) <= orbit_image_bound(d)
 
     @pytest.mark.parametrize("kind, source, tau, radii", GOLDEN_GRIDS)
     def test_golden_grids(self, kind, source, tau, radii):
@@ -772,10 +823,11 @@ class TestOrbitRoute:
         order = np.arange(d.n_factors)
         order[[1, 5]] = order[[5, 1]]
         swapped = with_factors(d, d.factors_r[order], d.factors_s[order])
-        summed = dense_sums(monkeypatch)
+        summed, shapes = dense_sums(monkeypatch), eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(swapped)
         assert summed == [swapped]
-        assert repr(rep) == repr(dense_report(swapped))
+        assert shapes == [swapped.factors_r.shape, swapped.factors_s.shape]
+        assert repr(report_values(rep)) == repr(dense_report(swapped))
         assert rep.separable_certificate
 
     def test_conjugated_factor_takes_the_dense_route(self, registry_sics, monkeypatch):
@@ -784,10 +836,11 @@ class TestOrbitRoute:
         assert np.abs(factors_r[4].imag).max() > 0.1
         factors_r[4] = factors_r[4].conj()
         conjugated = with_factors(d, factors_r, d.factors_s)
-        summed = dense_sums(monkeypatch)
+        summed, shapes = dense_sums(monkeypatch), eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(conjugated)
         assert summed == [conjugated]
-        assert repr(rep) == repr(dense_report(conjugated))
+        assert shapes == [conjugated.factors_r.shape, conjugated.factors_s.shape]
+        assert repr(report_values(rep)) == repr(dense_report(conjugated))
         assert not rep.separable_certificate
 
     def test_extra_pair_takes_the_dense_route(self, registry_sics, monkeypatch):
@@ -796,10 +849,11 @@ class TestOrbitRoute:
         d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
         order = np.r_[np.arange(d.n_factors), 0]
         extra = with_factors(d, d.factors_r[order], d.factors_s[order])
-        summed = dense_sums(monkeypatch)
+        summed, shapes = dense_sums(monkeypatch), eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(extra)
         assert summed == [extra]
-        assert repr(rep) == repr(dense_report(extra))
+        assert shapes == [extra.factors_r.shape, extra.factors_s.shape]
+        assert repr(report_values(rep)) == repr(dense_report(extra))
         assert not rep.separable_certificate
 
     def test_selftest_rotated_simplexes_take_the_dense_route(self, monkeypatch):
@@ -809,7 +863,7 @@ class TestOrbitRoute:
         def checked_verify(d):
             rep = verify_decomposition(d)
             assert summed[-1] is d
-            assert repr(rep) == repr(dense_report(d))
+            assert repr(report_values(rep)) == repr(dense_report(d))
             checked.append(d)
             return rep
         monkeypatch.setattr(selftest, "verify_decomposition", checked_verify)
@@ -819,7 +873,8 @@ class TestOrbitRoute:
         assert len(checked) == 16 and len(summed) == 32
 
     @pytest.mark.parametrize("bump, certified", [(1e-9, True), (1e-8, False)])
-    def test_sum_off_trace_one_gets_a_report(self, registry_sics, bump, certified):
+    def test_sum_off_trace_one_gets_a_report(self, registry_sics, monkeypatch,
+                                              bump, certified):
         """One diagonal entry off by 1e-9 moves the sum's trace by 1.1e-10,
         past ``DensityMatrix``'s 1e-10, and its error by about 5e-11, within
         the exact gate; 1e-8 moves the error past the gate."""
@@ -829,7 +884,10 @@ class TestOrbitRoute:
         bad = with_factors(d, factors_r, d.factors_s)
         with pytest.raises(HermiticityError, match="trace"):
             reconstruct(bad)
+        shapes = eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(bad)
+        assert shapes == [bad.factors_r.shape, bad.factors_s.shape]
+        assert rep.all_factors_psd == (min(rep.min_eig_r, rep.min_eig_s) >= -PSD_TOL)
         closed = werner_density(3, phi=convert_params("werner", 3, "tau", 0.5).phi)
         assert rep.reconstruction_error == np.abs(reference_reconstruct(bad)
                                                   - closed.entries).max()
@@ -849,3 +907,126 @@ class TestOrbitRoute:
                                 - mpmath.expjpi(mpmath.mpf(2 * (k * m % n)) / n))
                             for k in range(n) for m in range(n))
                 assert worst <= 4 * EPS, n
+
+
+class TestOrbitPositivity:
+    """Over an orbit, the first pair's spectra less N delta decide that every
+    factor is PSD; anything short of the gate is decided by the full stacks,
+    whose minima the report computes when they are read."""
+
+    @staticmethod
+    def past_the_end(sic, kind, end, side):
+        """Decomposition whose left factors' smallest eigenvalue is
+        -PSD_TOL (1 + side): along a pure direction it is (1 - r / r_end) / N
+        at either end r_end of the positivity interval.  s is 0.1."""
+        n = sic.dim
+        r = psd_radius_bounds(n)[end] * (1.0 + n * PSD_TOL * (1.0 + side))
+        return decompose(kind, n, 0.1 * r, r, sic.bloch)
+
+    @pytest.mark.parametrize("kind", list(StateKind))
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("side", [-1e-3, 1e-3])
+    def test_radius_just_past_an_admissible_end(self, registry_sics, searched_sic,
+                                                monkeypatch, kind, dim, end, side):
+        sic = registry_sics[dim] if dim in registry_sics else searched_sic(dim)
+        d = self.past_the_end(sic, kind, end, side)
+        shapes = eigvalsh_shapes(monkeypatch)
+        rep = verify_decomposition(d)
+        # 1e-12 inside the gate the orbit bound decides; outside, the stacks.
+        full = [d.factors_r.shape, d.factors_s.shape]
+        assert shapes == [(dim, dim)] * 2 + ([] if side < 0 else full)
+        floor = min(rep.min_eig_r, rep.min_eig_s)
+        assert abs(floor + PSD_TOL * (1.0 + side)) <= 1e-13
+        assert rep.all_factors_psd == (floor >= -PSD_TOL) == (side < 0)
+        assert repr(report_values(rep, reconstruction_error=0.0)) == repr(
+            {**dense_report(d), "reconstruction_error": 0.0})
+
+    def test_bound_short_of_the_gate_reads_the_stacks(self, registry_sics, monkeypatch):
+        """1e-15 inside the gate, within N delta of it: the full stacks decide."""
+        d = self.past_the_end(registry_sics[3], StateKind.WERNER, 1, -1e-6)
+        shapes = eigvalsh_shapes(monkeypatch)
+        rep = verify_decomposition(d)
+        assert shapes == [(3, 3)] * 2 + [d.factors_r.shape, d.factors_s.shape]
+        assert repr(report_values(rep, reconstruction_error=0.0)) == repr(
+            {**dense_report(d), "reconstruction_error": 0.0})
+
+    def test_factor_lowered_within_the_reconstruction_gate(self, registry_sics, monkeypatch):
+        """Factor 4 less 1e-11 id keeps the orbit route for the mixture
+        (gap about 5e-12 < 1e-10) but falls below -PSD_TOL: refused."""
+        d = self.past_the_end(registry_sics[3], StateKind.WERNER, 1, -1e-3)
+        factors_r = np.array(d.factors_r)
+        factors_r[4] -= 1e-11 * np.eye(3)
+        lowered = with_factors(d, factors_r, d.factors_s)
+        summed, shapes = dense_sums(monkeypatch), eigvalsh_shapes(monkeypatch)
+        rep = verify_decomposition(lowered)
+        assert summed == [] and shapes[:2] == [(3, 3)] * 2 and len(shapes) == 4
+        assert rep.min_eig_r < -PSD_TOL and not rep.all_factors_psd
+        assert not rep.separable_certificate
+
+    def test_minima_are_computed_when_read(self, registry_sics, monkeypatch):
+        d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
+        shapes = eigvalsh_shapes(monkeypatch)
+        rep = verify_decomposition(d)
+        assert rep.separable_certificate and shapes == [(3, 3)] * 2
+        min_eig_r = rep.min_eig_r
+        assert shapes[2:] == [(9, 3, 3)]
+        assert rep.min_eig_r is min_eig_r and shapes[2:] == [(9, 3, 3)]
+        assert rep.min_eig_s == float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
+        assert shapes[2:] == [(9, 3, 3)] * 3
+        repr(rep)
+        assert len(shapes) == 5
+
+    def test_repr_and_certificate_error_name_both_minima(self, registry_sics):
+        d = decompose("werner", 3, 0.5, 3.0, registry_sics[3].bloch)  # r past r_max
+        with pytest.raises(CertificateError) as info:
+            certify(d)
+        rep = info.value.report
+        body = ", ".join(f"{name}={value!r}" for name, value in report_values(rep).items())
+        assert repr(rep) == f"VerificationReport({body})"
+        assert str(info.value) == f"certificate failed at r = 3.0: {rep!r}"
+        assert rep.min_eig_r < -0.1 and rep.min_eig_s > 0.0
+
+    def test_reports_compare_by_all_five_values(self, registry_sics):
+        sic = registry_sics[3]
+        a, b = (verify_decomposition(separable_decompose("werner", 3, 0.5, r, sic=sic))
+                for r in (1.0, 0.9))
+        assert a == verify_decomposition(separable_decompose("werner", 3, 0.5, 1.0, sic=sic))
+        twin = dataclasses.replace(a, _stacks=b._stacks)  # a's verdicts, b's minima
+        assert twin.min_eig_r == b.min_eig_r != a.min_eig_r
+        assert twin != a and hash(twin) == hash(a)
+
+
+class TestOperatorCache:
+    """`decompose` builds each simplex's operator stack once, and the stack
+    goes with the simplex."""
+
+    @staticmethod
+    def fresh_simplex(sic):
+        return RegularSimplex(ambient_dim=sic.bloch.ambient_dim, vertices=sic.bloch.vertices)
+
+    def test_two_decompositions_build_one_stack(self, registry_sics, monkeypatch):
+        simplex = self.fresh_simplex(registry_sics[3])
+        real, built = decompose_module._bloch_operators, []
+        monkeypatch.setattr(decompose_module, "_bloch_operators",
+                            lambda coords, n: built.append(n) or real(coords, n))
+        left = decompose("werner", 3, 0.5, 1.0, simplex)
+        right = decompose("isotropic", 3, -0.3, 0.6, simplex)
+        assert built == [3]
+        cached = decompose_module._OPERATORS[simplex]
+        assert not cached.flags.writeable
+        assert_bitwise_equal(cached, _bloch_operators(simplex.vertices, 3))
+        eye = np.eye(3, dtype=complex) / 3
+        for d in (left, right):
+            assert_bitwise_equal(d.factors_r, eye + (d.r / 2.0) * cached)
+            assert_bitwise_equal(d.factors_s, eye + (d.s / 2.0) * cached)
+
+    def test_entry_goes_with_its_simplex(self, registry_sics):
+        simplex = self.fresh_simplex(registry_sics[3])
+        d = decompose("werner", 3, 0.5, 1.0, simplex)
+        rep = verify_decomposition(d)
+        gone = [weakref.ref(simplex), weakref.ref(decompose_module._OPERATORS[simplex])]
+        del simplex, d
+        gc.collect()
+        assert [ref() for ref in gone] == [None, None]
+        assert rep.separable_certificate  # the report keeps the stacks, not the simplex
