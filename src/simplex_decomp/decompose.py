@@ -18,8 +18,8 @@ Over a SIC simplex the factor pairs form the Weyl-Heisenberg orbit of the
 first pair, and :func:`verify_decomposition` certifies such a mixture from
 its N x N orbit table in O(N^4), and the positivity of every factor from
 the first pair's spectrum; any other stack is certified by the explicit
-O(N^6) Kronecker sum of :func:`reconstruct` and the spectra of all
-factors.
+Kronecker sum of :func:`reconstruct`, one O(N^6) product of the flattened
+stacks, and the spectra of all factors.
 """
 
 from __future__ import annotations
@@ -43,29 +43,16 @@ from .simplex import RegularSimplex
 from .states import isotropic_density, werner_density
 
 
-# Ufunc buffer size (elements) while `reconstruct` runs its elementwise
-# loops.  With numpy's default of 8192, the buffered iterator copies the
-# operands of np.multiply.outer into buffers while its rows of N^2
-# elements are short against the buffer, and the copies cost more than the
-# products; elementwise results do not depend on the buffer size.
-# `reconstruct` in ms (Werner, 2-core VM, numpy 2.4) by buffer size:
-#
-#     N     16     64    256   8192
-#     4    0.09   0.09   0.08   0.08
-#     8    0.43   0.42   0.48   0.52
-#     12   2.3    2.3    2.4    4.0
-#     16   11     12     12     23
-_RECONSTRUCT_BUFSIZE = 64
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
 
-    ``factors_r`` and ``factors_s`` stack the N^2 left and right factors;
-    the mixture weight of every pair is 1/N^2.  A stack is kept when it is
-    read-only and owns its data, and copied otherwise.  Construction raises
-    :class:`HermiticityError` unless both stacks are finite and exactly
+    ``factors_r`` and ``factors_s`` stack the M left and right factors
+    (M = N^2 from :func:`decompose`); the mixture weight of every pair is
+    1/M.  A stack is kept when it is read-only and owns its data, and
+    copied otherwise.  Construction raises :class:`DimensionMismatchError`
+    unless both stacks have the shape (M, dim, dim) with the same M >= 1,
+    and :class:`HermiticityError` unless both are finite and exactly
     Hermitian, bit for bit, so every instance is; the stacks
     :func:`decompose` builds are.
     """
@@ -83,8 +70,14 @@ class Decomposition:
         if not abs(self.r * self.s - self.tau) <= RANGE_ATOL:  # NaN fails too
             raise ParameterRangeError(
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
-        for name in ("factors_r", "factors_s"):
-            stack = _readonly(getattr(self, name))
+        stacks = {name: _readonly(getattr(self, name)) for name in ("factors_r", "factors_s")}
+        shape_r, shape_s = (stack.shape for stack in stacks.values())
+        if (shape_r != shape_s or len(shape_r) != 3 or shape_r[0] < 1
+                or shape_r[1:] != (self.dim, self.dim)):
+            raise DimensionMismatchError(
+                f"factor stacks of shapes {shape_r} and {shape_s}: both must be "
+                f"(M, {self.dim}, {self.dim}) with the same M >= 1")
+        for name, stack in stacks.items():
             dev = _hermitian_deviation(stack)
             if dev != 0:  # NaN, from an infinite entry, is refused too
                 raise HermiticityError(
@@ -212,51 +205,23 @@ def _factor_stack(mixed: np.ndarray, half_radius: float, ops: np.ndarray) -> np.
 def reconstruct(d: Decomposition) -> DensityMatrix:
     """Explicit weighted Kronecker sum of the factor pairs.
 
-    Deliberately kept as the term-by-term sum (no closed form) so it can
-    serve as an independent oracle against the state constructors.  Only
-    the blocks (a, b) with a <= b are summed; the others are mirrored,
-    which the exact Hermiticity of every :class:`Decomposition` allows.
-    A sum whose trace is not 1 raises :class:`HermiticityError`.
+    Sums the stacks themselves, sharing no code with the swap-operator and
+    projector formulas of the state constructors, so it serves as an
+    independent oracle against them.  A sum whose trace is not 1 raises
+    :class:`HermiticityError`.
     """
     return DensityMatrix(_kronecker_sum(d))
 
 
 def _kronecker_sum(d: Decomposition) -> np.ndarray:
     """The read-only matrix :func:`reconstruct` wraps, of any trace."""
-    n = d.dim
-    # Block (a, b) of R_i (x) S_i is R_i[a, b] S_i, and exact Hermiticity
-    # makes block (b, a) the conjugate transpose of block (a, b); the complex
-    # product and sum keep that identity in value.  So only the blocks with
-    # a <= b are summed, in index order from zero as the sum of np.kron
-    # products does, divided by M and copied into the result's blocks.  The
-    # sums never hold -0, while the conjugate of a +0 is -0, so the mirror
-    # adds +0.0; conjugation and +0.0 commute with the division by M > 0.
-    a, b = np.triu_indices(n)
-    left = d.factors_r[:, a, b]
-    rights = d.factors_s
-    if d.kind is StateKind.ISOTROPIC:
-        rights = rights.transpose(0, 2, 1)
-    rights = rights.reshape(d.n_factors, n * n)  # one copy when transposed
-    acc = np.zeros((a.size, n * n), dtype=complex)
-    term = np.empty_like(acc)
-    # Only elementwise work runs with the small buffer: the buffer size can
-    # move the block boundaries of a pairwise-summed reduction.  np.errstate
-    # restores the caller's buffer size on every exit.
-    with np.errstate():
-        np.setbufsize(_RECONSTRUCT_BUFSIZE)
-        for i in range(d.n_factors):
-            np.multiply.outer(left[i], rights[i], out=term)
-            acc += term
-        del left, rights, term
-        acc /= d.n_factors
-        rho = np.empty((n * n, n * n), dtype=complex)
-        blocks = rho.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # [a, b, c, d]
-        blocks[a, b] = acc.reshape(-1, n, n)
-        del acc
-        for row in range(1, n):
-            lower = blocks[row, :row]
-            np.conjugate(blocks[:row, row].transpose(0, 2, 1), out=lower)
-            np.add(lower, 0.0, out=lower)
+    n, m = d.dim, d.n_factors
+    rights = d.factors_s.transpose(0, 2, 1) if d.kind is StateKind.ISOTROPIC else d.factors_s
+    # [(a, b), (c, d)] of one product of the flattened stacks is
+    # sum_i R_i[a, b] S_i[c, d], the entry [(a, c), (b, d)] of the sum.
+    sums = d.factors_r.reshape(m, n * n).T @ rights.reshape(m, n * n)
+    rho = np.empty((n * n, n * n), dtype=complex)
+    np.divide(sums.reshape(n, n, n, n).transpose(0, 2, 1, 3), m, out=rho.reshape(n, n, n, n))
     rho.setflags(write=False)
     return rho
 
