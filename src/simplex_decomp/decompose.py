@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blochspace import (PSD_TOL, DensityMatrix, _bloch_operators,
+from .blochspace import (HERM_TOL, PSD_TOL, DensityMatrix, _bloch_operators,
                          _hermitian_deviation, _readonly)
 from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
@@ -40,7 +40,7 @@ from .params import (RANGE_ATOL, StateKind, admissible_r_interval,
                      check_radius, convert_params, separable_interval)
 from .sicpovm import SicPovm, _wh_tables
 from .simplex import RegularSimplex
-from .states import isotropic_density, werner_density
+from .states import _closed_form_entries, isotropic_density, werner_density
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +103,8 @@ class VerificationReport:
     """Reconstruction error against the closed form plus factor positivity.
 
     ``reconstruction_error`` is the max-norm error of the mixture that
-    :func:`verify_decomposition`'s route read: the orbit table's dense image
-    or the Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s``
+    :func:`verify_decomposition`'s route read: the orbit table or the
+    Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s``
     are the smallest eigenvalues over the full factor stacks, computed on
     first read from the stacks the report keeps (or kept from the check
     that needed them), so a caller that reads only the verdicts of an
@@ -283,35 +283,43 @@ def _covariance_deviation(stack: np.ndarray, roots: np.ndarray) -> float:
     return float(np.abs(np.subtract(stack, image, out=image)).max())
 
 
-def _orbit_support(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> tuple:
-    """Nonzero entries of the orbit mixture sum_p D_p R_0 D_p^dagger (x)
-    D_p S_0 D_p^dagger / N^2 (isotropic: the second factor transposed) in
-    its dense (N^2, N^2) image: ``(rows, cols, values)``, which broadcast to
-    (N, N, N).
+def _orbit_support(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> np.ndarray:
+    """(N, N) table M(u, v) of the orbit mixture sum_p D_p R_0 D_p^dagger (x)
+    D_p S_0 D_p^dagger / N^2 (isotropic: the second factor transposed).
 
     Summing over the displacements leaves the entry <a, b| . |a+u, b-u>
     (isotropic: |a+u, b+u>) equal to M(u, b-a), with
     M(u, v) = (1/N) sum_x R_0(x, x+u) S_0(x+v, x+v-u) (isotropic:
     S_0(x+v+u, x+v)), and every other entry exactly 0.  M is summed term
-    by term in x, O(N^3), and each of the N^3 entries appears once.
+    by term in x, O(N^3).
     """
     n = r0.shape[0]
     x = np.arange(n)
     u = x[:, None, None]
     shifted = (x[:, None] + x) % n  # [u, x] or [v, x]: x + u or x + v
     left = r0[x, shifted]  # [u, x]: R_0(x, x+u)
-    a, b = x[:, None], x  # with u: [u, a, b]
     if kind is StateKind.WERNER:
         right = s0[shifted, (shifted - u) % n]  # [u, v, x]
-        b_out = (b - u) % n
     else:
         right = s0[(shifted + u) % n, shifted]
-        b_out = (b + u) % n
-    table = np.sum(left[:, None, :] * right, axis=-1) / n
-    return a * n + b, (a + u) % n * n + b_out, table[u, (b - a) % n]
+    return np.sum(left[:, None, :] * right, axis=-1) / n
 
 
-def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float
+def _closed_table(kind: StateKind, n: int, entries: tuple) -> np.ndarray:
+    """The closed form with ``entries`` (diag, shared, off) in
+    :func:`_orbit_support`'s (u, v) coordinates, off whose support it is 0:
+    id on u = 0, the swap on v = u (Werner) or the projector on v = 0
+    (isotropic), and the places (ii, ii) they share at (0, 0)."""
+    diag, shared, off = entries
+    table = np.zeros((n, n), dtype=complex)
+    table[0] = diag
+    u = np.arange(n)
+    table[u, u if kind is StateKind.WERNER else 0] = off
+    table[0, 0] = shared
+    return table
+
+
+def _orbit_error(d: Decomposition, entries: tuple, target_tol: float
                  ) -> tuple[float, float, float] | None:
     """The orbit route's reconstruction error with delta_R and delta_S, or
     None where it cannot certify ``d`` at ``target_tol``.
@@ -319,7 +327,7 @@ def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float
     The stacks' mixture differs from the orbit mixture of R_0 and S_0 by at
     most max|R| delta_S + max|S| delta_R + delta_R delta_S per entry, with
     delta the covariance deviation plus its rounding allowance; the route
-    certifies when the image's error plus that gap is within the gate.
+    certifies when the table's error plus that gap is within the gate.
     """
     n = d.dim
     if d.n_factors != n * n:
@@ -330,12 +338,10 @@ def _orbit_error(d: Decomposition, closed: np.ndarray, target_tol: float
     delta_r = _covariance_deviation(d.factors_r, roots) + ulps * r_max
     delta_s = _covariance_deviation(d.factors_s, roots) + ulps * s_max
     gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
-    # |image - closed| over all N^4 entries, bit for bit: off the support
-    # the image is 0, and |0 - c| is |c|.
-    rows, cols, values = _orbit_support(d.kind, d.factors_r[0], d.factors_s[0])
-    diff = np.abs(closed)
-    diff[rows, cols] = np.abs(values - closed[rows, cols])
-    err = float(diff.max())
+    # Both the orbit mixture and the closed form are 0 off the table's
+    # support, so this is the max over all N^4 entries, bit for bit.
+    table = _orbit_support(d.kind, d.factors_r[0], d.factors_s[0])
+    err = float(np.abs(table - _closed_table(d.kind, n, entries)).max())
     return (err, delta_r, delta_s) if err + gap <= target_tol else None
 
 
@@ -357,7 +363,7 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
                          ) -> VerificationReport:
     """Compare the factor pairs' mixture with the closed-form state.
 
-    The closed form is built through the swap-operator (Werner) or
+    The closed form's entries come from the swap-operator (Werner) or
     maximally-entangled-projector (isotropic) formula, a code path disjoint
     from the factor sums used here, so agreement is a genuine two-route
     check.  The mixture is read one of two ways:
@@ -366,32 +372,31 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
       their first pair in ``_wh_tables`` order (every decomposition over a
       :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex): it
       measures how far each factor is from the displaced first one, and
-      compares the dense image of the orbit's N x N table with the closed
-      form in O(N^4).  It decides when that error plus the bound on the
-      gap between the two mixtures is at most ``target_tol``, and the
-      error is ``reconstruction_error``;
+      compares the orbit's N x N table with the closed form in the same
+      coordinates; both are 0 off the table's support.  It decides when
+      that error plus the bound on the gap between the two mixtures is at
+      most ``target_tol``, and the error is ``reconstruction_error``;
     * otherwise the dense route: the Kronecker sum of :func:`reconstruct`,
       O(N^6), of any trace, whose error is ``reconstruction_error``.
 
-    The separable certificate also demands PSD factors and an error of at
+    The separable certificate also demands PSD factors, an error of at
     most ``target_tol``, by default the simplex's ``tol`` (over a SIC, the
-    certificate tolerance of its provenance).  Where the orbit route
-    decides, the factors are PSD when the smallest eigenvalues of R_0 and
-    S_0, less N delta_R and N delta_S, are at least -PSD_TOL: two N x N
-    eigensolves.  Otherwise the full stacks' minima decide, as the report's
-    ``min_eig_r`` and ``min_eig_s`` print them; the orbit bound says PSD
-    only where those minima do.
+    certificate tolerance of its provenance), and a mixture whose trace is
+    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands.  Where the
+    orbit route decides, the factors are PSD when the smallest eigenvalues
+    of R_0 and S_0, less N delta_R and N delta_S, are at least -PSD_TOL:
+    two N x N eigensolves.  Otherwise the full stacks' minima decide, as
+    the report's ``min_eig_r`` and ``min_eig_s`` print them; the orbit
+    bound says PSD only where those minima do.
     """
     if target_tol is None:
         target_tol = d.simplex.tol
-    params = convert_params(d.kind, d.dim, "tau", d.tau)
-    if d.kind is StateKind.WERNER:
-        closed = werner_density(d.dim, phi=params.phi)
-    else:
-        closed = isotropic_density(d.dim, eta=params.eta)
-    orbit = _orbit_error(d, closed.entries, target_tol)
+    name = "phi" if d.kind is StateKind.WERNER else "eta"
+    value = getattr(convert_params(d.kind, d.dim, "tau", d.tau), name)
+    orbit = _orbit_error(d, _closed_form_entries(d.dim, name, value), target_tol)
     if orbit is None:
-        err = float(np.abs(_kronecker_sum(d) - closed.entries).max())
+        build = werner_density if d.kind is StateKind.WERNER else isotropic_density
+        err = float(np.abs(_kronecker_sum(d) - build(d.dim, **{name: value}).entries).max())
         all_psd = False
     else:
         err, delta_r, delta_s = orbit
@@ -401,8 +406,12 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
         minima = {"min_eig_r": _stack_min_eig(d.factors_r),
                   "min_eig_s": _stack_min_eig(d.factors_s)}
         all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
+    # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's bound.
+    tr_r, tr_s = (np.trace(f, axis1=1, axis2=2) for f in (d.factors_r, d.factors_s))
+    unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
     report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
-                                separable_certificate=bool(all_psd and err <= target_tol),
+                                separable_certificate=bool(all_psd and err <= target_tol
+                                                           and unit_trace),
                                 _stacks=(d.factors_r, d.factors_s))
     report.__dict__.update(minima)  # the minima read here, as the properties cache them
     return report

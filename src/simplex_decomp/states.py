@@ -55,16 +55,22 @@ def _generator_pair_sum(dim: int) -> np.ndarray:
     return _readonly(out)
 
 
-def _one_parameter(kind: StateKind, dim: int, **params) -> tuple[str, float]:
-    """The one parameter of ``params`` that is not None, its value
-    range-checked for ``kind`` at ``dim``."""
+def _density(kind: StateKind, n: int, **params) -> DensityMatrix:
+    """The closed form of ``kind`` from the one parameter of ``params`` that
+    is not None, range-checked at N = n: tau by the generator-pair sum
+    (isotropic: partially transposed), any other by :func:`_scatter`."""
     given = {k: v for k, v in params.items() if v is not None}
     if len(given) != 1:
         raise ParameterRangeError(
             f"exactly one of {'/'.join(params)} must be given, got {sorted(given)}")
     (name, value), = given.items()
-    convert_params(kind, dim, name, value)  # range check
-    return name, value
+    convert_params(kind, n, name, value)  # range check
+    if name != "tau":
+        return DensityMatrix(_scatter(kind, n, _closed_form_entries(n, name, value)))
+    pair_sum = _generator_pair_sum(n)
+    pair_sum = pair_sum if kind is StateKind.WERNER else partial_transpose(pair_sum)
+    return DensityMatrix(np.eye(n * n, dtype=complex) / n**2
+                         + (value / (4.0 * (n * n - 1.0))) * pair_sum)
 
 
 def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = None,
@@ -75,61 +81,51 @@ def werner_density(dim: int, *, phi: float | None = None, alpha: float | None = 
     swap combinations for phi/alpha/beta, the generator-pair correlation
     sum for tau); the four agree elementwise to 1e-12 after conversion.
     """
-    name, value = _one_parameter(StateKind.WERNER, dim, phi=phi, alpha=alpha,
-                                 beta=beta, tau=tau)
-    n = dim
-    if name == "tau":
-        m = (np.eye(n * n, dtype=complex) / n**2
-             + (value / (4.0 * (n * n - 1.0))) * _generator_pair_sum(n))
-        return DensityMatrix(m)
-    # a*id + b*V written in place (V's row i*n+j has its 1 at column j*n+i):
-    # every Werner certificate builds its closed form here.  The three
-    # distinct entries -- the diagonal off V's ones, the n places (ii, ii)
-    # shared by id and V, and V's off-diagonal ones -- are rounded as the
-    # whole-matrix formula rounds them, by the same elementwise operations.
-    if name == "phi":
-        diag = (n - value) / (n**3 - n)
-        swap = (n * value - 1.0) / (n**3 - n)
-        entries = (diag, diag + swap, swap)
-    elif name == "alpha":
-        entries = ((np.array([1, 1, 0], dtype=complex)
-                    + value * np.array([0, 1, 1], dtype=complex))
-                   / (n * n + value * n))
-    else:
-        entries = (((n - 1.0 + value) / (n**3 - n**2)) * np.array([1, 1, 0], dtype=complex)
-                   - (value / (n * n - n)) * np.array([0, 1, 1], dtype=complex))
-    diag, shared, swap = entries
-    m = np.zeros((n * n, n * n), dtype=complex)
-    rows = np.arange(n * n)
-    m[rows, rows % n * n + rows // n] = swap
-    m.flat[::n * n + 1] = diag
-    ii = np.arange(n) * (n + 1)
-    m[ii, ii] = shared
-    m.setflags(write=False)  # kept by DensityMatrix, not copied
-    return DensityMatrix(m)
+    return _density(StateKind.WERNER, dim, phi=phi, alpha=alpha, beta=beta, tau=tau)
 
 
 def isotropic_density(dim: int, *, eta: float | None = None,
                       tau: float | None = None) -> DensityMatrix:
     """Isotropic state from eta (white noise + maximally entangled projector)
     or tau (partially transposed generator-pair correlation sum)."""
-    name, value = _one_parameter(StateKind.ISOTROPIC, dim, eta=eta, tau=tau)
-    n = dim
-    if name == "tau":
-        pair_sum = partial_transpose(_generator_pair_sum(n))
-        m = (np.eye(n * n, dtype=complex) / n**2
-             + (value / (4.0 * (n * n - 1.0))) * pair_sum)
-    else:
-        # (1 - eta)/N^2 on the diagonal plus eta*|Phi><Phi| at its N^2 nonzero
-        # positions (ii, jj), written in place: every isotropic certificate
-        # builds its closed form here.
-        m = np.zeros((n * n, n * n), dtype=complex)
-        m.flat[::n * n + 1] = (1.0 - value) / n**2
+    return _density(StateKind.ISOTROPIC, dim, eta=eta, tau=tau)
+
+
+def _closed_form_entries(n: int, name: str, value: float) -> tuple:
+    """``(diag, shared, off)`` of the phi/alpha/beta (Werner) or eta
+    (isotropic) form, rounded as its whole-matrix formula rounds them: the
+    diagonal, the n places (ii, ii), and the swap's or projector's other
+    nonzeros.  The dense form and the orbit route's N x N table read them."""
+    if name == "phi":
+        diag = (n - value) / (n**3 - n)
+        swap = (n * value - 1.0) / (n**3 - n)
+        return diag, diag + swap, swap
+    if name == "eta":
+        diag = (1.0 - value) / n**2
         a = np.complex128(1.0 / np.sqrt(n))
-        ii = np.arange(n) * (n + 1)
-        m[ii[:, None], ii] += value * (a * a.conjugate())
-        m.setflags(write=False)  # kept by DensityMatrix, not copied
-    return DensityMatrix(m)
+        projector = value * (a * a.conjugate())
+        return diag, diag + projector, 0.0 + projector  # as added to complex zeros
+    eye, swap = np.array([1, 1, 0], dtype=complex), np.array([0, 1, 1], dtype=complex)
+    if name == "alpha":
+        return tuple((eye + value * swap) / (n * n + value * n))
+    return tuple(((n - 1.0 + value) / (n**3 - n**2)) * eye - (value / (n * n - n)) * swap)
+
+
+def _scatter(kind: StateKind, n: int, entries: tuple) -> np.ndarray:
+    """The read-only (N^2, N^2) form with ``entries`` in place, 0 elsewhere.
+    V's row i*n+j has its 1 at column j*n+i; |Phi><Phi|'s are (ii, jj)."""
+    diag, shared, off = entries
+    m = np.zeros((n * n, n * n), dtype=complex)
+    ii = np.arange(n) * (n + 1)
+    if kind is StateKind.WERNER:
+        rows = np.arange(n * n)
+        m[rows, rows % n * n + rows // n] = off
+    else:
+        m[ii[:, None], ii] = off
+    m.flat[::n * n + 1] = diag
+    m[ii, ii] = shared
+    m.setflags(write=False)  # kept by DensityMatrix, not copied
+    return m
 
 
 def partial_transpose(m) -> np.ndarray:
