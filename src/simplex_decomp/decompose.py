@@ -14,12 +14,17 @@ lie in the separable interval [-2/N, 2(N-1)/N].  Then every point of the
 hyperbola r s = tau with admissible r yields an explicit separable
 decomposition.
 
-Over a SIC simplex the factor pairs form the Weyl-Heisenberg orbit of the
-first pair, and :func:`verify_decomposition` certifies such a mixture from
-its N x N orbit table in O(N^4), and the positivity of every factor from
-the first pair's spectrum; any other stack is certified by the explicit
-Kronecker sum of :func:`reconstruct`, one O(N^6) product of the flattened
-stacks, and the spectra of all factors.
+Every factor stack over one simplex is mixed + (r/2) O for the simplex's
+operator stack O = a_i . L, which is built, checked and measured once per
+simplex.  A stack that is that affine image bit for bit inherits O's
+facts: exact Hermiticity when it is built, and over a SIC simplex, whose
+factor pairs form the Weyl-Heisenberg orbit of the first pair, a bound
+on its distance from that orbit.  From it :func:`verify_decomposition`
+certifies the mixture from its N x N orbit table in O(N^3), and the
+positivity of every factor from the first pair's spectrum; any other
+stack is certified by the explicit Kronecker sum of :func:`reconstruct`,
+one O(N^6) product of the flattened stacks, and the spectra of all
+factors.
 """
 
 from __future__ import annotations
@@ -55,6 +60,17 @@ class Decomposition:
     and :class:`HermiticityError` unless both are finite and exactly
     Hermitian, bit for bit, so every instance is; the stacks
     :func:`decompose` builds are.
+
+    A stack ties when it is, bit for bit, ``mixed + (radius/2) O`` as
+    :func:`decompose` builds it from its simplex's operator stack O, with
+    its own radius r or s.  It is compared with that image in blocks of N
+    matrices, so the check allocates N matrices, not a stack.  A tied stack
+    over an exactly Hermitian O is exactly Hermitian when its modulus bound
+    1/N + |r/2| max|O| is finite, and is not checked again: its real parts
+    are equal products, its imaginary parts negate exactly, and each
+    diagonal imaginary part is 0 + (+-0) = +0.  Any other stack is checked
+    entry by entry.  Which stacks tie is kept for
+    :func:`verify_decomposition`.
     """
 
     kind: StateKind
@@ -65,6 +81,7 @@ class Decomposition:
     simplex: RegularSimplex
     factors_r: np.ndarray
     factors_s: np.ndarray
+    _ties: tuple = field(init=False, repr=False)  # (factors_r tied, factors_s tied)
 
     def __post_init__(self):
         if not abs(self.r * self.s - self.tau) <= RANGE_ATOL:  # NaN fails too
@@ -77,12 +94,21 @@ class Decomposition:
             raise DimensionMismatchError(
                 f"factor stacks of shapes {shape_r} and {shape_s}: both must be "
                 f"(M, {self.dim}, {self.dim}) with the same M >= 1")
-        for name, stack in stacks.items():
-            dev = _hermitian_deviation(stack)
-            if dev != 0:  # NaN, from an infinite entry, is refused too
-                raise HermiticityError(
-                    f"{name} is not exactly Hermitian: deviation {dev:.3e}")
+        n = self.dim
+        facts = (_operator_facts(self.simplex, n)
+                 if self.simplex.ambient_dim == n * n - 1 and shape_r[0] == n * n else None)
+        ties = []
+        for (name, stack), radius in zip(stacks.items(), (self.r, self.s)):
+            tied = facts is not None and facts.ties(stack, radius / 2.0)
+            if not (tied and facts.hermitian
+                    and math.isfinite(facts.modulus_bound(radius / 2.0))):
+                dev = _hermitian_deviation(stack)
+                if dev != 0:  # NaN, from an infinite entry, is refused too
+                    raise HermiticityError(
+                        f"{name} is not exactly Hermitian: deviation {dev:.3e}")
             object.__setattr__(self, name, stack)
+            ties.append(tied)
+        object.__setattr__(self, "_ties", tuple(ties))
 
     @property
     def n_factors(self) -> int:
@@ -173,13 +199,59 @@ def decompose(kind, dim: int, tau: float, r: float,
     ops = _simplex_operators(simplex, dim)
     mixed = np.eye(dim, dtype=complex) / dim
     factors_r, factors_s = (_factor_stack(mixed, radius / 2.0, ops) for radius in (r, s))
+    for stack in (factors_r, factors_s):
+        stack.setflags(write=False)  # so the Decomposition keeps it, not a copy
     return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex,
                          factors_r=factors_r, factors_s=factors_s)
 
 
-# Operator stack of each live simplex, keyed by identity: a RegularSimplex
-# compares by identity, and its entry goes when the simplex is collected.
+_EPS = float(np.finfo(float).eps)
+
+
+class _OperatorFacts:
+    """What every factor stack over one simplex inherits from its read-only
+    operator stack ``ops`` = a_i . L: whether it is exactly Hermitian, its
+    largest modulus and, computed on first read, its covariance bound."""
+
+    def __init__(self, ops: np.ndarray):
+        self.ops = ops
+        self.hermitian = _hermitian_deviation(ops) == 0
+        self.max_modulus = float(np.abs(ops).max())
+
+    @cached_property
+    def deviation(self) -> float:
+        """delta_O: max_p |O_p - D_p O_0 D_p^dagger| plus the check's
+        rounding allowance of 16 ulps of max|O|."""
+        n = self.ops.shape[1]
+        return (_covariance_deviation(self.ops, _roots_of_unity(n))
+                + _COVARIANCE_ULPS * _EPS * self.max_modulus)
+
+    def modulus_bound(self, half_radius: float) -> float:
+        """F^ = (1/N + |h| max|O|)(1 + 4 eps), at least max|F| for the
+        stack F = mixed + h O; see :func:`_orbit_bounds`."""
+        n = self.ops.shape[1]
+        return (1.0 / n + abs(half_radius) * self.max_modulus) * (1.0 + 4 * _EPS)
+
+    def ties(self, stack: np.ndarray, half_radius: float) -> bool:
+        """True where ``stack`` is ``_factor_stack(mixed, half_radius, ops)``
+        bit for bit, signed zeros included, recomputed in blocks of N
+        matrices into one N-matrix scratch."""
+        n = self.ops.shape[1]
+        mixed = np.eye(n, dtype=complex) / n
+        scratch = np.empty((n, n, n), dtype=complex)
+        bits = np.dtype((np.int64, 2))  # a complex entry's two words, any layout
+        for start in range(0, n * n, n):
+            _factor_stack(mixed, half_radius, self.ops[start:start + n], out=scratch)
+            if not np.array_equal(scratch.view(bits), stack[start:start + n].view(bits)):
+                return False
+        return True
+
+
+# Operator stack of each live simplex, and its facts beside it, keyed by
+# identity: a RegularSimplex compares by identity, and its entries go when
+# the simplex is collected.
 _OPERATORS = weakref.WeakKeyDictionary()
+_OPERATOR_FACTS = weakref.WeakKeyDictionary()
 
 
 def _simplex_operators(simplex: RegularSimplex, dim: int) -> np.ndarray:
@@ -193,13 +265,21 @@ def _simplex_operators(simplex: RegularSimplex, dim: int) -> np.ndarray:
     return ops
 
 
-def _factor_stack(mixed: np.ndarray, half_radius: float, ops: np.ndarray) -> np.ndarray:
-    """``mixed + half_radius * ops`` bit for bit, read-only, with the sum
-    written over the product instead of into a second new stack."""
-    stack = np.multiply(half_radius, ops)
-    np.add(mixed, stack, out=stack)
-    stack.setflags(write=False)
-    return stack
+def _operator_facts(simplex: RegularSimplex, dim: int) -> _OperatorFacts:
+    """The facts of ``simplex``'s operator stack, checked on the first call
+    for ``simplex``."""
+    facts = _OPERATOR_FACTS.get(simplex)
+    if facts is None:
+        facts = _OPERATOR_FACTS[simplex] = _OperatorFacts(_simplex_operators(simplex, dim))
+    return facts
+
+
+def _factor_stack(mixed: np.ndarray, half_radius: float, ops: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``mixed + half_radius * ops`` bit for bit, in ``out`` or a new stack,
+    with the sum written over the product instead of into a second one."""
+    out = np.multiply(half_radius, ops, out=out)
+    return np.add(mixed, out, out=out)
 
 
 def reconstruct(d: Decomposition) -> DensityMatrix:
@@ -242,7 +322,8 @@ def separable_decompose(kind, dim: int, tau: float, r: float,
     return decompose(kind, dim, tau, r, sic.bloch)
 
 
-# Rounding allowance of the covariance check, in units of eps * max|F|.
+# Rounding allowance of the covariance check of a stack F, in units of
+# eps * max|F|; it runs once per simplex, on the operator stack O.
 # Each phase of `_roots_of_unity` is within 4 eps of exact (against 100-bit
 # values for N = 2..89, 100, 128, 200 and 300 the worst is 3.3 eps), so the
 # two phases of a conjugation add 8 eps; the gather's two complex products
@@ -319,29 +400,56 @@ def _closed_table(kind: StateKind, n: int, entries: tuple) -> np.ndarray:
     return table
 
 
+def _orbit_bounds(facts: _OperatorFacts, half_radius: float) -> tuple[float, float]:
+    """(F^, delta_F) for a tied stack F = mixed + h O, h = ``half_radius``:
+    max|F| <= F^, and F is within delta_F per entry of the displaced first
+    factor, max_p |F_p - D_p F_0 D_p^dagger| <= delta_F, with no pass over F.
+
+    With u = eps/2, m = fl(1/N) on the diagonal of ``mixed`` and M = max|O|:
+    fl(h x) rounds each part of an entry x of O once (the other product
+    with 0 is exact), so within u |h| M; adding m rounds only the diagonal's
+    real part, within u (m + |h| M)(1 + u); every other sum is with 0, so
+    exact.  So F_p = m id + h O_p + E_p with |E_p| <= 2u (1 + u)(m + |h| M),
+    and |F| <= (1 + u)^2 (m + |h| M).  A computed M is within 2u of exact
+    and F^ carries three roundings, so (1 + 4 eps) = (1 + 8u) keeps F^ above
+    both bounds: |E_p| <= eps F^.
+
+    D_p m id D_p^dagger = m id exactly, and conjugation by D_p moves and
+    rephases entries without changing their moduli, so
+    F_p - D_p F_0 D_p^dagger = h (O_p - D_p O_0 D_p^dagger) + E_p
+    - D_p E_0 D_p^dagger, within |h| delta_O + 2 eps F^: F_p and F_0 carry
+    two roundings each.  Forming delta_F = |h| delta_O + c u F^ rounds twice
+    and loses at most eps (|h| delta_O + c u F^), where
+    delta_O <= 2.01 max|O| and so |h| delta_O <= 2.01 F^.  c = 10
+    (5 eps) covers both: 5 eps F^ (1 - eps) >= 2 eps F^ + 2.01 eps F^.
+    """
+    f_hat = facts.modulus_bound(half_radius)
+    return f_hat, abs(half_radius) * facts.deviation + 5 * _EPS * f_hat
+
+
 def _orbit_error(d: Decomposition, entries: tuple, target_tol: float
                  ) -> tuple[float, float, float] | None:
     """The orbit route's reconstruction error with delta_R and delta_S, or
     None where it cannot certify ``d`` at ``target_tol``.
 
+    The route needs both stacks tied to the simplex's operator stack O,
+    whose covariance bound delta_O is measured once per simplex; a tied
+    stack's bounds follow from it with no pass over the stack
+    (:func:`_orbit_bounds`).  Tied stacks have N^2 factors, one per vertex.
     The stacks' mixture differs from the orbit mixture of R_0 and S_0 by at
-    most max|R| delta_S + max|S| delta_R + delta_R delta_S per entry, with
-    delta the covariance deviation plus its rounding allowance; the route
+    most R^ delta_S + S^ delta_R + delta_R delta_S per entry; the route
     certifies when the table's error plus that gap is within the gate.
     """
-    n = d.dim
-    if d.n_factors != n * n:
+    if not all(d._ties):
         return None
-    roots = _roots_of_unity(n)
-    ulps = _COVARIANCE_ULPS * np.finfo(float).eps
-    r_max, s_max = (float(np.abs(f).max()) for f in (d.factors_r, d.factors_s))
-    delta_r = _covariance_deviation(d.factors_r, roots) + ulps * r_max
-    delta_s = _covariance_deviation(d.factors_s, roots) + ulps * s_max
-    gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
+    facts = _operator_facts(d.simplex, d.dim)
+    (r_hat, delta_r), (s_hat, delta_s) = (_orbit_bounds(facts, radius / 2.0)
+                                          for radius in (d.r, d.s))
+    gap = r_hat * delta_s + s_hat * delta_r + delta_r * delta_s
     # Both the orbit mixture and the closed form are 0 off the table's
     # support, so this is the max over all N^4 entries, bit for bit.
     table = _orbit_support(d.kind, d.factors_r[0], d.factors_s[0])
-    err = float(np.abs(table - _closed_table(d.kind, n, entries)).max())
+    err = float(np.abs(table - _closed_table(d.kind, d.dim, entries)).max())
     return (err, delta_r, delta_s) if err + gap <= target_tol else None
 
 
@@ -351,8 +459,9 @@ def _orbit_psd(d: Decomposition, delta_r: float, delta_s: float) -> bool:
     Factor p is within delta per entry of D_p F_0 D_p^dagger, whose spectrum
     is F_0's, so within N delta in spectral norm, and its smallest
     eigenvalue is at least that of F_0 less N delta.  N delta is at least
-    16 N ulps of max|F|, beyond the rounding of the eigensolvers.  False
-    says only that the bound does not reach the gate.
+    5 N ulps of F^ and |h| times 16 N ulps of max|O|, beyond the rounding
+    of the eigensolvers.  False says only that the bound does not reach
+    the gate.
     """
     lows = [float(np.linalg.eigvalsh(f[0])[0]) - d.dim * delta
             for f, delta in ((d.factors_r, delta_r), (d.factors_s, delta_s))]
@@ -368,11 +477,15 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     from the factor sums used here, so agreement is a genuine two-route
     check.  The mixture is read one of two ways:
 
-    * the orbit route, for stacks that are the Weyl-Heisenberg orbit of
-      their first pair in ``_wh_tables`` order (every decomposition over a
-      :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex): it
-      measures how far each factor is from the displaced first one, and
-      compares the orbit's N x N table with the closed form in the same
+    * the orbit route, for two stacks that tie to their simplex's
+      operator stack O (every decomposition :func:`decompose` builds):
+      how far each factor is from the displaced first one follows from
+      O's covariance bound, measured once per simplex, and from r or s,
+      with no pass over the stacks.  Over a
+      :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex, whose
+      stacks are the Weyl-Heisenberg orbit of their first pair in
+      ``_wh_tables`` order, that bound is a few ulps.  The route compares
+      the orbit's N x N table with the closed form in the same
       coordinates; both are 0 off the table's support.  It decides when
       that error plus the bound on the gap between the two mixtures is at
       most ``target_tol``, and the error is ``reconstruction_error``;

@@ -203,8 +203,10 @@ class TestDecompose:
         assert not own.factors_r.flags.writeable and not own.factors_s.flags.writeable
 
     def test_factor_stacks_are_built_without_copies(self, searched_sic):
-        """At N = 12 the operator stack is cached, so the peak is the two new
-        stacks and the Hermiticity check's scratch (1.39 of the two)."""
+        """At N = 12 the operator stack and its facts are cached, so the peak
+        is the two new stacks, numpy's scratch for the broadcast sum and the
+        tie's N-matrix scratch: 1.20 of the two (1.39 with a stack-sized
+        Hermiticity check).  1.3 leaves a tenth of margin."""
         simplex = searched_sic(12).bloch
         decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached tables
         tracemalloc.start()
@@ -213,7 +215,7 @@ class TestDecompose:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (d.factors_r.nbytes + d.factors_s.nbytes)
+        assert peak <= 1.3 * (d.factors_r.nbytes + d.factors_s.nbytes)
 
     def test_operator_kernel_scratch_is_a_fraction_of_the_stack(self, searched_sic):
         """Vertex blocks of N keep the scratch near 2.5/N of the stack: at
@@ -264,17 +266,17 @@ class TestDecompose:
             tracemalloc.stop()
 
     def test_verification_is_built_without_copies(self, searched_sic):
-        """At N = 12 the peak is the covariance check's scratch, 1.85 stacks
-        (2.85 with a dense closed form beside it); 2.1 leaves a quarter
-        stack of margin.  The factor stacks are read as built."""
+        """At N = 12 the peak is the orbit table's O(N^3) gathers, 0.27
+        stacks (1.85 with a covariance check of each stack); 0.4 leaves an
+        eighth of a stack of margin.  The factor stacks are read as built."""
         d = decompose("isotropic", 12, 0.1, 1.0, searched_sic(12).bloch)
-        assert self._verification_peak(d) <= 2.1 * d.factors_r.nbytes
+        assert self._verification_peak(d) <= 0.4 * d.factors_r.nbytes
 
     def test_werner_verification_is_built_without_copies(self, searched_sic):
-        """The Werner certificate peaks as the isotropic one does: 1.85
+        """The Werner certificate peaks as the isotropic one does: 0.27
         stacks at N = 12, with no dense closed form."""
         d = decompose("werner", 12, 0.1, 1.0, searched_sic(12).bloch)
-        assert self._verification_peak(d) <= 2.1 * d.factors_r.nbytes
+        assert self._verification_peak(d) <= 0.4 * d.factors_r.nbytes
 
     def test_isotropic_closed_form_is_built_in_place(self):
         """eta*|Phi><Phi| is written at its N^2 nonzero positions, so the
@@ -290,18 +292,30 @@ class TestDecompose:
         assert peak <= 3.5 * rho.entries.nbytes
 
     def test_decomposition_is_checked_once_when_built(self, registry_sics, monkeypatch):
+        """The operator stack O is checked once per simplex, and a stack
+        that ties to it is not checked again: a second decomposition, both
+        verifications and `reconstruct` check nothing, while a stack with
+        one entry one ulp off is checked and refused."""
+        simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         real, checked = decompose_module._hermitian_deviation, []
 
         def counting(stack):
             checked.append(stack)
             return real(stack)
         monkeypatch.setattr(decompose_module, "_hermitian_deviation", counting)
-        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        d = decompose("werner", 3, 0.5, 1.0, simplex)
+        assert len(checked) == 1 and checked[0] is decompose_module._OPERATORS[simplex]
+        e = decompose("isotropic", 3, 0.5, 1.1, simplex)
         assert verify_decomposition(d).separable_certificate
+        assert verify_decomposition(e).separable_certificate
+        reconstruct(e)
+        assert len(checked) == 1
+        factors_s = np.array(e.factors_s)
+        factors_s.imag[4, 2, 0] = np.nextafter(factors_s.imag[4, 2, 0], np.inf)
+        with pytest.raises(HermiticityError, match="factors_s"):
+            with_factors(e, e.factors_r, factors_s)
         assert len(checked) == 2
-        assert checked[0] is d.factors_r and checked[1] is d.factors_s
-        reconstruct(d)
-        assert len(checked) == 2
+        assert_bitwise_equal(checked[1], factors_s)
 
     def test_simplex_is_checked_once_when_built(self, monkeypatch):
         simplex_module = importlib.import_module("simplex_decomp.simplex")
@@ -738,18 +752,53 @@ def dense_report(d, target_tol=None):
                 separable_certificate=bool(all_psd and err <= target_tol))
 
 
-def orbit_image_bound(d):
-    """Per-entry bound on |orbit table's image - Kronecker sum|: the gap
-    between the two mixtures, as the route bounds it, plus the rounding of
-    both sums, of N^2 and of N products of at most max|R| max|S| each."""
-    n = d.dim
-    roots = decompose_module._roots_of_unity(n)
+def measured_bounds(d):
+    """(max|R|, max|S|, delta_R, delta_S) read from the stacks themselves:
+    each stack's covariance deviation plus 16 ulps of its max|F|."""
+    roots = decompose_module._roots_of_unity(d.dim)
     ulps = decompose_module._COVARIANCE_ULPS * EPS
-    r_max, s_max = np.abs(d.factors_r).max(), np.abs(d.factors_s).max()
+    r_max, s_max = (float(np.abs(f).max()) for f in (d.factors_r, d.factors_s))
     delta_r = decompose_module._covariance_deviation(d.factors_r, roots) + ulps * r_max
     delta_s = decompose_module._covariance_deviation(d.factors_s, roots) + ulps * s_max
+    return r_max, s_max, delta_r, delta_s
+
+
+def orbit_image_bound(d):
+    """Per-entry bound on |orbit table's image - Kronecker sum|: the gap
+    between the two mixtures, from the measured bounds, plus the rounding
+    of both sums, of N^2 and of N products of at most max|R| max|S| each."""
+    n = d.dim
+    r_max, s_max, delta_r, delta_s = measured_bounds(d)
     gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
     return gap + (n * n + n + 4) * EPS * r_max * s_max
+
+
+def measured_report(d, target_tol=None):
+    """The values `verify_decomposition` prints, from an orbit route that
+    measures each stack (`measured_bounds`) where the library derives its
+    bounds from the simplex's operator stack: the reference of the derived
+    route.  The mixture's trace gate aside, as in `dense_report`."""
+    if target_tol is None:
+        target_tol = d.simplex.tol
+    n = d.dim
+    r_max, s_max, delta_r, delta_s = measured_bounds(d)
+    gap = r_max * delta_s + s_max * delta_r + delta_r * delta_s
+    name = "phi" if d.kind is StateKind.WERNER else "eta"
+    value = getattr(convert_params(d.kind, n, "tau", d.tau), name)
+    table = decompose_module._orbit_support(d.kind, d.factors_r[0], d.factors_s[0])
+    closed = decompose_module._closed_table(d.kind, n, _closed_form_entries(n, name, value))
+    err = float(np.abs(table - closed).max())
+    if d.n_factors != n * n or not err + gap <= target_tol:
+        return dense_report(d, target_tol)
+    lows = [float(np.linalg.eigvalsh(f[0])[0]) - n * delta
+            for f, delta in ((d.factors_r, delta_r), (d.factors_s, delta_s))]
+    min_eig_r, min_eig_s = (float(np.linalg.eigvalsh(f)[:, 0].min())
+                            for f in (d.factors_r, d.factors_s))
+    all_psd = (bool(min(lows) >= -PSD_TOL)
+               or (min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL))
+    return dict(reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
+                all_factors_psd=all_psd,
+                separable_certificate=bool(all_psd and err <= target_tol))
 
 
 def orbit_image(kind, table):
@@ -952,6 +1001,112 @@ class TestOrbitRoute:
                 assert worst <= 4 * EPS, n
 
 
+def drawn_contour_point(sics, dim, t, branch, u):
+    """(SIC, tau, r): tau at ``t`` of the separable interval or at one of
+    its named points, r at ``u`` along branch ``branch`` of the admissible
+    set (its last where it has one)."""
+    lo, hi = separable_interval(dim)
+    named = {"lower end": lo, "upper end": hi, "0.0": 0.0, "-0.0": -0.0}
+    tau = named[t] if isinstance(t, str) else lo + t * (hi - lo)
+    intervals = admissible_r_interval(dim, tau)
+    a, b = intervals[min(branch, len(intervals) - 1)]
+    return sics(dim), tau, min(a + u * (b - a), b)
+
+
+class TestDerivedBounds:
+    """Over a tied stack F = mixed + h O, the route's F^ and delta_F, derived
+    from the operator stack O, bound what a pass over F measures, and the
+    report is the measured route's, bit for bit."""
+
+    @staticmethod
+    def check_derived_bounds(d):
+        assert d._ties == (True, True)
+        facts = decompose_module._operator_facts(d.simplex, d.dim)
+        roots = decompose_module._roots_of_unity(d.dim)
+        for stack, radius in ((d.factors_r, d.r), (d.factors_s, d.s)):
+            f_hat, delta = decompose_module._orbit_bounds(facts, radius / 2.0)
+            assert np.abs(stack).max() <= f_hat
+            assert decompose_module._covariance_deviation(stack, roots) <= delta
+        assert repr(report_values(verify_decomposition(d))) == repr(measured_report(d))
+
+    @pytest.fixture(scope="class")
+    def sics(self, registry_sics, searched_sic):
+        return lambda n: registry_sics[n] if n in registry_sics else searched_sic(n)
+
+    @pytest.mark.parametrize("kind, source, tau, radii", GOLDEN_GRIDS)
+    def test_golden_grids(self, kind, source, tau, radii):
+        fid = known_fiducial(source) if source in (2, 3) else load_fiducial_cache(DATA / source)
+        sic = sic_from_fiducial(fid)
+        if isinstance(radii, int):
+            radii = contour_radii(sic.dim, tau, radii)
+        for r in radii:
+            self.check_derived_bounds(separable_decompose(kind, sic.dim, tau, r, sic=sic))
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(list(StateKind)), dim=st.integers(2, 10),
+           t=st.one_of(st.sampled_from(["lower end", "upper end", "0.0", "-0.0"]),
+                       st.floats(0.0, 1.0)),
+           branch=st.integers(0, 1), u=st.floats(0.0, 1.0))
+    def test_drawn_decompositions(self, sics, kind, dim, t, branch, u):
+        sic, tau, r = drawn_contour_point(sics, dim, t, branch, u)
+        self.check_derived_bounds(decompose(kind, dim, tau, r, sic.bloch))
+
+
+class TestTie:
+    """A stack ties to its simplex's operator stack O when it is, bit for
+    bit, the stack `decompose` builds from O and its own radius; any other
+    stack is checked entry by entry and takes the dense route."""
+
+    @pytest.mark.parametrize("case", ["one ulp", "next radius"])
+    def test_untied_stack_takes_the_dense_route(self, registry_sics, monkeypatch, case):
+        d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
+        assert d._ties == (True, True)
+        if case == "one ulp":
+            factors_s = np.array(d.factors_s)
+            factors_s.real[4, 1, 1] = np.nextafter(factors_s.real[4, 1, 1], np.inf)
+            untied, ties = with_factors(d, d.factors_r, factors_s), (True, False)
+        else:
+            untied = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=np.nextafter(d.r, np.inf),
+                                   s=d.s, simplex=d.simplex, factors_r=d.factors_r,
+                                   factors_s=d.factors_s)
+            ties = (False, True)
+        assert untied._ties == ties
+        summed = dense_sums(monkeypatch)
+        rep = verify_decomposition(untied)
+        assert summed == [untied]
+        assert repr(report_values(rep)) == repr(dense_report(untied))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_stack_is_refused(self, monkeypatch):
+        """Vertices of norm 1e150, at a tolerance that admits them, and
+        r = 1e160: the left stack overflows to inf and still ties, but its
+        modulus bound is infinite, so it is checked and refused."""
+        simplex = RegularSimplex(ambient_dim=8, vertices=1e150 * canonical_simplex(8).vertices,
+                                 tol=1e301)
+        real, checked = decompose_module._hermitian_deviation, []
+        monkeypatch.setattr(decompose_module, "_hermitian_deviation",
+                            lambda stack: checked.append(stack) or real(stack))
+        with pytest.raises(HermiticityError,
+                           match="factors_r is not exactly Hermitian: deviation nan"):
+            decompose("werner", 3, 0.5, 1e160, simplex)
+        facts = decompose_module._operator_facts(simplex, 3)
+        assert facts.hermitian and np.isinf(facts.modulus_bound(0.5e160))
+        assert len(checked) == 2 and checked[0] is facts.ops
+        assert np.isinf(checked[1]).any()
+        assert facts.ties(checked[1], 0.5e160)
+
+    def test_covariance_is_measured_once_per_simplex(self, registry_sics, monkeypatch):
+        simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
+        real, measured = decompose_module._covariance_deviation, []
+        monkeypatch.setattr(decompose_module, "_covariance_deviation",
+                            lambda stack, roots: measured.append(stack) or real(stack, roots))
+        for kind in ("werner", "isotropic"):
+            d = decompose(kind, 3, 0.5, 1.1, simplex)
+            assert verify_decomposition(d).separable_certificate
+        assert len(measured) == 1 and measured[0] is decompose_module._OPERATORS[simplex]
+
+
 class TestOrbitPositivity:
     """Over an orbit, the first pair's spectra less N delta decide that every
     factor is PSD; anything short of the gate is decided by the full stacks,
@@ -995,15 +1150,20 @@ class TestOrbitPositivity:
             {**dense_report(d), "reconstruction_error": 0.0})
 
     def test_factor_lowered_within_the_reconstruction_gate(self, registry_sics, monkeypatch):
-        """Factor 4 less 1e-11 id keeps the orbit route for the mixture
-        (gap about 5e-12 < 1e-10) but falls below -PSD_TOL: refused."""
+        """Factor 4 less 1e-11 id no longer ties to the operator stack, so
+        the dense route reads the mixture, within the 1e-10 gate, and the
+        full stacks' minima put factor 4 below -PSD_TOL: refused."""
         d = self.past_the_end(registry_sics[3], StateKind.WERNER, 1, -1e-3)
         factors_r = np.array(d.factors_r)
         factors_r[4] -= 1e-11 * np.eye(3)
         lowered = with_factors(d, factors_r, d.factors_s)
+        assert lowered._ties == (False, True)
         summed, shapes = dense_sums(monkeypatch), eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(lowered)
-        assert summed == [] and shapes[:2] == [(3, 3)] * 2 and len(shapes) == 4
+        assert summed == [lowered]
+        assert shapes == [lowered.factors_r.shape, lowered.factors_s.shape]
+        assert repr(report_values(rep)) == repr(dense_report(lowered))
+        assert rep.reconstruction_error <= lowered.simplex.tol
         assert rep.min_eig_r < -PSD_TOL and not rep.all_factors_psd
         assert not rep.separable_certificate
 
@@ -1065,11 +1225,14 @@ class TestOperatorCache:
             assert_bitwise_equal(d.factors_s, eye + (d.s / 2.0) * cached)
 
     def test_entry_goes_with_its_simplex(self, registry_sics):
+        """The operator stack and its facts, covariance bound included."""
         simplex = self.fresh_simplex(registry_sics[3])
         d = decompose("werner", 3, 0.5, 1.0, simplex)
         rep = verify_decomposition(d)
-        gone = [weakref.ref(simplex), weakref.ref(decompose_module._OPERATORS[simplex])]
-        del simplex, d
+        facts = decompose_module._OPERATOR_FACTS[simplex]
+        assert facts.ops is decompose_module._OPERATORS[simplex] and "deviation" in vars(facts)
+        gone = [weakref.ref(simplex), weakref.ref(facts.ops), weakref.ref(facts)]
+        del simplex, d, facts
         gc.collect()
-        assert [ref() for ref in gone] == [None, None]
+        assert [ref() for ref in gone] == [None, None, None]
         assert rep.separable_certificate  # the report keeps the stacks, not the simplex
