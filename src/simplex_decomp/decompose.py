@@ -16,20 +16,23 @@ decomposition.
 
 Every factor stack over one simplex is mixed + (r/2) O for the simplex's
 operator stack O = a_i . L, which is built, checked and measured once per
-simplex.  A stack that is that affine image bit for bit inherits O's
-facts: exact Hermiticity when it is built, and over a SIC simplex, whose
-factor pairs form the Weyl-Heisenberg orbit of the first pair, a bound
-on its distance from that orbit.  From it :func:`verify_decomposition`
-certifies the mixture from its N x N orbit table in O(N^3), and the
-positivity of every factor from the first pair's spectrum; any other
-stack is certified by the explicit Kronecker sum of :func:`reconstruct`,
-one O(N^6) product of the flattened stacks, and the spectra of all
-factors.
+simplex.  A stack that is that affine image bit for bit ties to O: the
+stacks :func:`decompose` builds are tied where they are built, and any
+other stack is recomputed from O in blocks of N matrices and compared.
+A tied stack inherits O's facts: exact Hermiticity when it is built, and
+over a SIC simplex, whose factor pairs form the Weyl-Heisenberg orbit of
+the first pair, a bound on its distance from that orbit.  From it
+:func:`verify_decomposition` certifies the mixture from its N x N orbit
+table in O(N^3), and the positivity of every factor from the first
+pair's spectrum; any other stack is certified by the explicit Kronecker
+sum of :func:`reconstruct`, one O(N^6) product of the flattened stacks,
+and the spectra of all factors.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -63,14 +66,17 @@ class Decomposition:
 
     A stack ties when it is, bit for bit, ``mixed + (radius/2) O`` as
     :func:`decompose` builds it from its simplex's operator stack O, with
-    its own radius r or s.  It is compared with that image in blocks of N
-    matrices, so the check allocates N matrices, not a stack.  A tied stack
-    over an exactly Hermitian O is exactly Hermitian when its modulus bound
-    1/N + |r/2| max|O| is finite, and is not checked again: its real parts
-    are equal products, its imaginary parts negate exactly, and each
-    diagonal imaginary part is 0 + (+-0) = +0.  Any other stack is checked
-    entry by entry.  Which stacks tie is kept for
-    :func:`verify_decomposition`.
+    its own radius r or s.  The two stacks :func:`decompose` has just
+    built so tie by construction, the first time they are presented; any
+    other stack, or the same array presented again, is compared with that
+    image recomputed in blocks of N matrices, so the check allocates N
+    matrices, not a stack.  A stack of another dtype than O's does not
+    tie.  A tied stack over an exactly Hermitian O is exactly Hermitian
+    when its modulus bound 1/N + |r/2| max|O| is finite, and is not
+    checked again: its real parts are equal products, its imaginary parts
+    negate exactly, and each diagonal imaginary part is 0 + (+-0) = +0.
+    Any other stack is checked entry by entry.  Which stacks tie is kept
+    for :func:`verify_decomposition`.
     """
 
     kind: StateKind
@@ -178,7 +184,8 @@ def decompose(kind, dim: int, tau: float, r: float,
 
     The operator stack a_i . L is built once per simplex object, kept
     read-only while the simplex lives, and shared by every decomposition
-    over it; each factor stack is a new array, mixed + (r/2) ops.
+    over it; each factor stack is a new frozen array, mixed + (r/2) ops,
+    tied to ops where it is built.
     """
     kind = StateKind.parse(kind)
     convert_params(kind, dim, "tau", tau)
@@ -196,13 +203,13 @@ def decompose(kind, dim: int, tau: float, r: float,
         raise ParameterRangeError(f"r = 0 cannot realize tau = {tau} on the contour r*s = tau")
     else:
         s = tau / r
-    ops = _simplex_operators(simplex, dim)
-    mixed = np.eye(dim, dtype=complex) / dim
-    factors_r, factors_s = (_factor_stack(mixed, radius / 2.0, ops) for radius in (r, s))
-    for stack in (factors_r, factors_s):
-        stack.setflags(write=False)  # so the Decomposition keeps it, not a copy
-    return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex,
-                         factors_r=factors_r, factors_s=factors_s)
+    facts = _operator_facts(simplex, dim)
+    factors_r, factors_s = (facts.build(radius / 2.0) for radius in (r, s))
+    try:
+        return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex,
+                             factors_r=factors_r, factors_s=factors_s)
+    finally:
+        facts.forget(factors_r, factors_s)  # records a raising check left unread
 
 
 _EPS = float(np.finfo(float).eps)
@@ -211,12 +218,22 @@ _EPS = float(np.finfo(float).eps)
 class _OperatorFacts:
     """What every factor stack over one simplex inherits from its read-only
     operator stack ``ops`` = a_i . L: whether it is exactly Hermitian, its
-    largest modulus and, computed on first read, its covariance bound."""
+    largest modulus and, computed on first read, its covariance bound.
+
+    It also records the stacks :meth:`build` has just built, by identity,
+    until :meth:`ties` or :meth:`forget` consumes the record; each holds its
+    stack, so no record outlives its array or names another."""
 
     def __init__(self, ops: np.ndarray):
         self.ops = ops
         self.hermitian = _hermitian_deviation(ops) == 0
         self.max_modulus = float(np.abs(ops).max())
+        n = ops.shape[1]
+        self.mixed = np.eye(n, dtype=complex) / n
+        self.mixed.setflags(write=False)
+        # id(stack): (stack, bits of its half-radius); holding the stack
+        # keeps its id from naming another array while the record lives.
+        self._built = {}
 
     @cached_property
     def deviation(self) -> float:
@@ -232,16 +249,40 @@ class _OperatorFacts:
         n = self.ops.shape[1]
         return (1.0 / n + abs(half_radius) * self.max_modulus) * (1.0 + 4 * _EPS)
 
+    def build(self, half_radius: float) -> np.ndarray:
+        """The new frozen stack ``_factor_stack(mixed, half_radius, ops)``,
+        recorded as tied with ``half_radius`` for the first :meth:`ties`
+        that presents it."""
+        stack = _factor_stack(self.mixed, half_radius, self.ops)
+        stack.setflags(write=False)  # so a Decomposition keeps it, not a copy
+        self._built[id(stack)] = (stack, struct.pack("d", half_radius))
+        return stack
+
+    def forget(self, *stacks: np.ndarray) -> None:
+        """Drop the records of ``stacks`` that no :meth:`ties` has read."""
+        for stack in stacks:
+            self._built.pop(id(stack), None)
+
     def ties(self, stack: np.ndarray, half_radius: float) -> bool:
         """True where ``stack`` is ``_factor_stack(mixed, half_radius, ops)``
-        bit for bit, signed zeros included, recomputed in blocks of N
-        matrices into one N-matrix scratch."""
+        bit for bit, signed zeros included.
+
+        A stack :meth:`build` recorded with the same half-radius bits ties
+        by construction, the first time it is presented; the record goes
+        either way.  Any other stack, or the same one presented again, is
+        recomputed in blocks of N matrices into one N-matrix scratch and
+        compared bit for bit; a stack of another dtype than ``ops`` does
+        not tie."""
+        record = self._built.pop(id(stack), None)
+        if record is not None and record[1] == struct.pack("d", half_radius):
+            return True
+        if stack.dtype != self.ops.dtype:
+            return False
         n = self.ops.shape[1]
-        mixed = np.eye(n, dtype=complex) / n
         scratch = np.empty((n, n, n), dtype=complex)
         bits = np.dtype((np.int64, 2))  # a complex entry's two words, any layout
         for start in range(0, n * n, n):
-            _factor_stack(mixed, half_radius, self.ops[start:start + n], out=scratch)
+            _factor_stack(self.mixed, half_radius, self.ops[start:start + n], out=scratch)
             if not np.array_equal(scratch.view(bits), stack[start:start + n].view(bits)):
                 return False
         return True
@@ -261,7 +302,7 @@ def _simplex_operators(simplex: RegularSimplex, dim: int) -> np.ndarray:
     if ops is None:
         ops = _bloch_operators(simplex.vertices, dim)
         ops.setflags(write=False)
-        _OPERATORS[simplex] = ops
+        ops = _OPERATORS.setdefault(simplex, ops)  # racing threads keep one
     return ops
 
 
@@ -270,7 +311,10 @@ def _operator_facts(simplex: RegularSimplex, dim: int) -> _OperatorFacts:
     for ``simplex``."""
     facts = _OPERATOR_FACTS.get(simplex)
     if facts is None:
-        facts = _OPERATOR_FACTS[simplex] = _OperatorFacts(_simplex_operators(simplex, dim))
+        # Racing threads keep one, so each Decomposition reads the facts
+        # that recorded its stacks.
+        facts = _OperatorFacts(_simplex_operators(simplex, dim))
+        facts = _OPERATOR_FACTS.setdefault(simplex, facts)
     return facts
 
 

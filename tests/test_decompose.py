@@ -1,8 +1,11 @@
 import dataclasses
 import gc
 import importlib
+import sys
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -1052,10 +1055,116 @@ class TestDerivedBounds:
         self.check_derived_bounds(decompose(kind, dim, tau, r, sic.bloch))
 
 
+def factor_stack_callers(monkeypatch):
+    """The functions that call `_factor_stack`, as a list that grows."""
+    real, callers = decompose_module._factor_stack, []
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(decompose_module, "_factor_stack", counting)
+    return callers
+
+
 class TestTie:
     """A stack ties to its simplex's operator stack O when it is, bit for
-    bit, the stack `decompose` builds from O and its own radius; any other
-    stack is checked entry by entry and takes the dense route."""
+    bit, the stack `decompose` builds from O and its own radius: the stacks
+    `decompose` builds tie where they are built, any other stack is
+    recomputed, and a stack that does not tie is checked entry by entry
+    and takes the dense route."""
+
+    def test_decompose_builds_each_stack_once(self, registry_sics, monkeypatch):
+        simplex = registry_sics[3].bloch
+        decompose("werner", 3, 0.5, 1.0, simplex)  # builds the operator facts
+        callers = factor_stack_callers(monkeypatch)
+        d = decompose("isotropic", 3, 0.5, 1.1, simplex)
+        assert d._ties == (True, True) and callers == ["build", "build"]
+        assert not decompose_module._operator_facts(simplex, 3)._built
+
+    def test_stacks_presented_again_are_recomputed(self, registry_sics, monkeypatch):
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        callers = factor_stack_callers(monkeypatch)
+        again = with_factors(d, d.factors_r, d.factors_s)
+        assert again.factors_r is d.factors_r and again.factors_s is d.factors_s
+        assert again._ties == (True, True) and callers == ["ties"] * 6  # 3 blocks each
+
+    @pytest.mark.parametrize("refrozen", [False, True])
+    def test_moved_built_stack_does_not_tie(self, registry_sics, monkeypatch, refrozen):
+        """A built stack made writable and moved one ulp does not tie, the
+        same array frozen again included: its record is spent."""
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        stack = d.factors_s
+        stack.setflags(write=True)
+        stack.real[4, 1, 1] = np.nextafter(stack.real[4, 1, 1], np.inf)
+        stack.setflags(write=not refrozen)
+        moved = with_factors(d, d.factors_r, stack)
+        assert (moved.factors_s is stack) == refrozen
+        assert moved._ties == (True, False)
+        summed = dense_sums(monkeypatch)
+        rep = verify_decomposition(moved)
+        assert summed == [moved]
+        assert repr(report_values(rep)) == repr(dense_report(moved))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.int64])
+    def test_stack_of_another_dtype_gets_a_report(self, registry_sics, monkeypatch, dtype):
+        """A left stack of id/2 (of id, with the right stack halved, for
+        integers) does not tie, is checked entry by entry and takes the
+        dense route: its mixture id/4 is 1/12 from the Werner state."""
+        d = decompose("werner", 2, 0.5, 1.0, registry_sics[2].bloch)
+        if dtype is np.int64:
+            factors_r, factors_s = np.eye(2, dtype=dtype)[None].repeat(4, 0), d.factors_s / 2
+        else:
+            factors_r, factors_s = (np.eye(2)[None].repeat(4, 0) / 2).astype(dtype), d.factors_s
+        real, checked = decompose_module._hermitian_deviation, []
+        monkeypatch.setattr(decompose_module, "_hermitian_deviation",
+                            lambda stack: checked.append(stack) or real(stack))
+        e = with_factors(d, factors_r, factors_s)
+        assert e._ties == (False, dtype is not np.int64)
+        assert checked[0].dtype == dtype
+        summed = dense_sums(monkeypatch)
+        rep = verify_decomposition(e)
+        assert summed == [e]
+        assert repr(rep.reconstruction_error) == "0.08333333333333333"
+        assert rep.all_factors_psd is True and rep.separable_certificate is False
+
+    def test_concurrent_decompositions_tie_apart(self, registry_sics, monkeypatch):
+        """Two threads build their stacks side by side over one simplex,
+        so both records of each are held at once; each tie reads its own."""
+        simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
+        facts = decompose_module._operator_facts(simplex, 3)
+        real, barrier, callers = decompose_module._factor_stack, threading.Barrier(2, timeout=30), []
+
+        def in_step(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            barrier.wait()
+            return real(*args, **kwargs)
+        monkeypatch.setattr(decompose_module, "_factor_stack", in_step)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            made = list(pool.map(lambda r: decompose("werner", 3, 0.5, r, simplex), (1.0, 1.1)))
+        assert callers == ["build"] * 4 and not facts._built
+        monkeypatch.undo()
+        for d in made:
+            assert d._ties == (True, True)
+            assert_bitwise_equal(d.factors_r, decompose("werner", 3, 0.5, d.r, simplex).factors_r)
+
+    def test_threads_over_a_fresh_simplex_tie_what_they_build(self, registry_sics, monkeypatch):
+        """Eight threads switching every microsecond over a simplex with no
+        facts yet: every stack ties from its own record, none is
+        recomputed, and no record is left."""
+        simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
+        callers = factor_stack_callers(monkeypatch)
+        radii = [1.0 + k / 64 for k in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(decompose, "werner", 3, 0.5, r, simplex) for r in radii]
+                made = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [d.r for d in made] == radii and all(d._ties == (True, True) for d in made)
+        assert callers == ["build"] * 128
+        assert not decompose_module._operator_facts(simplex, 3)._built
 
     @pytest.mark.parametrize("case", ["one ulp", "next radius"])
     def test_untied_stack_takes_the_dense_route(self, registry_sics, monkeypatch, case):
@@ -1094,6 +1203,7 @@ class TestTie:
         assert facts.hermitian and np.isinf(facts.modulus_bound(0.5e160))
         assert len(checked) == 2 and checked[0] is facts.ops
         assert np.isinf(checked[1]).any()
+        assert not facts._built  # the right stack's record, unread, went too
         assert facts.ties(checked[1], 0.5e160)
 
     def test_covariance_is_measured_once_per_simplex(self, registry_sics, monkeypatch):
