@@ -16,9 +16,10 @@ decomposition.
 
 Every factor stack over one simplex is mixed + (r/2) O for the simplex's
 operator stack O = a_i . L, which is built, checked and measured once per
-simplex.  A stack that is that affine image bit for bit ties to O: the
-stacks :func:`decompose` builds are tied where they are built, and any
-other stack is recomputed from O in blocks of N matrices and compared.
+simplex.  A stack that is that affine image bit for bit ties to O: a
+:class:`Decomposition` given no stacks builds both from O and so ties them
+by construction, and any given stack is recomputed from O in blocks of N
+matrices and compared.
 A tied stack inherits O's facts: exact Hermiticity when it is built, and
 over a SIC simplex, whose factor pairs form the Weyl-Heisenberg orbit of
 the first pair, a bound on its distance from that orbit.  From it
@@ -32,7 +33,6 @@ and the spectra of all factors.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -44,7 +44,7 @@ from .blochspace import (HERM_TOL, PSD_TOL, DensityMatrix, _bloch_operators,
                          _hermitian_deviation, _readonly)
 from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
-from .params import (RANGE_ATOL, StateKind, admissible_r_interval,
+from .params import (RANGE_ATOL, StateKind, admissible_r_interval, check_dimension,
                      check_radius, convert_params, separable_interval)
 from .sicpovm import SicPovm, _wh_tables
 from .simplex import RegularSimplex
@@ -55,28 +55,29 @@ from .states import _closed_form_entries, isotropic_density, werner_density
 class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
 
-    ``factors_r`` and ``factors_s`` stack the M left and right factors
-    (M = N^2 from :func:`decompose`); the mixture weight of every pair is
-    1/M.  A stack is kept when it is read-only and owns its data, and
-    copied otherwise.  Construction raises :class:`DimensionMismatchError`
-    unless both stacks have the shape (M, dim, dim) with the same M >= 1,
-    and :class:`HermiticityError` unless both are finite and exactly
-    Hermitian, bit for bit, so every instance is; the stacks
-    :func:`decompose` builds are.
+    ``factors_r`` and ``factors_s`` stack the M left and right factors; the
+    mixture weight of every pair is 1/M.  Given neither, the instance
+    builds both, M = N^2, as ``mixed + (radius/2) O`` from its simplex's
+    operator stack O with its own radius r or s; the simplex must then have
+    ambient dimension N^2 - 1.  A given stack is kept when it is read-only
+    and owns its data, and copied otherwise.  ``kind`` is parsed as
+    :meth:`StateKind.parse` parses it and ``dim`` checked as
+    :func:`~simplex_decomp.params.check_dimension` checks it.  Construction
+    raises :class:`DimensionMismatchError` when one stack is given alone,
+    or given stacks do not both have the shape (M, dim, dim) with the same
+    M >= 1, and :class:`HermiticityError` unless both stacks are finite and
+    exactly Hermitian, bit for bit, so every instance is.
 
-    A stack ties when it is, bit for bit, ``mixed + (radius/2) O`` as
-    :func:`decompose` builds it from its simplex's operator stack O, with
-    its own radius r or s.  The two stacks :func:`decompose` has just
-    built so tie by construction, the first time they are presented; any
-    other stack, or the same array presented again, is compared with that
-    image recomputed in blocks of N matrices, so the check allocates N
-    matrices, not a stack.  A stack of another dtype than O's does not
-    tie.  A tied stack over an exactly Hermitian O is exactly Hermitian
-    when its modulus bound 1/N + |r/2| max|O| is finite, and is not
-    checked again: its real parts are equal products, its imaginary parts
-    negate exactly, and each diagonal imaginary part is 0 + (+-0) = +0.
-    Any other stack is checked entry by entry.  Which stacks tie is kept
-    for :func:`verify_decomposition`.
+    A stack ties when it is, bit for bit, the stack the instance would
+    build.  Stacks it built tie by construction; a given stack is compared
+    with that image recomputed in blocks of N matrices, so the check
+    allocates N matrices, not a stack.  A stack of another dtype than O's
+    does not tie.  A tied stack over an exactly Hermitian O is exactly
+    Hermitian when its modulus bound 1/N + |r/2| max|O| is finite, and is
+    not checked again: its real parts are equal products, its imaginary
+    parts negate exactly, and each diagonal imaginary part is
+    0 + (+-0) = +0.  Any other stack is checked entry by entry.  Which
+    stacks tie is kept for :func:`verify_decomposition`.
     """
 
     kind: StateKind
@@ -85,35 +86,47 @@ class Decomposition:
     r: float
     s: float
     simplex: RegularSimplex
-    factors_r: np.ndarray
-    factors_s: np.ndarray
+    factors_r: np.ndarray | None = None
+    factors_s: np.ndarray | None = None
     _ties: tuple = field(init=False, repr=False)  # (factors_r tied, factors_s tied)
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", StateKind.parse(self.kind))
+        check_dimension(self.dim)
         if not abs(self.r * self.s - self.tau) <= RANGE_ATOL:  # NaN fails too
             raise ParameterRangeError(
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
-        stacks = {name: _readonly(getattr(self, name)) for name in ("factors_r", "factors_s")}
-        shape_r, shape_s = (stack.shape for stack in stacks.values())
-        if (shape_r != shape_s or len(shape_r) != 3 or shape_r[0] < 1
-                or shape_r[1:] != (self.dim, self.dim)):
-            raise DimensionMismatchError(
-                f"factor stacks of shapes {shape_r} and {shape_s}: both must be "
-                f"(M, {self.dim}, {self.dim}) with the same M >= 1")
         n = self.dim
-        facts = (_operator_facts(self.simplex, n)
-                 if self.simplex.ambient_dim == n * n - 1 and shape_r[0] == n * n else None)
-        ties = []
-        for (name, stack), radius in zip(stacks.items(), (self.r, self.s)):
-            tied = facts is not None and facts.ties(stack, radius / 2.0)
-            if not (tied and facts.hermitian
-                    and math.isfinite(facts.modulus_bound(radius / 2.0))):
+        halves = (self.r / 2.0, self.s / 2.0)
+        if self.factors_r is None and self.factors_s is None:
+            ambient = self.simplex.ambient_dim
+            if ambient != n * n - 1:
+                raise DimensionMismatchError(
+                    f"simplex ambient dimension {ambient} != N^2-1 = {n * n - 1}")
+            facts = _operator_facts(self.simplex, n)
+            stacks = [facts.stack(h) for h in halves]
+            ties = [True, True]
+        elif self.factors_r is None or self.factors_s is None:
+            raise DimensionMismatchError("give both factor stacks or neither")
+        else:
+            stacks = [_readonly(self.factors_r), _readonly(self.factors_s)]
+            shape_r, shape_s = (stack.shape for stack in stacks)
+            if (shape_r != shape_s or len(shape_r) != 3 or shape_r[0] < 1
+                    or shape_r[1:] != (n, n)):
+                raise DimensionMismatchError(
+                    f"factor stacks of shapes {shape_r} and {shape_s}: both must be "
+                    f"(M, {n}, {n}) with the same M >= 1")
+            fits = self.simplex.ambient_dim == n * n - 1 and shape_r[0] == n * n
+            facts = _operator_facts(self.simplex, n) if fits else None
+            ties = [facts is not None and facts.ties(stack, h)
+                    for stack, h in zip(stacks, halves)]
+        for name, stack, tied, h in zip(("factors_r", "factors_s"), stacks, ties, halves):
+            if not (tied and facts.hermitian and math.isfinite(facts.modulus_bound(h))):
                 dev = _hermitian_deviation(stack)
                 if dev != 0:  # NaN, from an infinite entry, is refused too
                     raise HermiticityError(
                         f"{name} is not exactly Hermitian: deviation {dev:.3e}")
             object.__setattr__(self, name, stack)
-            ties.append(tied)
         object.__setattr__(self, "_ties", tuple(ties))
 
     @property
@@ -182,16 +195,13 @@ def decompose(kind, dim: int, tau: float, r: float,
     The simplex is not checked again: a :class:`RegularSimplex` is regular
     at its ``tol`` from construction.
 
-    The operator stack a_i . L is built once per simplex object, kept
-    read-only while the simplex lives, and shared by every decomposition
-    over it; each factor stack is a new frozen array, mixed + (r/2) ops,
-    tied to ops where it is built.
+    The :class:`Decomposition` returned builds its own factor stacks from
+    the simplex's operator stack a_i . L, which is built once per simplex
+    object, kept read-only while the simplex lives, and shared by every
+    decomposition over it.
     """
     kind = StateKind.parse(kind)
     convert_params(kind, dim, "tau", tau)
-    if simplex.ambient_dim != dim * dim - 1:
-        raise DimensionMismatchError(
-            f"simplex ambient dimension {simplex.ambient_dim} != N^2-1 = {dim * dim - 1}")
     tau = float(tau)
     r = float(r)
     if not math.isfinite(r):
@@ -203,13 +213,7 @@ def decompose(kind, dim: int, tau: float, r: float,
         raise ParameterRangeError(f"r = 0 cannot realize tau = {tau} on the contour r*s = tau")
     else:
         s = tau / r
-    facts = _operator_facts(simplex, dim)
-    factors_r, factors_s = (facts.build(radius / 2.0) for radius in (r, s))
-    try:
-        return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex,
-                             factors_r=factors_r, factors_s=factors_s)
-    finally:
-        facts.forget(factors_r, factors_s)  # records a raising check left unread
+    return Decomposition(kind=kind, dim=dim, tau=tau, r=r, s=s, simplex=simplex)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -219,10 +223,8 @@ class _OperatorFacts:
     """What every factor stack over one simplex inherits from its read-only
     operator stack ``ops`` = a_i . L: whether it is exactly Hermitian, its
     largest modulus and, computed on first read, its covariance bound.
-
-    It also records the stacks :meth:`build` has just built, by identity,
-    until :meth:`ties` or :meth:`forget` consumes the record; each holds its
-    stack, so no record outlives its array or names another."""
+    :meth:`stack` builds a factor stack from ``ops`` and :meth:`ties` tells
+    whether a given one is that stack."""
 
     def __init__(self, ops: np.ndarray):
         self.ops = ops
@@ -231,9 +233,6 @@ class _OperatorFacts:
         n = ops.shape[1]
         self.mixed = np.eye(n, dtype=complex) / n
         self.mixed.setflags(write=False)
-        # id(stack): (stack, bits of its half-radius); holding the stack
-        # keeps its id from naming another array while the record lives.
-        self._built = {}
 
     @cached_property
     def deviation(self) -> float:
@@ -249,33 +248,17 @@ class _OperatorFacts:
         n = self.ops.shape[1]
         return (1.0 / n + abs(half_radius) * self.max_modulus) * (1.0 + 4 * _EPS)
 
-    def build(self, half_radius: float) -> np.ndarray:
-        """The new frozen stack ``_factor_stack(mixed, half_radius, ops)``,
-        recorded as tied with ``half_radius`` for the first :meth:`ties`
-        that presents it."""
+    def stack(self, half_radius: float) -> np.ndarray:
+        """The new frozen stack ``_factor_stack(mixed, half_radius, ops)``."""
         stack = _factor_stack(self.mixed, half_radius, self.ops)
-        stack.setflags(write=False)  # so a Decomposition keeps it, not a copy
-        self._built[id(stack)] = (stack, struct.pack("d", half_radius))
+        stack.setflags(write=False)
         return stack
 
-    def forget(self, *stacks: np.ndarray) -> None:
-        """Drop the records of ``stacks`` that no :meth:`ties` has read."""
-        for stack in stacks:
-            self._built.pop(id(stack), None)
-
     def ties(self, stack: np.ndarray, half_radius: float) -> bool:
-        """True where ``stack`` is ``_factor_stack(mixed, half_radius, ops)``
-        bit for bit, signed zeros included.
-
-        A stack :meth:`build` recorded with the same half-radius bits ties
-        by construction, the first time it is presented; the record goes
-        either way.  Any other stack, or the same one presented again, is
-        recomputed in blocks of N matrices into one N-matrix scratch and
-        compared bit for bit; a stack of another dtype than ``ops`` does
-        not tie."""
-        record = self._built.pop(id(stack), None)
-        if record is not None and record[1] == struct.pack("d", half_radius):
-            return True
+        """True where ``stack`` is :meth:`stack` of ``half_radius`` bit for
+        bit, signed zeros included: it is recomputed in blocks of N matrices
+        into one N-matrix scratch and compared.  A stack of another dtype
+        than ``ops`` does not tie."""
         if stack.dtype != self.ops.dtype:
             return False
         n = self.ops.shape[1]
@@ -288,33 +271,23 @@ class _OperatorFacts:
         return True
 
 
-# Operator stack of each live simplex, and its facts beside it, keyed by
-# identity: a RegularSimplex compares by identity, and its entries go when
-# the simplex is collected.
-_OPERATORS = weakref.WeakKeyDictionary()
+# The operator facts of each live simplex, keyed by identity: a
+# RegularSimplex compares by identity, and its entry goes when the simplex
+# is collected.
 _OPERATOR_FACTS = weakref.WeakKeyDictionary()
 
 
-def _simplex_operators(simplex: RegularSimplex, dim: int) -> np.ndarray:
-    """The read-only stack ``_bloch_operators(simplex.vertices, dim)``,
-    built on the first call for ``simplex``."""
-    ops = _OPERATORS.get(simplex)
-    if ops is None:
-        ops = _bloch_operators(simplex.vertices, dim)
-        ops.setflags(write=False)
-        ops = _OPERATORS.setdefault(simplex, ops)  # racing threads keep one
-    return ops
-
-
 def _operator_facts(simplex: RegularSimplex, dim: int) -> _OperatorFacts:
-    """The facts of ``simplex``'s operator stack, checked on the first call
-    for ``simplex``."""
+    """The facts of ``simplex``'s read-only operator stack
+    ``_bloch_operators(simplex.vertices, dim)``, built and checked on the
+    first call for ``simplex``."""
     facts = _OPERATOR_FACTS.get(simplex)
     if facts is None:
-        # Racing threads keep one, so each Decomposition reads the facts
-        # that recorded its stacks.
-        facts = _OperatorFacts(_simplex_operators(simplex, dim))
-        facts = _OPERATOR_FACTS.setdefault(simplex, facts)
+        ops = _bloch_operators(simplex.vertices, dim)
+        ops.setflags(write=False)
+        # Racing threads keep one, so every stack over a simplex is built
+        # from one operator stack.
+        facts = _OPERATOR_FACTS.setdefault(simplex, _OperatorFacts(ops))
     return facts
 
 
@@ -522,7 +495,7 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     check.  The mixture is read one of two ways:
 
     * the orbit route, for two stacks that tie to their simplex's
-      operator stack O (every decomposition :func:`decompose` builds):
+      operator stack O (every decomposition that built its own stacks):
       how far each factor is from the displaced first one follows from
       O's covariance bound, measured once per simplex, and from r or s,
       with no pass over the stacks.  Over a

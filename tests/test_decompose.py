@@ -307,7 +307,7 @@ class TestDecompose:
             return real(stack)
         monkeypatch.setattr(decompose_module, "_hermitian_deviation", counting)
         d = decompose("werner", 3, 0.5, 1.0, simplex)
-        assert len(checked) == 1 and checked[0] is decompose_module._OPERATORS[simplex]
+        assert len(checked) == 1 and checked[0] is decompose_module._OPERATOR_FACTS[simplex].ops
         e = decompose("isotropic", 3, 0.5, 1.1, simplex)
         assert verify_decomposition(d).separable_certificate
         assert verify_decomposition(e).separable_certificate
@@ -1068,18 +1068,30 @@ def factor_stack_callers(monkeypatch):
 
 class TestTie:
     """A stack ties to its simplex's operator stack O when it is, bit for
-    bit, the stack `decompose` builds from O and its own radius: the stacks
-    `decompose` builds tie where they are built, any other stack is
-    recomputed, and a stack that does not tie is checked entry by entry
-    and takes the dense route."""
+    bit, the stack a `Decomposition` builds from O and its own radius: the
+    stacks a `Decomposition` given none builds tie by construction, every
+    given stack is recomputed, and a stack that does not tie is checked
+    entry by entry and takes the dense route."""
 
     def test_decompose_builds_each_stack_once(self, registry_sics, monkeypatch):
         simplex = registry_sics[3].bloch
         decompose("werner", 3, 0.5, 1.0, simplex)  # builds the operator facts
         callers = factor_stack_callers(monkeypatch)
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
-        assert d._ties == (True, True) and callers == ["build", "build"]
-        assert not decompose_module._operator_facts(simplex, 3)._built
+        assert d._ties == (True, True) and callers == ["stack", "stack"]
+
+    def test_decomposition_given_no_stacks_builds_and_ties_them(self, registry_sics, monkeypatch):
+        """Its stacks are `decompose`'s bit for bit, frozen, tied as built:
+        `_factor_stack` runs once per stack, from `stack`, never from `ties`."""
+        simplex = registry_sics[3].bloch
+        d = decompose("isotropic", 3, 0.5, 1.1, simplex)
+        callers = factor_stack_callers(monkeypatch)
+        built = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s, simplex=simplex)
+        assert built._ties == (True, True) and callers == ["stack", "stack"]
+        for name in ("factors_r", "factors_s"):
+            assert_bitwise_equal(getattr(built, name), getattr(d, name))
+            assert not getattr(built, name).flags.writeable
+        assert repr(verify_decomposition(built)) == repr(verify_decomposition(d))
 
     def test_stacks_presented_again_are_recomputed(self, registry_sics, monkeypatch):
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
@@ -1091,7 +1103,7 @@ class TestTie:
     @pytest.mark.parametrize("refrozen", [False, True])
     def test_moved_built_stack_does_not_tie(self, registry_sics, monkeypatch, refrozen):
         """A built stack made writable and moved one ulp does not tie, the
-        same array frozen again included: its record is spent."""
+        same array frozen again included: a given stack is recomputed."""
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
         stack = d.factors_s
         stack.setflags(write=True)
@@ -1128,10 +1140,10 @@ class TestTie:
         assert rep.all_factors_psd is True and rep.separable_certificate is False
 
     def test_concurrent_decompositions_tie_apart(self, registry_sics, monkeypatch):
-        """Two threads build their stacks side by side over one simplex,
-        so both records of each are held at once; each tie reads its own."""
+        """Two threads build their stacks side by side over one simplex;
+        each ties the stacks it built, and they are the serial ones."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
-        facts = decompose_module._operator_facts(simplex, 3)
+        decompose_module._operator_facts(simplex, 3)  # built before the threads start
         real, barrier, callers = decompose_module._factor_stack, threading.Barrier(2, timeout=30), []
 
         def in_step(*args, **kwargs):
@@ -1141,7 +1153,7 @@ class TestTie:
         monkeypatch.setattr(decompose_module, "_factor_stack", in_step)
         with ThreadPoolExecutor(max_workers=2) as pool:
             made = list(pool.map(lambda r: decompose("werner", 3, 0.5, r, simplex), (1.0, 1.1)))
-        assert callers == ["build"] * 4 and not facts._built
+        assert callers == ["stack"] * 4
         monkeypatch.undo()
         for d in made:
             assert d._ties == (True, True)
@@ -1149,8 +1161,8 @@ class TestTie:
 
     def test_threads_over_a_fresh_simplex_tie_what_they_build(self, registry_sics, monkeypatch):
         """Eight threads switching every microsecond over a simplex with no
-        facts yet: every stack ties from its own record, none is
-        recomputed, and no record is left."""
+        facts yet: every stack ties as built, none is recomputed, and all
+        are built from the one operator stack kept for the simplex."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         callers = factor_stack_callers(monkeypatch)
         radii = [1.0 + k / 64 for k in range(64)]
@@ -1163,8 +1175,11 @@ class TestTie:
         finally:
             sys.setswitchinterval(interval)
         assert [d.r for d in made] == radii and all(d._ties == (True, True) for d in made)
-        assert callers == ["build"] * 128
-        assert not decompose_module._operator_facts(simplex, 3)._built
+        assert callers == ["stack"] * 128
+        ops = decompose_module._OPERATOR_FACTS[simplex].ops
+        eye = np.eye(3, dtype=complex) / 3
+        for d in made:
+            assert_bitwise_equal(d.factors_r, eye + (d.r / 2.0) * ops)
 
     @pytest.mark.parametrize("case", ["one ulp", "next radius"])
     def test_untied_stack_takes_the_dense_route(self, registry_sics, monkeypatch, case):
@@ -1203,7 +1218,6 @@ class TestTie:
         assert facts.hermitian and np.isinf(facts.modulus_bound(0.5e160))
         assert len(checked) == 2 and checked[0] is facts.ops
         assert np.isinf(checked[1]).any()
-        assert not facts._built  # the right stack's record, unread, went too
         assert facts.ties(checked[1], 0.5e160)
 
     def test_covariance_is_measured_once_per_simplex(self, registry_sics, monkeypatch):
@@ -1214,7 +1228,62 @@ class TestTie:
         for kind in ("werner", "isotropic"):
             d = decompose(kind, 3, 0.5, 1.1, simplex)
             assert verify_decomposition(d).separable_certificate
-        assert len(measured) == 1 and measured[0] is decompose_module._OPERATORS[simplex]
+        assert len(measured) == 1 and measured[0] is decompose_module._OPERATOR_FACTS[simplex].ops
+
+
+class TestConstruction:
+    """A `Decomposition` parses its kind, checks its dimension and, given
+    neither stack, builds both from a simplex of the right dimension."""
+
+    @staticmethod
+    def built(d, **changed):
+        """`d`'s parameters, some changed, with no stacks."""
+        fields = dict(kind=d.kind, dim=d.dim, tau=d.tau, r=d.r, s=d.s, simplex=d.simplex)
+        return Decomposition(**{**fields, **changed})
+
+    @pytest.mark.parametrize("name", ["factors_r", "factors_s"])
+    def test_one_stack_alone_is_refused(self, registry_sics, name):
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        with pytest.raises(DimensionMismatchError, match="give both factor stacks or neither"):
+            self.built(d, **{name: getattr(d, name)})
+
+    def test_simplex_of_another_dimension_is_refused(self, registry_sics):
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        with pytest.raises(DimensionMismatchError, match="ambient dimension 3 != N\\^2-1 = 8"):
+            self.built(d, simplex=registry_sics[2].bloch)
+
+    @pytest.mark.parametrize("simplex", ["sic", "canonical"])
+    @pytest.mark.parametrize("stacks", ["given", "built"])
+    @pytest.mark.parametrize("kind, spellings", [
+        (StateKind.WERNER, ["werner", "Werner", " WERNER "]),
+        (StateKind.ISOTROPIC, ["iso", "isotropic", "Isotropic"])])
+    def test_every_spelling_of_a_kind_gets_its_report(self, registry_sics, simplex, stacks,
+                                                      kind, spellings):
+        """Over the SIC simplex (orbit route) and the canonical one (dense
+        route), a kind given as text reads as the enum, report and all."""
+        simplex = registry_sics[3].bloch if simplex == "sic" else canonical_simplex(8)
+        d = decompose(kind, 3, 0.5, 1.0, simplex)
+        want = repr(verify_decomposition(d))
+        for spelling in spellings:
+            e = (dataclasses.replace(d, kind=spelling) if stacks == "given"
+                 else self.built(d, kind=spelling))
+            assert e.kind is kind
+            assert repr(verify_decomposition(e)) == want
+
+    def test_unknown_kind_is_refused(self, registry_sics):
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        with pytest.raises(ParameterRangeError, match="unknown state family 'bell'"):
+            self.built(d, kind="bell")
+
+    @pytest.mark.parametrize("stacks", ["given", "built"])
+    def test_dimension_is_checked(self, registry_sics, stacks):
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        extra = dict(factors_r=d.factors_r, factors_s=d.factors_s) if stacks == "given" else {}
+        with pytest.raises(DimensionMismatchError, match="dimension must be an integer"):
+            self.built(d, dim=3.0, **extra)
+        e = self.built(d, dim=np.int64(3), **extra)
+        assert e._ties == (True, True)
+        assert repr(verify_decomposition(e)) == repr(verify_decomposition(d))
 
 
 class TestOrbitPositivity:
@@ -1326,7 +1395,7 @@ class TestOperatorCache:
         left = decompose("werner", 3, 0.5, 1.0, simplex)
         right = decompose("isotropic", 3, -0.3, 0.6, simplex)
         assert built == [3]
-        cached = decompose_module._OPERATORS[simplex]
+        cached = decompose_module._OPERATOR_FACTS[simplex].ops
         assert not cached.flags.writeable
         assert_bitwise_equal(cached, _bloch_operators(simplex.vertices, 3))
         eye = np.eye(3, dtype=complex) / 3
@@ -1340,7 +1409,7 @@ class TestOperatorCache:
         d = decompose("werner", 3, 0.5, 1.0, simplex)
         rep = verify_decomposition(d)
         facts = decompose_module._OPERATOR_FACTS[simplex]
-        assert facts.ops is decompose_module._OPERATORS[simplex] and "deviation" in vars(facts)
+        assert "deviation" in vars(facts)
         gone = [weakref.ref(simplex), weakref.ref(facts.ops), weakref.ref(facts)]
         del simplex, d, facts
         gc.collect()
