@@ -17,15 +17,16 @@ decomposition.
 Every factor stack over one simplex is mixed + (r/2) O for the simplex's
 operator stack O = a_i . L, which is built, checked and measured once per
 simplex.  A stack that is that affine image bit for bit ties to O: a
-:class:`Decomposition` given no stacks builds both from O and so ties them
-by construction, and any given stack is recomputed from O in blocks of N
-matrices and compared.
+:class:`Decomposition` given no stacks ties them by construction and
+builds each from O when it is first read, and any given stack is
+recomputed from O in blocks of N matrices and compared.
 A tied stack inherits O's facts: exact Hermiticity when it is built, and
 over a SIC simplex, whose factor pairs form the Weyl-Heisenberg orbit of
-the first pair, a bound on its distance from that orbit.  From it
+the first pair, a bound on its distance from that orbit.  From them
 :func:`verify_decomposition` certifies the mixture from its N x N orbit
-table in O(N^3), and the positivity of every factor from the first
-pair's spectrum; any other stack is certified by the explicit Kronecker
+table, the positivity of every factor from the first pair's spectrum and
+the mixture's trace from O's diagonals, all in O(N^3) and without
+building a stack; any other stack is certified by the explicit Kronecker
 sum of :func:`reconstruct`, one O(N^6) product of the flattened stacks,
 and the spectra of all factors.
 """
@@ -51,6 +52,32 @@ from .simplex import RegularSimplex
 from .states import _closed_form_entries, isotropic_density, werner_density
 
 
+class _FactorStack:
+    """A :class:`Decomposition` stack field, kept in the instance's
+    ``__dict__``.  Where none is kept, the first read builds the stack from
+    the operator facts the instance tied to, with radius ``(r, s)[index]``,
+    and keeps it; threads racing on that read keep one array."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return None  # the field's default
+        stack = d.__dict__.get(self.name)
+        if stack is None:
+            built = d._facts.stack((d.r, d.s)[self.index] / 2.0)
+            stack = d.__dict__.setdefault(self.name, built)
+        return stack
+
+    def __set__(self, d, stack):
+        if stack is not None:  # None leaves the stack to the first read
+            d.__dict__[self.name] = stack
+
+
 @dataclass(frozen=True, eq=False)
 class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
@@ -69,7 +96,7 @@ class Decomposition:
     exactly Hermitian, bit for bit, so every instance is.
 
     A stack ties when it is, bit for bit, the stack the instance would
-    build.  Stacks it built tie by construction; a given stack is compared
+    build.  Stacks it builds tie by construction; a given stack is compared
     with that image recomputed in blocks of N matrices, so the check
     allocates N matrices, not a stack.  A stack of another dtype than O's
     does not tie.  A tied stack over an exactly Hermitian O is exactly
@@ -77,7 +104,13 @@ class Decomposition:
     not checked again: its real parts are equal products, its imaginary
     parts negate exactly, and each diagonal imaginary part is
     0 + (+-0) = +0.  Any other stack is checked entry by entry.  Which
-    stacks tie is kept for :func:`verify_decomposition`.
+    stacks tie is kept for :func:`verify_decomposition`, with O's facts.
+
+    A stack the instance builds that O's facts vouch for, exactly
+    Hermitian by that argument, is built on first read, from those facts,
+    and kept read-only: certifying reads O's first factor and diagonal,
+    not the stacks.  One they do not vouch for is built and checked at
+    construction.  ``n_factors`` and ``weights`` build nothing.
     """
 
     kind: StateKind
@@ -86,8 +119,8 @@ class Decomposition:
     r: float
     s: float
     simplex: RegularSimplex
-    factors_r: np.ndarray | None = None
-    factors_s: np.ndarray | None = None
+    factors_r: np.ndarray | None = _FactorStack(0)
+    factors_s: np.ndarray | None = _FactorStack(1)
     _ties: tuple = field(init=False, repr=False)  # (factors_r tied, factors_s tied)
 
     def __post_init__(self):
@@ -98,18 +131,19 @@ class Decomposition:
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
         n = self.dim
         halves = (self.r / 2.0, self.s / 2.0)
-        if self.factors_r is None and self.factors_s is None:
+        names = ("factors_r", "factors_s")
+        stacks = [self.__dict__.get(name) for name in names]  # as given, building none
+        if stacks[0] is None and stacks[1] is None:
             ambient = self.simplex.ambient_dim
             if ambient != n * n - 1:
                 raise DimensionMismatchError(
                     f"simplex ambient dimension {ambient} != N^2-1 = {n * n - 1}")
             facts = _operator_facts(self.simplex, n)
-            stacks = [facts.stack(h) for h in halves]
             ties = [True, True]
-        elif self.factors_r is None or self.factors_s is None:
+        elif stacks[0] is None or stacks[1] is None:
             raise DimensionMismatchError("give both factor stacks or neither")
         else:
-            stacks = [_readonly(self.factors_r), _readonly(self.factors_s)]
+            stacks = [_readonly(stack) for stack in stacks]
             shape_r, shape_s = (stack.shape for stack in stacks)
             if (shape_r != shape_s or len(shape_r) != 3 or shape_r[0] < 1
                     or shape_r[1:] != (n, n)):
@@ -120,8 +154,11 @@ class Decomposition:
             facts = _operator_facts(self.simplex, n) if fits else None
             ties = [facts is not None and facts.ties(stack, h)
                     for stack, h in zip(stacks, halves)]
-        for name, stack, tied, h in zip(("factors_r", "factors_s"), stacks, ties, halves):
+        object.__setattr__(self, "_facts", facts)
+        for name, stack, tied, h in zip(names, stacks, ties, halves):
             if not (tied and facts.hermitian and math.isfinite(facts.modulus_bound(h))):
+                if stack is None:
+                    stack = facts.stack(h)
                 dev = _hermitian_deviation(stack)
                 if dev != 0:  # NaN, from an infinite entry, is refused too
                     raise HermiticityError(
@@ -131,7 +168,7 @@ class Decomposition:
 
     @property
     def n_factors(self) -> int:
-        return self.factors_r.shape[0]
+        return (self._facts.ops if self._ties[0] else self.factors_r).shape[0]
 
     @property
     def weights(self) -> np.ndarray:
@@ -151,24 +188,26 @@ class VerificationReport:
     :func:`verify_decomposition`'s route read: the orbit table or the
     Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s``
     are the smallest eigenvalues over the full factor stacks, computed on
-    first read from the stacks the report keeps (or kept from the check
-    that needed them), so a caller that reads only the verdicts of an
-    orbit-certified decomposition runs no eigensolver over the stacks.
-    The repr and equality read all five values, as a plain record's would.
+    first read from the stacks of the decomposition the report keeps (or
+    kept from the check that needed them), so a caller that reads only the
+    verdicts of an orbit-certified decomposition runs no eigensolver over
+    the stacks and builds none.  The report keeps its decomposition, and
+    so the simplex's operator stack, alive.  The repr and equality read all
+    five values, as a plain record's would.
     """
 
     reconstruction_error: float
     all_factors_psd: bool
     separable_certificate: bool
-    _stacks: tuple = field(repr=False, compare=False)  # (factors_r, factors_s)
+    _decomposition: Decomposition = field(repr=False, compare=False)
 
     @cached_property
     def min_eig_r(self) -> float:
-        return _stack_min_eig(self._stacks[0])
+        return _stack_min_eig(self._decomposition.factors_r)
 
     @cached_property
     def min_eig_s(self) -> float:
-        return _stack_min_eig(self._stacks[1])
+        return _stack_min_eig(self._decomposition.factors_s)
 
     def _values(self) -> dict:
         names = ("reconstruction_error", "min_eig_r", "min_eig_s",
@@ -195,10 +234,10 @@ def decompose(kind, dim: int, tau: float, r: float,
     The simplex is not checked again: a :class:`RegularSimplex` is regular
     at its ``tol`` from construction.
 
-    The :class:`Decomposition` returned builds its own factor stacks from
-    the simplex's operator stack a_i . L, which is built once per simplex
-    object, kept read-only while the simplex lives, and shared by every
-    decomposition over it.
+    The :class:`Decomposition` returned builds its own factor stacks, on
+    first read, from the simplex's operator stack a_i . L, which is built
+    once per simplex object, kept read-only while the simplex lives, and
+    shared by every decomposition over it.
     """
     kind = StateKind.parse(kind)
     convert_params(kind, dim, "tau", tau)
@@ -253,6 +292,16 @@ class _OperatorFacts:
         stack = _factor_stack(self.mixed, half_radius, self.ops)
         stack.setflags(write=False)
         return stack
+
+    def first(self, half_radius: float) -> np.ndarray:
+        """:meth:`stack`'s first factor bit for bit, from O's first alone."""
+        return _factor_stack(self.mixed, half_radius, self.ops[0])
+
+    def traces(self, half_radius: float) -> np.ndarray:
+        """``np.trace`` of :meth:`stack`'s factors bit for bit, O(N^3): the
+        sums of the factors' diagonals, built from O's diagonals alone."""
+        diagonals = self.ops.diagonal(axis1=1, axis2=2)
+        return _factor_stack(self.mixed.diagonal(), half_radius, diagonals).sum(-1)
 
     def ties(self, stack: np.ndarray, half_radius: float) -> bool:
         """True where ``stack`` is :meth:`stack` of ``half_radius`` bit for
@@ -445,32 +494,34 @@ def _orbit_bounds(facts: _OperatorFacts, half_radius: float) -> tuple[float, flo
 
 
 def _orbit_error(d: Decomposition, entries: tuple, target_tol: float
-                 ) -> tuple[float, float, float] | None:
-    """The orbit route's reconstruction error with delta_R and delta_S, or
-    None where it cannot certify ``d`` at ``target_tol``.
+                 ) -> tuple[float, list, list] | None:
+    """The orbit route's reconstruction error with the first factors
+    [R_0, S_0] and [delta_R, delta_S], or None where it cannot certify
+    ``d`` at ``target_tol``.
 
     The route needs both stacks tied to the simplex's operator stack O,
     whose covariance bound delta_O is measured once per simplex; a tied
-    stack's bounds follow from it with no pass over the stack
-    (:func:`_orbit_bounds`).  Tied stacks have N^2 factors, one per vertex.
-    The stacks' mixture differs from the orbit mixture of R_0 and S_0 by at
-    most R^ delta_S + S^ delta_R + delta_R delta_S per entry; the route
-    certifies when the table's error plus that gap is within the gate.
+    stack's bounds follow from it, and its first factor from O's, with no
+    pass over the stack (:func:`_orbit_bounds`).  Tied stacks have N^2
+    factors, one per vertex.  The stacks' mixture differs from the orbit
+    mixture of R_0 and S_0 by at most R^ delta_S + S^ delta_R
+    + delta_R delta_S per entry; the route certifies when the table's
+    error plus that gap is within the gate.
     """
     if not all(d._ties):
         return None
-    facts = _operator_facts(d.simplex, d.dim)
-    (r_hat, delta_r), (s_hat, delta_s) = (_orbit_bounds(facts, radius / 2.0)
-                                          for radius in (d.r, d.s))
+    halves = (d.r / 2.0, d.s / 2.0)
+    (r_hat, delta_r), (s_hat, delta_s) = (_orbit_bounds(d._facts, h) for h in halves)
     gap = r_hat * delta_s + s_hat * delta_r + delta_r * delta_s
+    firsts = [d._facts.first(h) for h in halves]
     # Both the orbit mixture and the closed form are 0 off the table's
     # support, so this is the max over all N^4 entries, bit for bit.
-    table = _orbit_support(d.kind, d.factors_r[0], d.factors_s[0])
+    table = _orbit_support(d.kind, *firsts)
     err = float(np.abs(table - _closed_table(d.kind, d.dim, entries)).max())
-    return (err, delta_r, delta_s) if err + gap <= target_tol else None
+    return (err, firsts, [delta_r, delta_s]) if err + gap <= target_tol else None
 
 
-def _orbit_psd(d: Decomposition, delta_r: float, delta_s: float) -> bool:
+def _orbit_psd(n: int, firsts: list, deltas: list) -> bool:
     """True where Weyl's inequality puts every factor at or above -PSD_TOL.
 
     Factor p is within delta per entry of D_p F_0 D_p^dagger, whose spectrum
@@ -480,8 +531,7 @@ def _orbit_psd(d: Decomposition, delta_r: float, delta_s: float) -> bool:
     of the eigensolvers.  False says only that the bound does not reach
     the gate.
     """
-    lows = [float(np.linalg.eigvalsh(f[0])[0]) - d.dim * delta
-            for f, delta in ((d.factors_r, delta_r), (d.factors_s, delta_s))]
+    lows = [float(np.linalg.eigvalsh(f0)[0]) - n * delta for f0, delta in zip(firsts, deltas)]
     return bool(min(lows) >= -PSD_TOL)
 
 
@@ -495,10 +545,11 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     check.  The mixture is read one of two ways:
 
     * the orbit route, for two stacks that tie to their simplex's
-      operator stack O (every decomposition that built its own stacks):
-      how far each factor is from the displaced first one follows from
-      O's covariance bound, measured once per simplex, and from r or s,
-      with no pass over the stacks.  Over a
+      operator stack O (every decomposition that builds its own stacks):
+      the first pair comes from O's first operator, and how far each
+      factor is from the displaced first one follows from O's covariance
+      bound, measured once per simplex, and from r or s, with no pass over
+      the stacks and without building one.  Over a
       :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex, whose
       stacks are the Weyl-Heisenberg orbit of their first pair in
       ``_wh_tables`` order, that bound is a few ulps.  The route compares
@@ -512,12 +563,16 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     The separable certificate also demands PSD factors, an error of at
     most ``target_tol``, by default the simplex's ``tol`` (over a SIC, the
     certificate tolerance of its provenance), and a mixture whose trace is
-    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands.  Where the
-    orbit route decides, the factors are PSD when the smallest eigenvalues
-    of R_0 and S_0, less N delta_R and N delta_S, are at least -PSD_TOL:
-    two N x N eigensolves.  Otherwise the full stacks' minima decide, as
-    the report's ``min_eig_r`` and ``min_eig_s`` print them; the orbit
-    bound says PSD only where those minima do.
+    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands; a tied
+    stack's traces are summed from O's diagonals, O(N^3), bit for bit the
+    stack's.  Where the orbit route decides, the factors are PSD when the
+    smallest eigenvalues of R_0 and S_0, less N delta_R and N delta_S, are
+    at least -PSD_TOL: two N x N eigensolves.  Otherwise the full stacks'
+    minima decide, as the report's ``min_eig_r`` and ``min_eig_s`` print
+    them; the orbit bound says PSD only where those minima do.  Only the
+    dense route and the full stacks' minima read the stacks, building any
+    not yet built; the report keeps ``d``, so its minima read the same
+    stacks.
     """
     if target_tol is None:
         target_tol = d.simplex.tol
@@ -529,20 +584,23 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
         err = float(np.abs(_kronecker_sum(d) - build(d.dim, **{name: value}).entries).max())
         all_psd = False
     else:
-        err, delta_r, delta_s = orbit
-        all_psd = _orbit_psd(d, delta_r, delta_s)
+        err, firsts, deltas = orbit
+        all_psd = _orbit_psd(d.dim, firsts, deltas)
     minima = {}
     if not all_psd:
         minima = {"min_eig_r": _stack_min_eig(d.factors_r),
                   "min_eig_s": _stack_min_eig(d.factors_s)}
         all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
-    # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's bound.
-    tr_r, tr_s = (np.trace(f, axis1=1, axis2=2) for f in (d.factors_r, d.factors_s))
+    # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's
+    # bound; a tied stack's traces come from O's diagonals.
+    tr_r, tr_s = (d._facts.traces(radius / 2.0) if tied
+                  else np.trace(getattr(d, name), axis1=1, axis2=2)
+                  for name, radius, tied in zip(("factors_r", "factors_s"), (d.r, d.s), d._ties))
     unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
     report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
                                 separable_certificate=bool(all_psd and err <= target_tol
                                                            and unit_trace),
-                                _stacks=(d.factors_r, d.factors_s))
+                                _decomposition=d)
     report.__dict__.update(minima)  # the minima read here, as the properties cache them
     return report
 

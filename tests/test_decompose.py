@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import importlib
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -207,14 +208,16 @@ class TestDecompose:
 
     def test_factor_stacks_are_built_without_copies(self, searched_sic):
         """At N = 12 the operator stack and its facts are cached, so the peak
-        is the two new stacks, numpy's scratch for the broadcast sum and the
-        tie's N-matrix scratch: 1.20 of the two (1.39 with a stack-sized
-        Hermiticity check).  1.3 leaves a tenth of margin."""
+        of a decomposition and the first reads of its stacks is the two new
+        stacks and numpy's scratch for the broadcast sum (1.39 of the two
+        with a stack-sized Hermiticity check).  1.3 leaves a tenth of
+        margin."""
         simplex = searched_sic(12).bloch
         decompose("werner", 12, 0.1, 1.0, simplex)  # builds the cached tables
         tracemalloc.start()
         try:
             d = decompose("werner", 12, 0.1, 1.0, simplex)
+            d.factors_r, d.factors_s
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,8 +238,10 @@ class TestDecompose:
 
     def test_reconstruction_is_built_without_copies(self, searched_sic):
         """At N = 12 the peak is the product of the stacks and the result
-        (2.3 result sizes), not copies."""
+        (2.3 result sizes), not copies.  The stacks are read first, so the
+        window holds `reconstruct` alone."""
         d = decompose("werner", 12, 0.1, 1.0, searched_sic(12).bloch)
+        d.factors_r, d.factors_s
         tracemalloc.start()
         try:
             rho = reconstruct(d)
@@ -248,8 +253,9 @@ class TestDecompose:
     def test_isotropic_reconstruction_copies_the_right_stack_once(self, searched_sic):
         """The transposed right factors are copied into one contiguous stack,
         freed once the product is formed: about 2.3 result sizes, as for
-        the Werner family."""
+        the Werner family.  The stacks are read first, as above."""
         d = decompose("isotropic", 12, 0.1, 1.0, searched_sic(12).bloch)
+        d.factors_r, d.factors_s
         tracemalloc.start()
         try:
             rho = reconstruct(d)
@@ -1074,31 +1080,52 @@ class TestTie:
     entry by entry and takes the dense route."""
 
     def test_decompose_builds_each_stack_once(self, registry_sics, monkeypatch):
+        """Neither construction nor the certificate builds a stack: the
+        certificate reads O's first factor and diagonal.  The first read of
+        each stack builds it, and no later read builds it again."""
         simplex = registry_sics[3].bloch
         decompose("werner", 3, 0.5, 1.0, simplex)  # builds the operator facts
         callers = factor_stack_callers(monkeypatch)
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
-        assert d._ties == (True, True) and callers == ["stack", "stack"]
+        assert d._ties == (True, True) and callers == []
+        assert verify_decomposition(d).separable_certificate
+        assert sorted(callers) == ["first", "first", "traces", "traces"]
+        del callers[:]
+        stacks = d.factors_r, d.factors_s
+        assert callers == ["stack", "stack"]
+        assert d.factors_r is stacks[0] and d.factors_s is stacks[1]
+        assert callers == ["stack", "stack"]
 
     def test_decomposition_given_no_stacks_builds_and_ties_them(self, registry_sics, monkeypatch):
         """Its stacks are `decompose`'s bit for bit, frozen, tied as built:
-        `_factor_stack` runs once per stack, from `stack`, never from `ties`."""
+        `_factor_stack` runs once per stack, from `stack` on its first read,
+        never from `ties`, and never for the certificate."""
         simplex = registry_sics[3].bloch
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
+        d.factors_r, d.factors_s
+        want = repr(verify_decomposition(d))
         callers = factor_stack_callers(monkeypatch)
         built = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s, simplex=simplex)
-        assert built._ties == (True, True) and callers == ["stack", "stack"]
+        assert built._ties == (True, True) and callers == []
+        rep = verify_decomposition(built)
+        assert "stack" not in callers and "ties" not in callers
+        del callers[:]
         for name in ("factors_r", "factors_s"):
             assert_bitwise_equal(getattr(built, name), getattr(d, name))
             assert not getattr(built, name).flags.writeable
-        assert repr(verify_decomposition(built)) == repr(verify_decomposition(d))
+        assert callers == ["stack", "stack"] and repr(rep) == want
 
     def test_stacks_presented_again_are_recomputed(self, registry_sics, monkeypatch):
+        """Given stacks are recomputed in blocks of N, and a second read of
+        them builds nothing."""
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
         callers = factor_stack_callers(monkeypatch)
-        again = with_factors(d, d.factors_r, d.factors_s)
+        stacks = d.factors_r, d.factors_s
+        assert callers == ["stack", "stack"]
+        again = with_factors(d, *stacks)
         assert again.factors_r is d.factors_r and again.factors_s is d.factors_s
-        assert again._ties == (True, True) and callers == ["ties"] * 6  # 3 blocks each
+        assert again._ties == (True, True)
+        assert callers == ["stack", "stack"] + ["ties"] * 6  # 3 blocks each
 
     @pytest.mark.parametrize("refrozen", [False, True])
     def test_moved_built_stack_does_not_tie(self, registry_sics, monkeypatch, refrozen):
@@ -1140,8 +1167,9 @@ class TestTie:
         assert rep.all_factors_psd is True and rep.separable_certificate is False
 
     def test_concurrent_decompositions_tie_apart(self, registry_sics, monkeypatch):
-        """Two threads build their stacks side by side over one simplex;
-        each ties the stacks it built, and they are the serial ones."""
+        """Two threads read their stacks side by side over one simplex;
+        each builds each of its stacks once, ties them, and they are the
+        serial ones."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         decompose_module._operator_facts(simplex, 3)  # built before the threads start
         real, barrier, callers = decompose_module._factor_stack, threading.Barrier(2, timeout=30), []
@@ -1151,8 +1179,13 @@ class TestTie:
             barrier.wait()
             return real(*args, **kwargs)
         monkeypatch.setattr(decompose_module, "_factor_stack", in_step)
+
+        def read(r):
+            d = decompose("werner", 3, 0.5, r, simplex)
+            d.factors_r, d.factors_s
+            return d
         with ThreadPoolExecutor(max_workers=2) as pool:
-            made = list(pool.map(lambda r: decompose("werner", 3, 0.5, r, simplex), (1.0, 1.1)))
+            made = list(pool.map(read, (1.0, 1.1)))
         assert callers == ["stack"] * 4
         monkeypatch.undo()
         for d in made:
@@ -1161,16 +1194,22 @@ class TestTie:
 
     def test_threads_over_a_fresh_simplex_tie_what_they_build(self, registry_sics, monkeypatch):
         """Eight threads switching every microsecond over a simplex with no
-        facts yet: every stack ties as built, none is recomputed, and all
-        are built from the one operator stack kept for the simplex."""
+        facts yet, each reading the stacks it makes: every stack ties as
+        built, is built once, none is recomputed, and all are built from
+        the one operator stack kept for the simplex."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         callers = factor_stack_callers(monkeypatch)
         radii = [1.0 + k / 64 for k in range(64)]
+
+        def read(r):
+            d = decompose("werner", 3, 0.5, r, simplex)
+            d.factors_r, d.factors_s
+            return d
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(decompose, "werner", 3, 0.5, r, simplex) for r in radii]
+                futures = [pool.submit(read, r) for r in radii]
                 made = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -1229,6 +1268,118 @@ class TestTie:
             d = decompose(kind, 3, 0.5, 1.1, simplex)
             assert verify_decomposition(d).separable_certificate
         assert len(measured) == 1 and measured[0] is decompose_module._OPERATOR_FACTS[simplex].ops
+
+
+class TestDeferredStacks:
+    """A `Decomposition` given no stacks builds each on its first read, once:
+    certifying reads O's first factor and diagonals, O(N^3), and the same
+    bits as the built stacks' first factors and traces."""
+
+    @staticmethod
+    def full_builds(monkeypatch, n):
+        """The `_factor_stack` calls over a full (N^2, N, N) operator stack,
+        as a list that grows."""
+        real, full = decompose_module._factor_stack, []
+
+        def counting(mixed, half_radius, ops, out=None):
+            if ops.shape == (n * n, n, n):
+                full.append(half_radius)
+            return real(mixed, half_radius, ops, out=out)
+        monkeypatch.setattr(decompose_module, "_factor_stack", counting)
+        return full
+
+    @staticmethod
+    def peak(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_certificate_builds_no_stack(self, searched_sic, monkeypatch, kind):
+        """At N = 12 over a warm SIC simplex, `decompose`, both checks and a
+        certified contour of four build no stack and peak below one."""
+        sic = searched_sic(12)
+        certify(decompose(kind, 12, 0.1, 1.0, sic.bloch))  # builds the cached tables
+        full = self.full_builds(monkeypatch, 12)
+        stack_bytes = 144 * 12 * 12 * np.dtype(complex).itemsize
+
+        def certified():
+            d = decompose(kind, 12, 0.1, 1.0, sic.bloch)
+            assert verify_decomposition(d).separable_certificate
+            certify(d)
+            assert d.n_factors == 144 and d.weights.shape == (144,)
+        assert self.peak(certified) < stack_bytes
+        assert self.peak(lambda: contour_sample(kind, 12, 0.1, 4, sic)) < stack_bytes
+        assert full == []
+
+    def test_every_reader_shares_one_build(self, registry_sics, monkeypatch):
+        """The report's minima, `reconstruct` and the CLI payload, in any
+        order, build the two stacks once between them."""
+        cli = importlib.import_module("simplex_decomp.cli")
+        simplex = registry_sics[3].bloch
+        for order in itertools.permutations(range(4)):
+            d = decompose("werner", 3, 0.5, 1.0, simplex)
+            rep = verify_decomposition(d)
+            full = self.full_builds(monkeypatch, 3)
+            readers = (lambda: rep.min_eig_r, lambda: rep.min_eig_s,
+                       lambda: reconstruct(d), lambda: cli._decomposition_dict(d, rep))
+            for k in order:
+                readers[k]()
+            assert sorted(full) == sorted([d.r / 2.0, d.s / 2.0]), order
+            monkeypatch.undo()
+
+    def test_threads_racing_on_a_first_read_keep_one_stack(self, registry_sics, monkeypatch):
+        """Eight threads past one barrier all build `factors_r` at once, held
+        together by a second in the build, and all read one frozen array."""
+        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
+        real, start, built = decompose_module._factor_stack, threading.Barrier(8, timeout=30), \
+            threading.Barrier(8, timeout=30)
+
+        def in_step(*args, **kwargs):
+            built.wait()
+            return real(*args, **kwargs)
+        monkeypatch.setattr(decompose_module, "_factor_stack", in_step)
+
+        def read(_):
+            start.wait()
+            return d.factors_r
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(read, range(8)))
+        assert all(stack is got[0] for stack in got) and got[0] is d.factors_r
+        assert not got[0].flags.writeable
+
+    @pytest.mark.parametrize("dim", range(2, 18))
+    def test_certificate_reads_the_stacks_bits(self, dim):
+        """O's first factor and diagonals give the built stacks' first
+        factors and traces bit for bit, zero signs included, over a SIC
+        simplex (registry or `tests/data` fiducial) or the canonical one,
+        for both families, tau at both ends, 0.0, -0.0 and inside, and r
+        inside each branch.  Given the built stacks, a `Decomposition`
+        reports the same."""
+        source = {2: 2, 3: 3, 4: "fid4.json", 8: "fid8.json", 12: "fid12.json"}.get(dim)
+        if source is None:
+            simplex = canonical_simplex(dim * dim - 1)
+        else:
+            fid = known_fiducial(source) if dim < 4 else load_fiducial_cache(DATA / source)
+            simplex = sic_from_fiducial(fid).bloch
+        facts = decompose_module._operator_facts(simplex, dim)
+        lo, hi = separable_interval(dim)
+        for kind in StateKind:
+            for tau in (lo, hi, 0.0, -0.0, lo + 0.3 * (hi - lo)):
+                for a, b in admissible_r_interval(dim, tau):
+                    d = decompose(kind, dim, tau, a + 0.3 * (b - a), simplex)
+                    rep = repr(verify_decomposition(d))
+                    for name, radius in (("factors_r", d.r), ("factors_s", d.s)):
+                        stack = getattr(d, name)
+                        assert_bitwise_equal(facts.first(radius / 2.0), stack[0])
+                        assert_bitwise_equal(facts.traces(radius / 2.0),
+                                             np.trace(stack, axis1=1, axis2=2))
+                    given = with_factors(d, d.factors_r, d.factors_s)
+                    assert given._ties == (True, True)
+                    assert repr(verify_decomposition(given)) == rep
 
 
 class TestConstruction:
@@ -1374,7 +1525,7 @@ class TestOrbitPositivity:
         a, b = (verify_decomposition(separable_decompose("werner", 3, 0.5, r, sic=sic))
                 for r in (1.0, 0.9))
         assert a == verify_decomposition(separable_decompose("werner", 3, 0.5, 1.0, sic=sic))
-        twin = dataclasses.replace(a, _stacks=b._stacks)  # a's verdicts, b's minima
+        twin = dataclasses.replace(a, _decomposition=b._decomposition)  # a's verdicts, b's minima
         assert twin.min_eig_r == b.min_eig_r != a.min_eig_r
         assert twin != a and hash(twin) == hash(a)
 
@@ -1404,7 +1555,9 @@ class TestOperatorCache:
             assert_bitwise_equal(d.factors_s, eye + (d.s / 2.0) * cached)
 
     def test_entry_goes_with_its_simplex(self, registry_sics):
-        """The operator stack and its facts, covariance bound included."""
+        """The operator stack and its facts, covariance bound included, go
+        once the simplex, its decomposition and the report are gone; a live
+        report keeps its decomposition, and so all three."""
         simplex = self.fresh_simplex(registry_sics[3])
         d = decompose("werner", 3, 0.5, 1.0, simplex)
         rep = verify_decomposition(d)
@@ -1413,5 +1566,8 @@ class TestOperatorCache:
         gone = [weakref.ref(simplex), weakref.ref(facts.ops), weakref.ref(facts)]
         del simplex, d, facts
         gc.collect()
+        assert all(ref() is not None for ref in gone)
+        assert rep.separable_certificate and rep._decomposition.simplex is gone[0]()
+        del rep
+        gc.collect()
         assert [ref() for ref in gone] == [None, None, None]
-        assert rep.separable_certificate  # the report keeps the stacks, not the simplex
