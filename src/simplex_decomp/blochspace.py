@@ -121,18 +121,15 @@ def _as_matrix(m) -> np.ndarray:
 def _gell_mann_table(n: int) -> tuple:
     """Nonzero entries of the Gell-Mann basis, from their closed form.
 
-    Returns ``(rows, cols, owner, coef, rank, batches)``.  The first five
-    list every nonzero entry in generator order, row-major within a
+    Returns ``(rows, cols, owner, coef, rank, diagonals)``.  The first
+    five list every nonzero entry in generator order, row-major within a
     generator: its position, the generator (coordinate) owning it, its
     value and its rank within that generator.  Symmetric generator (j, k)
     holds 1 at (j, k) and (k, j), its antisymmetric partner -i and i there,
     and diagonal generator l holds sqrt(2/(l(l+1))) at (i, i) for i < l and
-    -l times that at (l, l).  ``batches`` splits the entries into runs of
-    generators with disjoint supports, in generator order, for
-    :func:`_bloch_operators`: all symmetric generators; all antisymmetric
-    ones, which share their supports, with the first diagonal one, which
-    holds only (0, 0) and (1, 1); then one per further diagonal generator,
-    since every diagonal one holds (0, 0).
+    -l times that at (l, l).  ``diagonals`` holds each diagonal generator's
+    values, (i, i) for i <= l, as views of ``coef``, for
+    :func:`_bloch_operators`.
     """
     j, k = np.triu_indices(n, 1)
     pairs = j.size
@@ -149,10 +146,8 @@ def _gell_mann_table(n: int) -> tuple:
                            * np.where(diag == level, -level, 1)])
     rank = np.concatenate([np.tile([0, 1], 2 * pairs), diag])
     table = [_readonly(a) for a in (rows, cols, owner, coef, rank)]
-    ends = np.cumsum([2 * pairs, 2 * pairs + 2, *range(3, n + 1)])
-    batches = tuple(tuple(a[start:end] for a in table[:4])
-                    for start, end in zip([0, *ends[:-1]], ends))
-    return (*table, batches)
+    diagonals = tuple(np.split(table[3][4 * pairs:], np.cumsum(np.arange(2, n))))
+    return (*table, diagonals)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -180,16 +175,28 @@ def _bloch_operators(coords: np.ndarray, dim: int) -> np.ndarray:
     Equal bit for bit to ``einsum("km,mij->kij", coords, su_generators(N))``:
     the skipped products are exact zeros, the kept ones are added to +0 in
     generator order, and each product is the same complex multiplication
-    of a real coordinate.  The rows run in blocks of N, so the scratch of a
-    batch's gather, product and scatter is about 2.5/N of the stack: a
-    SIC's N^2 operators peak near 1.4 stacks at N = 12, not 4.
+    of a real coordinate.  Row j's segments right of and below the
+    diagonal take their symmetric generators, then their antisymmetric
+    ones, and the diagonal takes each diagonal generator in turn: 5(N - 1)
+    in-place sums of products each under 1/N of the stack, so a SIC's N^2
+    operators peak at 1.26 stacks at N = 12.
     """
-    *_, batches = _gell_mann_table(dim)
+    *_, coef, _, diagonals = _gell_mann_table(dim)
     ops = np.zeros((coords.shape[0], dim, dim), dtype=complex)
-    for start in range(0, coords.shape[0], dim):
-        block, block_coords = ops[start:start + dim], coords[start:start + dim]
-        for rows, cols, owner, coef in batches:
-            block[:, rows, cols] += block_coords[:, owner] * coef
+    pairs = dim * (dim - 1) // 2
+    one, above, below = coef[0], coef[2 * pairs], coef[2 * pairs + 1]  # 1, -i and i
+    start = 0
+    for j in range(dim - 1):
+        # The pairs (j, k), k > j, are a run of each off-diagonal block.
+        end = start + dim - 1 - j
+        sym, anti = coords[:, start:end], coords[:, pairs + start:pairs + end]
+        for segment, antisymmetric in ((ops[:, j, j + 1:], above), (ops[:, j + 1:, j], below)):
+            segment += sym * one
+            segment += anti * antisymmetric
+        start = end
+    diagonal = ops.reshape(-1, dim * dim)[:, ::dim + 1]
+    for l, values in enumerate(diagonals, start=1):
+        diagonal[:, :l + 1] += coords[:, 2 * pairs + l - 1, None] * values
     return ops
 
 

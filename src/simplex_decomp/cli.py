@@ -147,7 +147,7 @@ def cmd_decompose(args) -> int:
                                    [[a, b] for a, b in exc.intervals],
                                    "nearest": exc.nearest}))
             raise
-    from .decompose import certify, contour_radii, separable_decompose
+    from .decompose import _certify_contour, contour_radii, separable_decompose
     from .sicpovm import obtain_sic
     if args.r is not None:
         radii = [args.r]
@@ -157,7 +157,8 @@ def cmd_decompose(args) -> int:
     sic = obtain_sic(args.N, args.fiducial_cache)
     items = [separable_decompose(kind, args.N, params.tau, r, sic=sic)
              for r in radii]
-    dicts = [_decomposition_dict(d, certify(d)) for d in items]
+    reports = _certify_contour(items, None)
+    dicts = [_decomposition_dict(d, rep) for d, rep in zip(items, reports)]
     _write_output(serialize.dumps(dicts[0] if len(dicts) == 1 else dicts) + "\n",
                   args.out)
     return EXIT_OK

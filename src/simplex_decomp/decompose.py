@@ -28,7 +28,12 @@ table, the positivity of every factor from the first pair's spectrum and
 the mixture's trace from O's diagonals, all in O(N^3) and without
 building a stack; any other stack is certified by the explicit Kronecker
 sum of :func:`reconstruct`, one O(N^6) product of the flattened stacks,
-and the spectra of all factors.
+and the spectra of all factors.  The decompositions of a contour share
+kind, N, tau and O, so :func:`contour_sample` certifies them in one pass:
+one closed-form table, one product for their first pairs, one gather and
+sum for their orbit tables and one eigensolve, with scratch within one
+stack, and each gets the report :func:`verify_decomposition`, that pass
+for one decomposition, gives it alone.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import math
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -293,9 +298,11 @@ class _OperatorFacts:
         stack.setflags(write=False)
         return stack
 
-    def first(self, half_radius: float) -> np.ndarray:
-        """:meth:`stack`'s first factor bit for bit, from O's first alone."""
-        return _factor_stack(self.mixed, half_radius, self.ops[0])
+    def first(self, half_radius) -> np.ndarray:
+        """:meth:`stack`'s first factor bit for bit, from O's first alone;
+        for an array of half radii, the first factor of each, stacked in
+        one broadcast product."""
+        return _factor_stack(self.mixed, np.asarray(half_radius)[..., None, None], self.ops[0])
 
     def traces(self, half_radius: float) -> np.ndarray:
         """``np.trace`` of :meth:`stack`'s factors bit for bit, O(N^3): the
@@ -430,26 +437,41 @@ def _covariance_deviation(stack: np.ndarray, roots: np.ndarray) -> float:
     return float(np.abs(np.subtract(stack, image, out=image)).max())
 
 
+@lru_cache(maxsize=None)
+def _orbit_indices(kind: StateKind, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of :func:`_orbit_support`'s gathers, read-only: [u, x]
+    of (x, x+u) in R_0, and [u, v, x] of (x+v, x+v-u) in S_0 (isotropic:
+    (x+v+u, x+v))."""
+    x = np.arange(n)
+    u = x[:, None, None]
+    shifted = (x[:, None] + x) % n  # [u, x] or [v, x]: x + u or x + v
+    left = x * n + shifted
+    if kind is StateKind.WERNER:
+        right = shifted * n + (shifted - u) % n
+    else:
+        right = (shifted + u) % n * n + shifted
+    return _readonly(left), _readonly(right)
+
+
 def _orbit_support(kind: StateKind, r0: np.ndarray, s0: np.ndarray) -> np.ndarray:
-    """(N, N) table M(u, v) of the orbit mixture sum_p D_p R_0 D_p^dagger (x)
-    D_p S_0 D_p^dagger / N^2 (isotropic: the second factor transposed).
+    """(..., N, N) tables M(u, v) of the orbit mixtures sum_p D_p R_0
+    D_p^dagger (x) D_p S_0 D_p^dagger / N^2 (isotropic: the second factor
+    transposed), for first factors R_0 and S_0 stacked alike, (..., N, N).
 
     Summing over the displacements leaves the entry <a, b| . |a+u, b-u>
     (isotropic: |a+u, b+u>) equal to M(u, b-a), with
     M(u, v) = (1/N) sum_x R_0(x, x+u) S_0(x+v, x+v-u) (isotropic:
     S_0(x+v+u, x+v)), and every other entry exactly 0.  M is summed term
-    by term in x, O(N^3).
+    by term in x, O(N^3) per table, over a C-contiguous product, so each
+    table has the bits it has alone.
     """
-    n = r0.shape[0]
-    x = np.arange(n)
-    u = x[:, None, None]
-    shifted = (x[:, None] + x) % n  # [u, x] or [v, x]: x + u or x + v
-    left = r0[x, shifted]  # [u, x]: R_0(x, x+u)
-    if kind is StateKind.WERNER:
-        right = s0[shifted, (shifted - u) % n]  # [u, v, x]
-    else:
-        right = s0[(shifted + u) % n, shifted]
-    return np.sum(left[:, None, :] * right, axis=-1) / n
+    n = r0.shape[-1]
+    left_index, right_index = _orbit_indices(kind, n)
+    left = np.take(r0.reshape(*r0.shape[:-2], n * n), left_index, axis=-1)  # [..., u, x]
+    right = np.take(s0.reshape(*s0.shape[:-2], n * n), right_index, axis=-1)  # [..., u, v, x]
+    table = np.multiply(left[..., None, :], right, out=right).sum(axis=-1)
+    table /= n
+    return table
 
 
 def _closed_table(kind: StateKind, n: int, entries: tuple) -> np.ndarray:
@@ -493,11 +515,10 @@ def _orbit_bounds(facts: _OperatorFacts, half_radius: float) -> tuple[float, flo
     return f_hat, abs(half_radius) * facts.deviation + 5 * _EPS * f_hat
 
 
-def _orbit_error(d: Decomposition, entries: tuple, target_tol: float
-                 ) -> tuple[float, list, list] | None:
-    """The orbit route's reconstruction error with the first factors
-    [R_0, S_0] and [delta_R, delta_S], or None where it cannot certify
-    ``d`` at ``target_tol``.
+def _orbit_verdicts(ds: list[Decomposition], entries: tuple, target_tol: float) -> list:
+    """Per decomposition of ``ds``, which share kind, N and simplex: the
+    orbit route's reconstruction error and positivity verdict, or None
+    where it cannot certify that decomposition at ``target_tol``.
 
     The route needs both stacks tied to the simplex's operator stack O,
     whose covariance bound delta_O is measured once per simplex; a tied
@@ -506,23 +527,38 @@ def _orbit_error(d: Decomposition, entries: tuple, target_tol: float
     factors, one per vertex.  The stacks' mixture differs from the orbit
     mixture of R_0 and S_0 by at most R^ delta_S + S^ delta_R
     + delta_R delta_S per entry; the route certifies when the table's
-    error plus that gap is within the gate.
+    error plus that gap is within the gate.  The decompositions run N at
+    a time, so the gathers' scratch stays within one stack: their first
+    pairs in one broadcast product, their tables in one gather and sum,
+    and the first pairs' spectra in one eigensolve (:func:`_orbit_psd`).
     """
-    if not all(d._ties):
-        return None
-    halves = (d.r / 2.0, d.s / 2.0)
-    (r_hat, delta_r), (s_hat, delta_s) = (_orbit_bounds(d._facts, h) for h in halves)
-    gap = r_hat * delta_s + s_hat * delta_r + delta_r * delta_s
-    firsts = [d._facts.first(h) for h in halves]
-    # Both the orbit mixture and the closed form are 0 off the table's
-    # support, so this is the max over all N^4 entries, bit for bit.
-    table = _orbit_support(d.kind, *firsts)
-    err = float(np.abs(table - _closed_table(d.kind, d.dim, entries)).max())
-    return (err, firsts, [delta_r, delta_s]) if err + gap <= target_tol else None
+    verdicts = [None] * len(ds)
+    tied = [i for i, d in enumerate(ds) if all(d._ties)]
+    if not tied:
+        return verdicts
+    kind, n, facts = ds[tied[0]].kind, ds[tied[0]].dim, ds[tied[0]]._facts
+    closed = _closed_table(kind, n, entries)
+    for start in range(0, len(tied), n):
+        chunk = tied[start:start + n]
+        halves = [(ds[i].r / 2.0, ds[i].s / 2.0) for i in chunk]
+        firsts = facts.first(halves)  # [decomposition, R or S, ...]
+        # Both the orbit mixture and the closed form are 0 off the table's
+        # support, so this is the max over all N^4 entries, bit for bit.
+        tables = _orbit_support(kind, firsts[:, 0], firsts[:, 1])
+        errors = np.abs(np.subtract(tables, closed, out=tables)).max(axis=(1, 2))
+        lowest = np.linalg.eigvalsh(firsts.reshape(-1, n, n))[:, 0].reshape(-1, 2)
+        for i, pair, err, lows in zip(chunk, halves, errors, lowest):
+            (r_hat, delta_r), (s_hat, delta_s) = (_orbit_bounds(facts, h) for h in pair)
+            gap = r_hat * delta_s + s_hat * delta_r + delta_r * delta_s
+            if err + gap <= target_tol:
+                verdicts[i] = (float(err), _orbit_psd(n, lows, (delta_r, delta_s)))
+    return verdicts
 
 
-def _orbit_psd(n: int, firsts: list, deltas: list) -> bool:
-    """True where Weyl's inequality puts every factor at or above -PSD_TOL.
+def _orbit_psd(n: int, lows: np.ndarray, deltas: tuple) -> bool:
+    """True where Weyl's inequality puts every factor at or above -PSD_TOL,
+    from the smallest eigenvalues ``lows`` of R_0 and S_0 and their
+    [delta_R, delta_S].
 
     Factor p is within delta per entry of D_p F_0 D_p^dagger, whose spectrum
     is F_0's, so within N delta in spectral norm, and its smallest
@@ -531,8 +567,7 @@ def _orbit_psd(n: int, firsts: list, deltas: list) -> bool:
     of the eigensolvers.  False says only that the bound does not reach
     the gate.
     """
-    lows = [float(np.linalg.eigvalsh(f0)[0]) - n * delta for f0, delta in zip(firsts, deltas)]
-    return bool(min(lows) >= -PSD_TOL)
+    return bool(min(float(low) - n * delta for low, delta in zip(lows, deltas)) >= -PSD_TOL)
 
 
 def verify_decomposition(d: Decomposition, target_tol: float | None = None
@@ -574,47 +609,71 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     not yet built; the report keeps ``d``, so its minima read the same
     stacks.
     """
+    return _verify_contour([d], target_tol)[0]
+
+
+def _verify_contour(ds: list[Decomposition], target_tol: float | None
+                    ) -> list[VerificationReport]:
+    """:func:`verify_decomposition`'s report of each of ``ds``, bit for bit,
+    for decompositions that share kind, N, tau and simplex, as a contour's
+    do: the closed form's entries and table are computed once, and the
+    orbit route certifies the tied ones together (:func:`_orbit_verdicts`).
+    The traces are summed per radius, and any decomposition that route
+    cannot decide takes the dense route alone."""
+    d0 = ds[0]
     if target_tol is None:
-        target_tol = d.simplex.tol
-    name = "phi" if d.kind is StateKind.WERNER else "eta"
-    value = getattr(convert_params(d.kind, d.dim, "tau", d.tau), name)
-    orbit = _orbit_error(d, _closed_form_entries(d.dim, name, value), target_tol)
-    if orbit is None:
-        build = werner_density if d.kind is StateKind.WERNER else isotropic_density
-        err = float(np.abs(_kronecker_sum(d) - build(d.dim, **{name: value}).entries).max())
-        all_psd = False
-    else:
-        err, firsts, deltas = orbit
-        all_psd = _orbit_psd(d.dim, firsts, deltas)
-    minima = {}
-    if not all_psd:
-        minima = {"min_eig_r": _stack_min_eig(d.factors_r),
-                  "min_eig_s": _stack_min_eig(d.factors_s)}
-        all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
-    # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's
-    # bound; a tied stack's traces come from O's diagonals.
-    tr_r, tr_s = (d._facts.traces(radius / 2.0) if tied
-                  else np.trace(getattr(d, name), axis1=1, axis2=2)
-                  for name, radius, tied in zip(("factors_r", "factors_s"), (d.r, d.s), d._ties))
-    unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
-    report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
-                                separable_certificate=bool(all_psd and err <= target_tol
-                                                           and unit_trace),
-                                _decomposition=d)
-    report.__dict__.update(minima)  # the minima read here, as the properties cache them
-    return report
+        target_tol = d0.simplex.tol
+    name = "phi" if d0.kind is StateKind.WERNER else "eta"
+    value = getattr(convert_params(d0.kind, d0.dim, "tau", d0.tau), name)
+    verdicts = _orbit_verdicts(ds, _closed_form_entries(d0.dim, name, value), target_tol)
+    reports = []
+    for d, verdict in zip(ds, verdicts):
+        if verdict is None:
+            build = werner_density if d.kind is StateKind.WERNER else isotropic_density
+            err = float(np.abs(_kronecker_sum(d) - build(d.dim, **{name: value}).entries).max())
+            all_psd = False
+        else:
+            err, all_psd = verdict
+        minima = {}
+        if not all_psd:
+            minima = {"min_eig_r": _stack_min_eig(d.factors_r),
+                      "min_eig_s": _stack_min_eig(d.factors_s)}
+            all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
+        # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's
+        # bound; a tied stack's traces come from O's diagonals.
+        tr_r, tr_s = (d._facts.traces(radius / 2.0) if tied
+                      else np.trace(getattr(d, stack), axis1=1, axis2=2)
+                      for stack, radius, tied in zip(("factors_r", "factors_s"), (d.r, d.s),
+                                                     d._ties))
+        unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
+        report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
+                                    separable_certificate=bool(all_psd and err <= target_tol
+                                                               and unit_trace),
+                                    _decomposition=d)
+        report.__dict__.update(minima)  # the minima read here, as the properties cache them
+        reports.append(report)
+    return reports
 
 
 def certify(d: Decomposition, target_tol: float | None = None) -> VerificationReport:
     """Verify ``d`` once; raise :class:`CertificateError` unless certified.
 
-    ``target_tol`` is passed to :func:`verify_decomposition` as given.
+    ``target_tol`` is read as :func:`verify_decomposition` reads it.
     """
-    report = verify_decomposition(d, target_tol=target_tol)
-    if not report.separable_certificate:
-        raise CertificateError(f"certificate failed at r = {d.r}: {report}",
-                               report=report)
-    return report
+    return _certify_contour([d], target_tol)[0]
+
+
+def _certify_contour(ds: list[Decomposition], target_tol: float | None
+                     ) -> list[VerificationReport]:
+    """:func:`certify` of each of ``ds``, which share kind, N, tau and
+    simplex, in one :func:`_verify_contour` pass; the first decomposition
+    not certified raises."""
+    reports = _verify_contour(ds, target_tol)
+    for d, report in zip(ds, reports):
+        if not report.separable_certificate:
+            raise CertificateError(f"certificate failed at r = {d.r}: {report}",
+                                   report=report)
+    return reports
 
 
 def contour_radii(dim: int, tau: float, k: int) -> list[float]:
@@ -654,11 +713,10 @@ def contour_radii(dim: int, tau: float, k: int) -> list[float]:
 
 def contour_sample(kind, dim: int, tau: float, k: int, sic: SicPovm,
                    target_tol: float | None = None) -> list[Decomposition]:
-    """k decompositions at :func:`contour_radii`, each passed through
-    :func:`certify`."""
+    """k decompositions at :func:`contour_radii`, each certified as
+    :func:`certify` certifies it, all in one pass."""
     kind = StateKind.parse(kind)
     radii = contour_radii(dim, tau, k)
     out = [decompose(kind, dim, tau, r, sic.bloch) for r in radii]
-    for d in out:
-        certify(d, target_tol)
+    _certify_contour(out, target_tol)
     return out

@@ -273,9 +273,9 @@ class TestDecompose:
 
     def test_failed_certificate_exits_1(self, capsys, monkeypatch):
         module = importlib.import_module("simplex_decomp.decompose")
-        real = module.verify_decomposition
-        monkeypatch.setattr(module, "verify_decomposition",
-                            lambda d, target_tol: real(d, target_tol=-1.0))
+        real = module._verify_contour
+        monkeypatch.setattr(module, "_verify_contour",
+                            lambda ds, target_tol: real(ds, target_tol=-1.0))
         code, out, err = run_cli(capsys, "decompose", "werner", "3",
                                  "--tau", "0.5", "--count", "2")
         assert code == 1
@@ -289,8 +289,8 @@ class TestDecompose:
             "if not sys.flags.optimize:\n"
             "    sys.exit(99)\n"
             "module = importlib.import_module('simplex_decomp.decompose')\n"
-            "real = module.verify_decomposition\n"
-            "module.verify_decomposition = lambda d, target_tol: real(d, target_tol=-1.0)\n"
+            "real = module._verify_contour\n"
+            "module._verify_contour = lambda ds, target_tol: real(ds, target_tol=-1.0)\n"
             "sys.exit(main(['decompose', 'werner', '3', '--tau', '0.5', '--count', '2']))\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
                               capture_output=True, text=True,
@@ -332,27 +332,25 @@ class TestDecompose:
     ])
     def test_each_decomposition_is_verified_once(self, capsys, monkeypatch,
                                                  argv, expected):
-        real = importlib.import_module("simplex_decomp.decompose").verify_decomposition
-        calls = []
+        """All the radii are verified in one shared pass, each once."""
+        module = importlib.import_module("simplex_decomp.decompose")
+        real, calls = module._verify_contour, []
 
-        def counting(d, target_tol):
-            calls.append(d.r)
-            return real(d, target_tol=target_tol)
-        # Counted wherever the package binds the name, the CLI included.
-        for name in ("decompose", "cli"):
-            monkeypatch.setattr(importlib.import_module(f"simplex_decomp.{name}"),
-                                "verify_decomposition", counting, raising=False)
+        def counting(ds, target_tol):
+            calls.append([d.r for d in ds])
+            return real(ds, target_tol=target_tol)
+        monkeypatch.setattr(module, "_verify_contour", counting)
         code, out, _ = run_cli(capsys, "decompose", "werner", "3", "--tau", "0.5",
                                *argv)
         assert code == 0
-        assert len(calls) == expected
+        assert len(calls) == 1 and len(set(calls[0])) == len(calls[0]) == expected
 
     def test_failed_certificate_at_given_radius_writes_nothing(self, capsys,
                                                                monkeypatch):
         module = importlib.import_module("simplex_decomp.decompose")
-        real = module.verify_decomposition
-        monkeypatch.setattr(module, "verify_decomposition",
-                            lambda d, target_tol: real(d, target_tol=-1.0))
+        real = module._verify_contour
+        monkeypatch.setattr(module, "_verify_contour",
+                            lambda ds, target_tol: real(ds, target_tol=-1.0))
         code, out, err = run_cli(capsys, "decompose", "werner", "2", "--tau", "1",
                                  "--r", "1")
         assert code == 1

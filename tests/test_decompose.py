@@ -224,8 +224,9 @@ class TestDecompose:
         assert peak <= 1.3 * (d.factors_r.nbytes + d.factors_s.nbytes)
 
     def test_operator_kernel_scratch_is_a_fraction_of_the_stack(self, searched_sic):
-        """Vertex blocks of N keep the scratch near 2.5/N of the stack: at
-        N = 12 the peak is 1.36 stacks (4.1 over all vertices at once)."""
+        """Row segments keep each product under 1/N of the stack: at N = 12
+        the peak is 1.26 stacks (1.36 in vertex blocks of N, 4.1 over all
+        vertices at once)."""
         vertices = searched_sic(12).bloch.vertices
         _bloch_operators(vertices, 12)  # builds the cached entry table
         tracemalloc.start()
@@ -538,19 +539,20 @@ class TestContourSample:
         with pytest.raises(NotSeparableError, match="no admissible radius"):
             contour_radii(3, 0.5, 2)
 
-    def test_failed_certificate_raises(self, registry_sics, monkeypatch):
+    def test_failed_certificate_raises(self, registry_sics):
         """An explicit raise, not an assert, so it holds under python -O."""
-        real = verify_decomposition
-        monkeypatch.setattr(decompose_module, "verify_decomposition",
-                            lambda d, target_tol: real(d, target_tol=-1.0))
         with pytest.raises(CertificateError) as err:
-            contour_sample("werner", 3, 0.5, 2, sic=registry_sics[3])
+            contour_sample("werner", 3, 0.5, 2, sic=registry_sics[3], target_tol=-1.0)
         assert not err.value.report.separable_certificate
 
 
-def reference_simplex_operators(simplex, dim):
+def reference_operators(coords, dim):
     """Dense contraction over every generator: the kernel's bitwise oracle."""
-    return np.einsum("im,mjk->ijk", simplex.vertices, reference_su_generators(dim))
+    return np.einsum("im,mjk->ijk", coords, reference_su_generators(dim))
+
+
+def reference_simplex_operators(simplex, dim):
+    return reference_operators(simplex.vertices, dim)
 
 
 def reference_reconstruct(d):
@@ -621,6 +623,18 @@ class TestKernelsBitwise:
         simplex = sics[dim].bloch
         assert_bitwise_equal(_bloch_operators(simplex.vertices, dim),
                              reference_simplex_operators(simplex, dim))
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_operators_of_signed_zeros(self, dim):
+        """Random coordinates, a fifth of them +0 and a fifth -0, in N^2
+        rows and in 3."""
+        rng = np.random.default_rng(dim)
+        for rows in (dim * dim, 3):
+            coords = rng.standard_normal((rows, dim * dim - 1))
+            pick = rng.random(coords.shape)
+            coords[pick < 0.2] = 0.0
+            coords[pick > 0.8] = -0.0
+            assert_bitwise_equal(_bloch_operators(coords, dim), reference_operators(coords, dim))
 
     @pytest.mark.parametrize("dim", [2, 3, 16])
     def test_simplex_operators_on_rotated_simplex(self, dim):
@@ -865,7 +879,7 @@ class TestOrbitRoute:
                 mp.setattr(decompose_module, name, None)
             shapes = eigvalsh_shapes(mp)
             rep = verify_decomposition(d)
-        assert rep.all_factors_psd and shapes == [(d.dim, d.dim)] * 2
+        assert rep.all_factors_psd and shapes == [(2, d.dim, d.dim)]
         closed = closed_form(d.kind, d.dim, d.tau)
         assert rep.reconstruction_error == np.abs(image - closed).max()
         ref = dense_report(d)
@@ -1089,7 +1103,7 @@ class TestTie:
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
         assert d._ties == (True, True) and callers == []
         assert verify_decomposition(d).separable_certificate
-        assert sorted(callers) == ["first", "first", "traces", "traces"]
+        assert sorted(callers) == ["first", "traces", "traces"]
         del callers[:]
         stacks = d.factors_r, d.factors_s
         assert callers == ["stack", "stack"]
@@ -1463,7 +1477,7 @@ class TestOrbitPositivity:
         rep = verify_decomposition(d)
         # 1e-12 inside the gate the orbit bound decides; outside, the stacks.
         full = [d.factors_r.shape, d.factors_s.shape]
-        assert shapes == [(dim, dim)] * 2 + ([] if side < 0 else full)
+        assert shapes == [(2, dim, dim)] + ([] if side < 0 else full)
         floor = min(rep.min_eig_r, rep.min_eig_s)
         assert abs(floor + PSD_TOL * (1.0 + side)) <= 1e-13
         assert rep.all_factors_psd == (floor >= -PSD_TOL) == (side < 0)
@@ -1475,7 +1489,7 @@ class TestOrbitPositivity:
         d = self.past_the_end(registry_sics[3], StateKind.WERNER, 1, -1e-6)
         shapes = eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(d)
-        assert shapes == [(3, 3)] * 2 + [d.factors_r.shape, d.factors_s.shape]
+        assert shapes == [(2, 3, 3)] + [d.factors_r.shape, d.factors_s.shape]
         assert repr(report_values(rep, reconstruction_error=0.0)) == repr(
             {**dense_report(d), "reconstruction_error": 0.0})
 
@@ -1501,14 +1515,14 @@ class TestOrbitPositivity:
         d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
         shapes = eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(d)
-        assert rep.separable_certificate and shapes == [(3, 3)] * 2
+        assert rep.separable_certificate and shapes == [(2, 3, 3)]
         min_eig_r = rep.min_eig_r
-        assert shapes[2:] == [(9, 3, 3)]
-        assert rep.min_eig_r is min_eig_r and shapes[2:] == [(9, 3, 3)]
+        assert shapes[1:] == [(9, 3, 3)]
+        assert rep.min_eig_r is min_eig_r and shapes[1:] == [(9, 3, 3)]
         assert rep.min_eig_s == float(np.linalg.eigvalsh(d.factors_s)[:, 0].min())
-        assert shapes[2:] == [(9, 3, 3)] * 3
+        assert shapes[1:] == [(9, 3, 3)] * 3
         repr(rep)
-        assert len(shapes) == 5
+        assert len(shapes) == 4
 
     def test_repr_and_certificate_error_name_both_minima(self, registry_sics):
         d = decompose("werner", 3, 0.5, 3.0, registry_sics[3].bloch)  # r past r_max
@@ -1571,3 +1585,77 @@ class TestOperatorCache:
         del rep
         gc.collect()
         assert [ref() for ref in gone] == [None, None, None]
+
+
+def certificate_values(rep):
+    """What a verification computed, as ``repr`` keeps its bits: the
+    report's error and verdicts, and the full stacks' minima where it read
+    them.  Reading nothing else, it builds no stack."""
+    minima = {name: value for name, value in vars(rep).items()
+              if name in ("min_eig_r", "min_eig_s")}
+    return repr((rep.reconstruction_error, rep.all_factors_psd,
+                 rep.separable_certificate, minima))
+
+
+class TestSharedCertificate:
+    """A contour's decompositions certified in one pass get, bit for bit,
+    the reports `verify_decomposition` gives each alone, on the orbit route
+    and on the dense route alike."""
+
+    TARGET_TOLS = (None, 1e-7, 1e-10, -1.0)
+
+    @staticmethod
+    def check_shared(kind, sic, tau, k, target_tol):
+        ds = [decompose(kind, sic.dim, tau, r, sic.bloch)
+              for r in contour_radii(sic.dim, tau, k)]
+        shared = decompose_module._verify_contour(ds, target_tol)
+        assert len(shared) == len(ds)
+        assert [certificate_values(rep) for rep in shared] == [
+            certificate_values(verify_decomposition(d, target_tol)) for d in ds]
+        assert all(rep._decomposition is d for rep, d in zip(shared, ds))
+        return ds
+
+    @pytest.mark.filterwarnings("ignore:contour r\\*s")
+    @pytest.mark.parametrize("dim", range(2, 21))
+    def test_contours_of_every_dimension(self, registry_sics, searched_sic, dim):
+        """Both families, tau at both ends of the separable interval (where
+        the contour degenerates to fewer radii than asked), 0.0, -0.0 and
+        inside, at every target tolerance; -1.0 sends all to the dense
+        route."""
+        sic = registry_sics[dim] if dim in registry_sics else searched_sic(dim)
+        lo, hi = separable_interval(dim)
+        sizes = set()
+        for kind in StateKind:
+            for tau in (lo, hi, 0.0, -0.0, lo + 0.37 * (hi - lo)):
+                for target_tol in self.TARGET_TOLS:
+                    sizes.add(len(self.check_shared(kind, sic, tau, 3, target_tol)))
+        assert min(sizes) < 3 and max(sizes) == 3
+
+    def test_untied_stack_alone_takes_the_dense_route(self, registry_sics, monkeypatch):
+        """A stack moved one ulp, amid a contour's tied ones: it alone is
+        summed densely, and every report is the one it gets alone."""
+        ds = [decompose("werner", 3, 0.5, r, registry_sics[3].bloch)
+              for r in contour_radii(3, 0.5, 3)]
+        stack = np.array(ds[1].factors_s)
+        stack.real[4, 1, 1] = np.nextafter(stack.real[4, 1, 1], np.inf)
+        ds[1] = with_factors(ds[1], ds[1].factors_r, stack)
+        assert [d._ties for d in ds] == [(True, True), (True, False), (True, True)]
+        summed = dense_sums(monkeypatch)
+        shared = decompose_module._verify_contour(ds, None)
+        assert summed == [ds[1]]
+        assert [certificate_values(rep) for rep in shared] == [
+            certificate_values(verify_decomposition(d)) for d in ds]
+
+    @pytest.fixture(scope="class")
+    def sics(self, registry_sics, searched_sic):
+        return lambda n: registry_sics[n] if n in registry_sics else searched_sic(n)
+
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:contour r\\*s")
+    @given(kind=st.sampled_from(list(StateKind)), dim=st.integers(2, 8),
+           t=st.one_of(st.sampled_from(["lower end", "upper end", "0.0", "-0.0"]),
+                       st.floats(0.0, 1.0)),
+           k=st.integers(1, 6), target_tol=st.sampled_from(TARGET_TOLS))
+    def test_drawn_contours(self, sics, kind, dim, t, k, target_tol):
+        sic, tau, _ = drawn_contour_point(sics, dim, t, 0, 0.0)
+        self.check_shared(kind, sic, tau, k, target_tol)
