@@ -16,29 +16,28 @@ decomposition.
 
 Every factor stack over one simplex is mixed + (r/2) O for the simplex's
 operator stack O = a_i . L, which is built, checked and measured once per
-simplex.  A stack that is that affine image bit for bit ties to O: a
-:class:`Decomposition` given no stacks ties them by construction and
-builds each from O when it is first read, and any given stack is
-recomputed from O in blocks of N matrices and compared.
-A tied stack inherits O's facts: exact Hermiticity when it is built, and
-over a SIC simplex, whose factor pairs form the Weyl-Heisenberg orbit of
-the first pair, a bound on its distance from that orbit.  From them
-:func:`verify_decomposition` certifies the mixture from its N x N orbit
-table, the positivity of every factor from the first pair's spectrum and
-the mixture's trace from O's diagonals, all in O(N^3) and without
-building a stack; any other stack is certified by the explicit Kronecker
-sum of :func:`reconstruct`, one O(N^6) product of the flattened stacks,
-and the spectra of all factors.  The decompositions of a contour share
-kind, N, tau and O, so :func:`contour_sample` certifies them in one pass:
-one closed-form table, one product for their first pairs, one gather and
-sum for their orbit tables and one eigensolve, with scratch within one
-stack, and each gets the report :func:`verify_decomposition`, that pass
-for one decomposition, gives it alone.
+simplex.  A :class:`Decomposition` given no stacks builds each from O when
+it is first read, so its stacks inherit O's facts: exact Hermiticity when
+they are built, and over a SIC simplex, whose factor pairs form the
+Weyl-Heisenberg orbit of the first pair, a bound on their distance from
+that orbit.  From them :func:`verify_decomposition` certifies the mixture
+from its N x N orbit table, the positivity of every factor from the first
+pair's spectrum and the mixture's trace from O's diagonals, all in O(N^3)
+and without building a stack.  Given stacks are checked entry by entry
+and certified by the explicit Kronecker sum of :func:`reconstruct`, one
+O(N^6) product of the flattened stacks, and the spectra of all factors.
+The decompositions of a contour share kind, N, tau and O, so
+:func:`contour_sample` certifies them in one pass: one closed-form table,
+one product for their first pairs, one gather and sum for their orbit
+tables and one eigensolve, with scratch within one stack, and each gets
+the report :func:`verify_decomposition`, that pass for one decomposition,
+gives it alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -54,14 +53,14 @@ from .params import (RANGE_ATOL, StateKind, admissible_r_interval, check_dimensi
                      check_radius, convert_params, separable_interval)
 from .sicpovm import SicPovm, _wh_tables
 from .simplex import RegularSimplex
-from .states import _closed_form_entries, isotropic_density, werner_density
+from .states import _closed_form_entries, _scatter
 
 
 class _FactorStack:
     """A :class:`Decomposition` stack field, kept in the instance's
     ``__dict__``.  Where none is kept, the first read builds the stack from
-    the operator facts the instance tied to, with radius ``(r, s)[index]``,
-    and keeps it; threads racing on that read keep one array."""
+    the instance's operator facts, with radius ``(r, s)[index]``, and keeps
+    it; threads racing on that read keep one array."""
 
     def __init__(self, index: int):
         self.index = index
@@ -88,34 +87,29 @@ class Decomposition:
     """Uniform product mixture over a regular simplex with r s = tau.
 
     ``factors_r`` and ``factors_s`` stack the M left and right factors; the
-    mixture weight of every pair is 1/M.  Given neither, the instance
-    builds both, M = N^2, as ``mixed + (radius/2) O`` from its simplex's
-    operator stack O with its own radius r or s; the simplex must then have
-    ambient dimension N^2 - 1.  A given stack is kept when it is read-only
-    and owns its data, and copied otherwise.  ``kind`` is parsed as
-    :meth:`StateKind.parse` parses it and ``dim`` checked as
-    :func:`~simplex_decomp.params.check_dimension` checks it.  Construction
+    mixture weight of every pair is 1/M.  Given neither, the instance is
+    built: it builds both, M = N^2, as ``mixed + (radius/2) O`` from its
+    simplex's operator stack O with its own radius r or s, and the simplex
+    must have ambient dimension N^2 - 1.  Given both, it is explicit: a
+    given stack is kept when it is read-only and owns its data, and copied
+    otherwise.  ``kind`` is parsed as :meth:`StateKind.parse` parses it and
+    ``dim`` checked as :func:`~simplex_decomp.params.check_dimension`
+    checks it.  Construction
     raises :class:`DimensionMismatchError` when one stack is given alone,
     or given stacks do not both have the shape (M, dim, dim) with the same
     M >= 1, and :class:`HermiticityError` unless both stacks are finite and
     exactly Hermitian, bit for bit, so every instance is.
 
-    A stack ties when it is, bit for bit, the stack the instance would
-    build.  Stacks it builds tie by construction; a given stack is compared
-    with that image recomputed in blocks of N matrices, so the check
-    allocates N matrices, not a stack.  A stack of another dtype than O's
-    does not tie.  A tied stack over an exactly Hermitian O is exactly
-    Hermitian when its modulus bound 1/N + |r/2| max|O| is finite, and is
-    not checked again: its real parts are equal products, its imaginary
-    parts negate exactly, and each diagonal imaginary part is
-    0 + (+-0) = +0.  Any other stack is checked entry by entry.  Which
-    stacks tie is kept for :func:`verify_decomposition`, with O's facts.
-
-    A stack the instance builds that O's facts vouch for, exactly
-    Hermitian by that argument, is built on first read, from those facts,
-    and kept read-only: certifying reads O's first factor and diagonal,
-    not the stacks.  One they do not vouch for is built and checked at
-    construction.  ``n_factors`` and ``weights`` build nothing.
+    A built instance keeps O's facts for :func:`verify_decomposition`.  A
+    stack it builds over an exactly Hermitian O is exactly Hermitian when
+    its modulus bound 1/N + |r/2| max|O| is finite: its real parts are
+    equal products, its imaginary parts negate exactly, and each diagonal
+    imaginary part is 0 + (+-0) = +0.  Such a stack is not checked, and is
+    built on first read, from those facts, and kept read-only: certifying
+    reads O's first factor and diagonal, not the stacks.  One O's facts do
+    not vouch for is built and checked at construction, and every given
+    stack is checked entry by entry.  ``n_factors`` and ``weights`` build
+    nothing.
     """
 
     kind: StateKind
@@ -126,7 +120,6 @@ class Decomposition:
     simplex: RegularSimplex
     factors_r: np.ndarray | None = _FactorStack(0)
     factors_s: np.ndarray | None = _FactorStack(1)
-    _ties: tuple = field(init=False, repr=False)  # (factors_r tied, factors_s tied)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", StateKind.parse(self.kind))
@@ -144,7 +137,6 @@ class Decomposition:
                 raise DimensionMismatchError(
                     f"simplex ambient dimension {ambient} != N^2-1 = {n * n - 1}")
             facts = _operator_facts(self.simplex, n)
-            ties = [True, True]
         elif stacks[0] is None or stacks[1] is None:
             raise DimensionMismatchError("give both factor stacks or neither")
         else:
@@ -155,13 +147,10 @@ class Decomposition:
                 raise DimensionMismatchError(
                     f"factor stacks of shapes {shape_r} and {shape_s}: both must be "
                     f"(M, {n}, {n}) with the same M >= 1")
-            fits = self.simplex.ambient_dim == n * n - 1 and shape_r[0] == n * n
-            facts = _operator_facts(self.simplex, n) if fits else None
-            ties = [facts is not None and facts.ties(stack, h)
-                    for stack, h in zip(stacks, halves)]
-        object.__setattr__(self, "_facts", facts)
-        for name, stack, tied, h in zip(names, stacks, ties, halves):
-            if not (tied and facts.hermitian and math.isfinite(facts.modulus_bound(h))):
+            facts = None
+        object.__setattr__(self, "_facts", facts)  # set exactly when built
+        for name, stack, h in zip(names, stacks, halves):
+            if facts is None or not (facts.hermitian and math.isfinite(facts.modulus_bound(h))):
                 if stack is None:
                     stack = facts.stack(h)
                 dev = _hermitian_deviation(stack)
@@ -169,11 +158,10 @@ class Decomposition:
                     raise HermiticityError(
                         f"{name} is not exactly Hermitian: deviation {dev:.3e}")
             object.__setattr__(self, name, stack)
-        object.__setattr__(self, "_ties", tuple(ties))
 
     @property
     def n_factors(self) -> int:
-        return (self._facts.ops if self._ties[0] else self.factors_r).shape[0]
+        return (self.factors_r if self._facts is None else self._facts.ops).shape[0]
 
     @property
     def weights(self) -> np.ndarray:
@@ -267,8 +255,7 @@ class _OperatorFacts:
     """What every factor stack over one simplex inherits from its read-only
     operator stack ``ops`` = a_i . L: whether it is exactly Hermitian, its
     largest modulus and, computed on first read, its covariance bound.
-    :meth:`stack` builds a factor stack from ``ops`` and :meth:`ties` tells
-    whether a given one is that stack."""
+    :meth:`stack` builds a factor stack from ``ops``."""
 
     def __init__(self, ops: np.ndarray):
         self.ops = ops
@@ -310,22 +297,6 @@ class _OperatorFacts:
         diagonals = self.ops.diagonal(axis1=1, axis2=2)
         return _factor_stack(self.mixed.diagonal(), half_radius, diagonals).sum(-1)
 
-    def ties(self, stack: np.ndarray, half_radius: float) -> bool:
-        """True where ``stack`` is :meth:`stack` of ``half_radius`` bit for
-        bit, signed zeros included: it is recomputed in blocks of N matrices
-        into one N-matrix scratch and compared.  A stack of another dtype
-        than ``ops`` does not tie."""
-        if stack.dtype != self.ops.dtype:
-            return False
-        n = self.ops.shape[1]
-        scratch = np.empty((n, n, n), dtype=complex)
-        bits = np.dtype((np.int64, 2))  # a complex entry's two words, any layout
-        for start in range(0, n * n, n):
-            _factor_stack(self.mixed, half_radius, self.ops[start:start + n], out=scratch)
-            if not np.array_equal(scratch.view(bits), stack[start:start + n].view(bits)):
-                return False
-        return True
-
 
 # The operator facts of each live simplex, keyed by identity: a
 # RegularSimplex compares by identity, and its entry goes when the simplex
@@ -347,11 +318,10 @@ def _operator_facts(simplex: RegularSimplex, dim: int) -> _OperatorFacts:
     return facts
 
 
-def _factor_stack(mixed: np.ndarray, half_radius: float, ops: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """``mixed + half_radius * ops`` bit for bit, in ``out`` or a new stack,
-    with the sum written over the product instead of into a second one."""
-    out = np.multiply(half_radius, ops, out=out)
+def _factor_stack(mixed: np.ndarray, half_radius: float, ops: np.ndarray) -> np.ndarray:
+    """``mixed + half_radius * ops`` bit for bit, in a new stack, with the
+    sum written over the product instead of into a second one."""
+    out = np.multiply(half_radius, ops)
     return np.add(mixed, out, out=out)
 
 
@@ -489,7 +459,7 @@ def _closed_table(kind: StateKind, n: int, entries: tuple) -> np.ndarray:
 
 
 def _orbit_bounds(facts: _OperatorFacts, half_radius: float) -> tuple[float, float]:
-    """(F^, delta_F) for a tied stack F = mixed + h O, h = ``half_radius``:
+    """(F^, delta_F) for a built stack F = mixed + h O, h = ``half_radius``:
     max|F| <= F^, and F is within delta_F per entry of the displaced first
     factor, max_p |F_p - D_p F_0 D_p^dagger| <= delta_F, with no pass over F.
 
@@ -520,26 +490,27 @@ def _orbit_verdicts(ds: list[Decomposition], entries: tuple, target_tol: float) 
     orbit route's reconstruction error and positivity verdict, or None
     where it cannot certify that decomposition at ``target_tol``.
 
-    The route needs both stacks tied to the simplex's operator stack O,
-    whose covariance bound delta_O is measured once per simplex; a tied
-    stack's bounds follow from it, and its first factor from O's, with no
-    pass over the stack (:func:`_orbit_bounds`).  Tied stacks have N^2
-    factors, one per vertex.  The stacks' mixture differs from the orbit
-    mixture of R_0 and S_0 by at most R^ delta_S + S^ delta_R
-    + delta_R delta_S per entry; the route certifies when the table's
-    error plus that gap is within the gate.  The decompositions run N at
+    The route takes the built decompositions, whose stacks are images of
+    the simplex's operator stack O.  O's covariance bound delta_O is
+    measured once per simplex; a built stack's bounds follow from it, and
+    its first factor from O's, with no pass over the stack
+    (:func:`_orbit_bounds`).  Built stacks have N^2 factors, one per
+    vertex.  The stacks' mixture differs from the orbit mixture of R_0 and
+    S_0 by at most R^ delta_S + S^ delta_R + delta_R delta_S per entry;
+    the route certifies when the table's error plus that gap is within
+    the gate.  The decompositions run N at
     a time, so the gathers' scratch stays within one stack: their first
     pairs in one broadcast product, their tables in one gather and sum,
     and the first pairs' spectra in one eigensolve (:func:`_orbit_psd`).
     """
     verdicts = [None] * len(ds)
-    tied = [i for i, d in enumerate(ds) if all(d._ties)]
-    if not tied:
+    built = [i for i, d in enumerate(ds) if d._facts is not None]
+    if not built:
         return verdicts
-    kind, n, facts = ds[tied[0]].kind, ds[tied[0]].dim, ds[tied[0]]._facts
+    kind, n, facts = ds[built[0]].kind, ds[built[0]].dim, ds[built[0]]._facts
     closed = _closed_table(kind, n, entries)
-    for start in range(0, len(tied), n):
-        chunk = tied[start:start + n]
+    for start in range(0, len(built), n):
+        chunk = built[start:start + n]
         halves = [(ds[i].r / 2.0, ds[i].s / 2.0) for i in chunk]
         firsts = facts.first(halves)  # [decomposition, R or S, ...]
         # Both the orbit mixture and the closed form are 0 off the table's
@@ -579,26 +550,26 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     from the factor sums used here, so agreement is a genuine two-route
     check.  The mixture is read one of two ways:
 
-    * the orbit route, for two stacks that tie to their simplex's
-      operator stack O (every decomposition that builds its own stacks):
-      the first pair comes from O's first operator, and how far each
-      factor is from the displaced first one follows from O's covariance
-      bound, measured once per simplex, and from r or s, with no pass over
-      the stacks and without building one.  Over a
-      :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex, whose
+    * the orbit route, for a decomposition that builds its own stacks from
+      its simplex's operator stack O: the first pair comes from O's first
+      operator, and how far each factor is from the displaced first one
+      follows from O's covariance bound, measured once per simplex, and
+      from r or s, with no pass over the stacks and without building one.
+      Over a :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex, whose
       stacks are the Weyl-Heisenberg orbit of their first pair in
       ``_wh_tables`` order, that bound is a few ulps.  The route compares
       the orbit's N x N table with the closed form in the same
       coordinates; both are 0 off the table's support.  It decides when
       that error plus the bound on the gap between the two mixtures is at
       most ``target_tol``, and the error is ``reconstruction_error``;
-    * otherwise the dense route: the Kronecker sum of :func:`reconstruct`,
-      O(N^6), of any trace, whose error is ``reconstruction_error``.
+    * otherwise, and for every given stack, the dense route: the Kronecker
+      sum of :func:`reconstruct`, O(N^6), of any trace, whose error is
+      ``reconstruction_error``.
 
     The separable certificate also demands PSD factors, an error of at
     most ``target_tol``, by default the simplex's ``tol`` (over a SIC, the
     certificate tolerance of its provenance), and a mixture whose trace is
-    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands; a tied
+    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands; a built
     stack's traces are summed from O's diagonals, O(N^3), bit for bit the
     stack's.  Where the orbit route decides, the factors are PSD when the
     smallest eigenvalues of R_0 and S_0, less N delta_R and N delta_S, are
@@ -617,7 +588,7 @@ def _verify_contour(ds: list[Decomposition], target_tol: float | None
     """:func:`verify_decomposition`'s report of each of ``ds``, bit for bit,
     for decompositions that share kind, N, tau and simplex, as a contour's
     do: the closed form's entries and table are computed once, and the
-    orbit route certifies the tied ones together (:func:`_orbit_verdicts`).
+    orbit route certifies the built ones together (:func:`_orbit_verdicts`).
     The traces are summed per radius, and any decomposition that route
     cannot decide takes the dense route alone."""
     d0 = ds[0]
@@ -625,12 +596,12 @@ def _verify_contour(ds: list[Decomposition], target_tol: float | None
         target_tol = d0.simplex.tol
     name = "phi" if d0.kind is StateKind.WERNER else "eta"
     value = getattr(convert_params(d0.kind, d0.dim, "tau", d0.tau), name)
-    verdicts = _orbit_verdicts(ds, _closed_form_entries(d0.dim, name, value), target_tol)
+    entries = _closed_form_entries(d0.dim, name, value)
+    verdicts = _orbit_verdicts(ds, entries, target_tol)
     reports = []
     for d, verdict in zip(ds, verdicts):
         if verdict is None:
-            build = werner_density if d.kind is StateKind.WERNER else isotropic_density
-            err = float(np.abs(_kronecker_sum(d) - build(d.dim, **{name: value}).entries).max())
+            err = float(np.abs(_kronecker_sum(d) - _scatter(d.kind, d.dim, entries)).max())
             all_psd = False
         else:
             err, all_psd = verdict
@@ -640,11 +611,10 @@ def _verify_contour(ds: list[Decomposition], target_tol: float | None
                       "min_eig_s": _stack_min_eig(d.factors_s)}
             all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
         # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's
-        # bound; a tied stack's traces come from O's diagonals.
-        tr_r, tr_s = (d._facts.traces(radius / 2.0) if tied
-                      else np.trace(getattr(d, stack), axis1=1, axis2=2)
-                      for stack, radius, tied in zip(("factors_r", "factors_s"), (d.r, d.s),
-                                                     d._ties))
+        # bound; a built stack's traces come from O's diagonals.
+        tr_r, tr_s = (np.trace(getattr(d, stack), axis1=1, axis2=2) if d._facts is None
+                      else d._facts.traces(radius / 2.0)
+                      for stack, radius in zip(("factors_r", "factors_s"), (d.r, d.s)))
         unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
         report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
                                     separable_certificate=bool(all_psd and err <= target_tol
@@ -682,7 +652,12 @@ def contour_radii(dim: int, tau: float, k: int) -> list[float]:
     When the admissible set degenerates to isolated points (tau at an
     endpoint of the separable interval), the unique radii are returned --
     possibly fewer than k -- and a multiplicity note is emitted as a warning.
+    A count ``operator.index`` refuses, such as 2.0, is refused.
     """
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ParameterRangeError(f"sample count must be an integer, got {k!r}") from None
     if k < 1:
         raise ParameterRangeError(f"sample count must be >= 1, got {k}")
     intervals = admissible_r_interval(dim, tau)

@@ -303,9 +303,10 @@ class TestDecompose:
 
     def test_decomposition_is_checked_once_when_built(self, registry_sics, monkeypatch):
         """The operator stack O is checked once per simplex, and a stack
-        that ties to it is not checked again: a second decomposition, both
-        verifications and `reconstruct` check nothing, while a stack with
-        one entry one ulp off is checked and refused."""
+        built from it is not checked again: a second decomposition, both
+        verifications and `reconstruct` check nothing.  Given stacks are
+        each checked, so a pair with one entry one ulp off has its left
+        stack checked and its right one refused."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         real, checked = decompose_module._hermitian_deviation, []
 
@@ -324,8 +325,8 @@ class TestDecompose:
         factors_s.imag[4, 2, 0] = np.nextafter(factors_s.imag[4, 2, 0], np.inf)
         with pytest.raises(HermiticityError, match="factors_s"):
             with_factors(e, e.factors_r, factors_s)
-        assert len(checked) == 2
-        assert_bitwise_equal(checked[1], factors_s)
+        assert len(checked) == 3 and checked[1] is e.factors_r
+        assert_bitwise_equal(checked[2], factors_s)
 
     def test_simplex_is_checked_once_when_built(self, monkeypatch):
         simplex_module = importlib.import_module("simplex_decomp.simplex")
@@ -515,6 +516,19 @@ class TestContourSample:
     def test_invalid_count_rejected(self, registry_sics):
         with pytest.raises(ParameterRangeError):
             contour_sample("werner", 2, 0.5, 0, sic=registry_sics[2])
+
+    @pytest.mark.parametrize("k", [2.0, 2.5, "2"])
+    def test_non_integer_count_rejected(self, registry_sics, k):
+        for sample in (lambda: contour_radii(3, 0.5, k),
+                       lambda: contour_sample("werner", 3, 0.5, k, sic=registry_sics[3])):
+            with pytest.raises(ParameterRangeError, match="sample count must be an integer"):
+                sample()
+
+    def test_numpy_integer_count_accepted(self, registry_sics):
+        radii = contour_radii(3, 0.5, 2)
+        assert contour_radii(3, 0.5, np.int64(2)) == radii
+        items = contour_sample("werner", 3, 0.5, np.int64(2), sic=registry_sics[3])
+        assert [d.r for d in items] == radii
 
     def test_radii_match_the_sampled_decompositions(self, registry_sics):
         items = contour_sample("iso", 3, 0.7, 4, sic=registry_sics[3])
@@ -875,7 +889,7 @@ class TestOrbitRoute:
         # closed form is built, and the first pair's spectra show every
         # factor PSD.
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_kronecker_sum", "werner_density", "isotropic_density"):
+            for name in ("_kronecker_sum", "_scatter"):
                 mp.setattr(decompose_module, name, None)
             shapes = eigvalsh_shapes(mp)
             rep = verify_decomposition(d)
@@ -1024,6 +1038,12 @@ class TestOrbitRoute:
                 assert worst <= 4 * EPS, n
 
 
+@pytest.fixture(scope="module")
+def sics(registry_sics, searched_sic):
+    """The SIC of each N: the registry's, or the first searched."""
+    return lambda n: registry_sics[n] if n in registry_sics else searched_sic(n)
+
+
 def drawn_contour_point(sics, dim, t, branch, u):
     """(SIC, tau, r): tau at ``t`` of the separable interval or at one of
     its named points, r at ``u`` along branch ``branch`` of the admissible
@@ -1037,13 +1057,13 @@ def drawn_contour_point(sics, dim, t, branch, u):
 
 
 class TestDerivedBounds:
-    """Over a tied stack F = mixed + h O, the route's F^ and delta_F, derived
+    """Over a built stack F = mixed + h O, the route's F^ and delta_F, derived
     from the operator stack O, bound what a pass over F measures, and the
     report is the measured route's, bit for bit."""
 
     @staticmethod
     def check_derived_bounds(d):
-        assert d._ties == (True, True)
+        assert d._facts is not None
         facts = decompose_module._operator_facts(d.simplex, d.dim)
         roots = decompose_module._roots_of_unity(d.dim)
         for stack, radius in ((d.factors_r, d.r), (d.factors_s, d.s)):
@@ -1051,10 +1071,6 @@ class TestDerivedBounds:
             assert np.abs(stack).max() <= f_hat
             assert decompose_module._covariance_deviation(stack, roots) <= delta
         assert repr(report_values(verify_decomposition(d))) == repr(measured_report(d))
-
-    @pytest.fixture(scope="class")
-    def sics(self, registry_sics, searched_sic):
-        return lambda n: registry_sics[n] if n in registry_sics else searched_sic(n)
 
     @pytest.mark.parametrize("kind, source, tau, radii", GOLDEN_GRIDS)
     def test_golden_grids(self, kind, source, tau, radii):
@@ -1087,11 +1103,9 @@ def factor_stack_callers(monkeypatch):
 
 
 class TestTie:
-    """A stack ties to its simplex's operator stack O when it is, bit for
-    bit, the stack a `Decomposition` builds from O and its own radius: the
-    stacks a `Decomposition` given none builds tie by construction, every
-    given stack is recomputed, and a stack that does not tie is checked
-    entry by entry and takes the dense route."""
+    """The stacks a `Decomposition` given none builds from its simplex's
+    operator stack O tie to O by construction and take the orbit route;
+    every given stack is checked entry by entry and takes the dense route."""
 
     def test_decompose_builds_each_stack_once(self, registry_sics, monkeypatch):
         """Neither construction nor the certificate builds a stack: the
@@ -1101,7 +1115,7 @@ class TestTie:
         decompose("werner", 3, 0.5, 1.0, simplex)  # builds the operator facts
         callers = factor_stack_callers(monkeypatch)
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
-        assert d._ties == (True, True) and callers == []
+        assert d._facts is not None and callers == []
         assert verify_decomposition(d).separable_certificate
         assert sorted(callers) == ["first", "traces", "traces"]
         del callers[:]
@@ -1113,38 +1127,27 @@ class TestTie:
     def test_decomposition_given_no_stacks_builds_and_ties_them(self, registry_sics, monkeypatch):
         """Its stacks are `decompose`'s bit for bit, frozen, tied as built:
         `_factor_stack` runs once per stack, from `stack` on its first read,
-        never from `ties`, and never for the certificate."""
+        and never for the certificate."""
         simplex = registry_sics[3].bloch
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
         d.factors_r, d.factors_s
         want = repr(verify_decomposition(d))
         callers = factor_stack_callers(monkeypatch)
         built = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=d.r, s=d.s, simplex=simplex)
-        assert built._ties == (True, True) and callers == []
+        assert built._facts is decompose_module._OPERATOR_FACTS[simplex] and callers == []
         rep = verify_decomposition(built)
-        assert "stack" not in callers and "ties" not in callers
+        assert "stack" not in callers
         del callers[:]
         for name in ("factors_r", "factors_s"):
             assert_bitwise_equal(getattr(built, name), getattr(d, name))
             assert not getattr(built, name).flags.writeable
         assert callers == ["stack", "stack"] and repr(rep) == want
 
-    def test_stacks_presented_again_are_recomputed(self, registry_sics, monkeypatch):
-        """Given stacks are recomputed in blocks of N, and a second read of
-        them builds nothing."""
-        d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
-        callers = factor_stack_callers(monkeypatch)
-        stacks = d.factors_r, d.factors_s
-        assert callers == ["stack", "stack"]
-        again = with_factors(d, *stacks)
-        assert again.factors_r is d.factors_r and again.factors_s is d.factors_s
-        assert again._ties == (True, True)
-        assert callers == ["stack", "stack"] + ["ties"] * 6  # 3 blocks each
-
     @pytest.mark.parametrize("refrozen", [False, True])
     def test_moved_built_stack_does_not_tie(self, registry_sics, monkeypatch, refrozen):
-        """A built stack made writable and moved one ulp does not tie, the
-        same array frozen again included: a given stack is recomputed."""
+        """A built stack made writable and moved one ulp, given with its
+        partner, takes the dense route, the same array frozen again
+        included."""
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
         stack = d.factors_s
         stack.setflags(write=True)
@@ -1152,7 +1155,7 @@ class TestTie:
         stack.setflags(write=not refrozen)
         moved = with_factors(d, d.factors_r, stack)
         assert (moved.factors_s is stack) == refrozen
-        assert moved._ties == (True, False)
+        assert moved._facts is None
         summed = dense_sums(monkeypatch)
         rep = verify_decomposition(moved)
         assert summed == [moved]
@@ -1161,8 +1164,8 @@ class TestTie:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex64, np.int64])
     def test_stack_of_another_dtype_gets_a_report(self, registry_sics, monkeypatch, dtype):
         """A left stack of id/2 (of id, with the right stack halved, for
-        integers) does not tie, is checked entry by entry and takes the
-        dense route: its mixture id/4 is 1/12 from the Werner state."""
+        integers) is checked entry by entry, as its partner is, and takes
+        the dense route: its mixture id/4 is 1/12 from the Werner state."""
         d = decompose("werner", 2, 0.5, 1.0, registry_sics[2].bloch)
         if dtype is np.int64:
             factors_r, factors_s = np.eye(2, dtype=dtype)[None].repeat(4, 0), d.factors_s / 2
@@ -1172,8 +1175,8 @@ class TestTie:
         monkeypatch.setattr(decompose_module, "_hermitian_deviation",
                             lambda stack: checked.append(stack) or real(stack))
         e = with_factors(d, factors_r, factors_s)
-        assert e._ties == (False, dtype is not np.int64)
-        assert checked[0].dtype == dtype
+        assert e._facts is None
+        assert [stack.dtype for stack in checked] == [dtype, factors_s.dtype]
         summed = dense_sums(monkeypatch)
         rep = verify_decomposition(e)
         assert summed == [e]
@@ -1182,8 +1185,8 @@ class TestTie:
 
     def test_concurrent_decompositions_tie_apart(self, registry_sics, monkeypatch):
         """Two threads read their stacks side by side over one simplex;
-        each builds each of its stacks once, ties them, and they are the
-        serial ones."""
+        each builds each of its stacks once, tied as built, and they are
+        the serial ones."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         decompose_module._operator_facts(simplex, 3)  # built before the threads start
         real, barrier, callers = decompose_module._factor_stack, threading.Barrier(2, timeout=30), []
@@ -1203,14 +1206,14 @@ class TestTie:
         assert callers == ["stack"] * 4
         monkeypatch.undo()
         for d in made:
-            assert d._ties == (True, True)
+            assert d._facts is decompose_module._OPERATOR_FACTS[simplex]
             assert_bitwise_equal(d.factors_r, decompose("werner", 3, 0.5, d.r, simplex).factors_r)
 
     def test_threads_over_a_fresh_simplex_tie_what_they_build(self, registry_sics, monkeypatch):
         """Eight threads switching every microsecond over a simplex with no
-        facts yet, each reading the stacks it makes: every stack ties as
-        built, is built once, none is recomputed, and all are built from
-        the one operator stack kept for the simplex."""
+        facts yet, each reading the stacks it makes: every stack is built
+        once, and all are built from the one operator stack kept for the
+        simplex."""
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
         callers = factor_stack_callers(monkeypatch)
         radii = [1.0 + k / 64 for k in range(64)]
@@ -1227,27 +1230,26 @@ class TestTie:
                 made = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert [d.r for d in made] == radii and all(d._ties == (True, True) for d in made)
+        facts = decompose_module._OPERATOR_FACTS[simplex]
+        assert [d.r for d in made] == radii and all(d._facts is facts for d in made)
         assert callers == ["stack"] * 128
-        ops = decompose_module._OPERATOR_FACTS[simplex].ops
         eye = np.eye(3, dtype=complex) / 3
         for d in made:
-            assert_bitwise_equal(d.factors_r, eye + (d.r / 2.0) * ops)
+            assert_bitwise_equal(d.factors_r, eye + (d.r / 2.0) * facts.ops)
 
     @pytest.mark.parametrize("case", ["one ulp", "next radius"])
     def test_untied_stack_takes_the_dense_route(self, registry_sics, monkeypatch, case):
         d = separable_decompose("werner", 3, 0.5, 1.0, sic=registry_sics[3])
-        assert d._ties == (True, True)
+        assert d._facts is not None
         if case == "one ulp":
             factors_s = np.array(d.factors_s)
             factors_s.real[4, 1, 1] = np.nextafter(factors_s.real[4, 1, 1], np.inf)
-            untied, ties = with_factors(d, d.factors_r, factors_s), (True, False)
+            untied = with_factors(d, d.factors_r, factors_s)
         else:
             untied = Decomposition(kind=d.kind, dim=3, tau=d.tau, r=np.nextafter(d.r, np.inf),
                                    s=d.s, simplex=d.simplex, factors_r=d.factors_r,
                                    factors_s=d.factors_s)
-            ties = (False, True)
-        assert untied._ties == ties
+        assert untied._facts is None
         summed = dense_sums(monkeypatch)
         rep = verify_decomposition(untied)
         assert summed == [untied]
@@ -1257,8 +1259,8 @@ class TestTie:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflowing_stack_is_refused(self, monkeypatch):
         """Vertices of norm 1e150, at a tolerance that admits them, and
-        r = 1e160: the left stack overflows to inf and still ties, but its
-        modulus bound is infinite, so it is checked and refused."""
+        r = 1e160: the left stack overflows to inf, and its modulus bound
+        is infinite, so it is built at construction, checked and refused."""
         simplex = RegularSimplex(ambient_dim=8, vertices=1e150 * canonical_simplex(8).vertices,
                                  tol=1e301)
         real, checked = decompose_module._hermitian_deviation, []
@@ -1271,7 +1273,6 @@ class TestTie:
         assert facts.hermitian and np.isinf(facts.modulus_bound(0.5e160))
         assert len(checked) == 2 and checked[0] is facts.ops
         assert np.isinf(checked[1]).any()
-        assert facts.ties(checked[1], 0.5e160)
 
     def test_covariance_is_measured_once_per_simplex(self, registry_sics, monkeypatch):
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
@@ -1282,6 +1283,35 @@ class TestTie:
             d = decompose(kind, 3, 0.5, 1.1, simplex)
             assert verify_decomposition(d).separable_certificate
         assert len(measured) == 1 and measured[0] is decompose_module._OPERATOR_FACTS[simplex].ops
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(StateKind)), dim=st.integers(2, 6),
+           t=st.one_of(st.sampled_from(["lower end", "upper end", "0.0", "-0.0"]),
+                       st.floats(0.0, 1.0)),
+           branch=st.integers(0, 1), u=st.floats(0.0, 1.0))
+    def test_given_built_stacks_take_the_dense_route(self, sics, kind, dim, t, branch, u):
+        """`decompose`'s own stacks, given back, are kept, checked once
+        each, never rebuilt and summed once, with the built decomposition's
+        verdicts and minima, and a reconstruction error within the two
+        routes' distance of its."""
+        sic, tau, r = drawn_contour_point(sics, dim, t, branch, u)
+        d = decompose(kind, dim, tau, r, sic.bloch)
+        built = verify_decomposition(d)
+        stacks = d.factors_r, d.factors_s
+        with pytest.MonkeyPatch.context() as mp:
+            checked = []
+            real = decompose_module._hermitian_deviation
+            mp.setattr(decompose_module, "_hermitian_deviation",
+                       lambda stack: checked.append(stack) or real(stack))
+            callers, summed = factor_stack_callers(mp), dense_sums(mp)
+            given = with_factors(d, *stacks)
+            rep = verify_decomposition(given)
+        assert given.factors_r is stacks[0] and given.factors_s is stacks[1]
+        assert [id(stack) for stack in checked] == list(map(id, stacks))
+        assert callers == [] and summed == [given] and given._facts is None
+        assert repr(report_values(rep, reconstruction_error=0.0)) == repr(
+            report_values(built, reconstruction_error=0.0))
+        assert abs(rep.reconstruction_error - built.reconstruction_error) <= orbit_image_bound(d)
 
 
 class TestDeferredStacks:
@@ -1295,10 +1325,10 @@ class TestDeferredStacks:
         as a list that grows."""
         real, full = decompose_module._factor_stack, []
 
-        def counting(mixed, half_radius, ops, out=None):
+        def counting(mixed, half_radius, ops):
             if ops.shape == (n * n, n, n):
                 full.append(half_radius)
-            return real(mixed, half_radius, ops, out=out)
+            return real(mixed, half_radius, ops)
         monkeypatch.setattr(decompose_module, "_factor_stack", counting)
         return full
 
@@ -1372,7 +1402,7 @@ class TestDeferredStacks:
         simplex (registry or `tests/data` fiducial) or the canonical one,
         for both families, tau at both ends, 0.0, -0.0 and inside, and r
         inside each branch.  Given the built stacks, a `Decomposition`
-        reports the same."""
+        takes the dense route to the same verdicts and minima."""
         source = {2: 2, 3: 3, 4: "fid4.json", 8: "fid8.json", 12: "fid12.json"}.get(dim)
         if source is None:
             simplex = canonical_simplex(dim * dim - 1)
@@ -1385,15 +1415,15 @@ class TestDeferredStacks:
             for tau in (lo, hi, 0.0, -0.0, lo + 0.3 * (hi - lo)):
                 for a, b in admissible_r_interval(dim, tau):
                     d = decompose(kind, dim, tau, a + 0.3 * (b - a), simplex)
-                    rep = repr(verify_decomposition(d))
+                    rep = verify_decomposition(d)
                     for name, radius in (("factors_r", d.r), ("factors_s", d.s)):
                         stack = getattr(d, name)
                         assert_bitwise_equal(facts.first(radius / 2.0), stack[0])
                         assert_bitwise_equal(facts.traces(radius / 2.0),
                                              np.trace(stack, axis1=1, axis2=2))
-                    given = with_factors(d, d.factors_r, d.factors_s)
-                    assert given._ties == (True, True)
-                    assert repr(verify_decomposition(given)) == rep
+                    given = verify_decomposition(with_factors(d, d.factors_r, d.factors_s))
+                    assert repr(report_values(given, reconstruction_error=0.0)) == repr(
+                        report_values(rep, reconstruction_error=0.0))
 
 
 class TestConstruction:
@@ -1424,10 +1454,13 @@ class TestConstruction:
         (StateKind.ISOTROPIC, ["iso", "isotropic", "Isotropic"])])
     def test_every_spelling_of_a_kind_gets_its_report(self, registry_sics, simplex, stacks,
                                                       kind, spellings):
-        """Over the SIC simplex (orbit route) and the canonical one (dense
-        route), a kind given as text reads as the enum, report and all."""
+        """Over the SIC simplex and the canonical one, built (the orbit
+        route over the SIC) or given (the dense route), a kind given as text
+        reads as the enum, report and all."""
         simplex = registry_sics[3].bloch if simplex == "sic" else canonical_simplex(8)
         d = decompose(kind, 3, 0.5, 1.0, simplex)
+        if stacks == "given":
+            d = with_factors(d, d.factors_r, d.factors_s)
         want = repr(verify_decomposition(d))
         for spelling in spellings:
             e = (dataclasses.replace(d, kind=spelling) if stacks == "given"
@@ -1447,8 +1480,8 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError, match="dimension must be an integer"):
             self.built(d, dim=3.0, **extra)
         e = self.built(d, dim=np.int64(3), **extra)
-        assert e._ties == (True, True)
-        assert repr(verify_decomposition(e)) == repr(verify_decomposition(d))
+        assert (e._facts is None) == (stacks == "given")
+        assert repr(verify_decomposition(e)) == repr(verify_decomposition(self.built(d, **extra)))
 
 
 class TestOrbitPositivity:
@@ -1494,14 +1527,14 @@ class TestOrbitPositivity:
             {**dense_report(d), "reconstruction_error": 0.0})
 
     def test_factor_lowered_within_the_reconstruction_gate(self, registry_sics, monkeypatch):
-        """Factor 4 less 1e-11 id no longer ties to the operator stack, so
-        the dense route reads the mixture, within the 1e-10 gate, and the
+        """Factor 4 less 1e-11 id, given with its partner, takes the dense
+        route, which reads the mixture, within the 1e-10 gate, and the
         full stacks' minima put factor 4 below -PSD_TOL: refused."""
         d = self.past_the_end(registry_sics[3], StateKind.WERNER, 1, -1e-3)
         factors_r = np.array(d.factors_r)
         factors_r[4] -= 1e-11 * np.eye(3)
         lowered = with_factors(d, factors_r, d.factors_s)
-        assert lowered._ties == (False, True)
+        assert lowered._facts is None
         summed, shapes = dense_sums(monkeypatch), eigvalsh_shapes(monkeypatch)
         rep = verify_decomposition(lowered)
         assert summed == [lowered]
@@ -1632,23 +1665,20 @@ class TestSharedCertificate:
         assert min(sizes) < 3 and max(sizes) == 3
 
     def test_untied_stack_alone_takes_the_dense_route(self, registry_sics, monkeypatch):
-        """A stack moved one ulp, amid a contour's tied ones: it alone is
-        summed densely, and every report is the one it gets alone."""
+        """A stack moved one ulp, given amid a contour's built ones: its
+        decomposition alone is summed densely, and every report is the one
+        it gets alone."""
         ds = [decompose("werner", 3, 0.5, r, registry_sics[3].bloch)
               for r in contour_radii(3, 0.5, 3)]
         stack = np.array(ds[1].factors_s)
         stack.real[4, 1, 1] = np.nextafter(stack.real[4, 1, 1], np.inf)
         ds[1] = with_factors(ds[1], ds[1].factors_r, stack)
-        assert [d._ties for d in ds] == [(True, True), (True, False), (True, True)]
+        assert [d._facts is None for d in ds] == [False, True, False]
         summed = dense_sums(monkeypatch)
         shared = decompose_module._verify_contour(ds, None)
         assert summed == [ds[1]]
         assert [certificate_values(rep) for rep in shared] == [
             certificate_values(verify_decomposition(d)) for d in ds]
-
-    @pytest.fixture(scope="class")
-    def sics(self, registry_sics, searched_sic):
-        return lambda n: registry_sics[n] if n in registry_sics else searched_sic(n)
 
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("ignore:contour r\\*s")
