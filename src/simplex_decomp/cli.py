@@ -28,8 +28,8 @@ from .errors import (CertificateError, DimensionMismatchError,
                      InadmissibleRadiusError, NotAFiducialError,
                      NotSeparableError, ParameterRangeError,
                      SimplexStructureError)
-from .params import (StateKind, check_dimension, check_radius, classify,
-                     convert_params, region_csv, region_table)
+from .params import (StateKind, check_dimension, check_radius, check_sample_count,
+                     classify, convert_params, region_csv, region_table)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -136,8 +136,8 @@ def cmd_decompose(args) -> int:
                                "params": params.as_dict()}))
         raise NotSeparableError(f"state is {cls.name}, not separable: no product "
                                 f"decomposition exists", classification=cls)
-    # The radii are fixed before any SIC is read or searched for: a given
-    # radius passes check_radius, and contour_radii refuses a bad count and
+    # The radii are fixed before any array layer is loaded: a given radius
+    # passes check_radius, a count check_sample_count, and contour_radii
     # gives admissible radii by construction.
     if args.r is not None:
         try:
@@ -147,6 +147,8 @@ def cmd_decompose(args) -> int:
                                    [[a, b] for a, b in exc.intervals],
                                    "nearest": exc.nearest}))
             raise
+    elif args.count is not None:
+        check_sample_count(args.count)
     from .decompose import _certify_contour, contour_radii, separable_decompose
     from .sicpovm import obtain_sic
     if args.r is not None:

@@ -15,29 +15,24 @@ hyperbola r s = tau with admissible r yields an explicit separable
 decomposition.
 
 Every factor stack over one simplex is mixed + (r/2) O for the simplex's
-operator stack O = a_i . L, which is built, checked and measured once per
-simplex.  A :class:`Decomposition` given no stacks builds each from O when
-it is first read, so its stacks inherit O's facts: exact Hermiticity when
-they are built, and over a SIC simplex, whose factor pairs form the
-Weyl-Heisenberg orbit of the first pair, a bound on their distance from
-that orbit.  From them :func:`verify_decomposition` certifies the mixture
-from its N x N orbit table, the positivity of every factor from the first
-pair's spectrum and the mixture's trace from O's diagonals, all in O(N^3)
-and without building a stack.  Given stacks are checked entry by entry
-and certified by the explicit Kronecker sum of :func:`reconstruct`, one
-O(N^6) product of the flattened stacks, and the spectra of all factors.
-The decompositions of a contour share kind, N, tau and O, so
-:func:`contour_sample` certifies them in one pass: one closed-form table,
-one product for their first pairs, one gather and sum for their orbit
-tables and one eigensolve, with scratch within one stack, and each gets
-the report :func:`verify_decomposition`, that pass for one decomposition,
-gives it alone.
+operator stack O = a_i . L, built, checked and measured once per simplex.
+A :class:`Decomposition` given no stacks builds each from O on its first
+read, so its stacks inherit O's exact Hermiticity and, over a SIC simplex,
+whose factor pairs form the Weyl-Heisenberg orbit of the first pair, a
+bound on their distance from that orbit.  From the first pair and that
+bound :func:`verify_decomposition` certifies the mixture (its N x N orbit
+table), every factor's positivity and the mixture's trace in O(N^3),
+building no stack.  Given stacks are checked entry by entry and certified
+by the Kronecker sum of :func:`reconstruct`, O(N^6), and the spectra of
+all factors.  :func:`contour_sample` certifies the decompositions of a
+contour, which share kind, N, tau and O, in one pass with scratch within
+one stack, and each gets the report :func:`verify_decomposition` gives it
+alone.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -49,8 +44,8 @@ from .blochspace import (HERM_TOL, PSD_TOL, DensityMatrix, _bloch_operators,
                          _hermitian_deviation, _readonly)
 from .errors import (CertificateError, DimensionMismatchError,
                      HermiticityError, NotSeparableError, ParameterRangeError)
-from .params import (RANGE_ATOL, StateKind, admissible_r_interval, check_dimension,
-                     check_radius, convert_params, separable_interval)
+from .params import (RANGE_ATOL, StateKind, admissible_r_interval, check_radius,
+                     check_sample_count, convert_params, separable_interval)
 from .sicpovm import SicPovm, _wh_tables
 from .simplex import RegularSimplex
 from .states import _closed_form_entries, _scatter
@@ -92,24 +87,21 @@ class Decomposition:
     simplex's operator stack O with its own radius r or s, and the simplex
     must have ambient dimension N^2 - 1.  Given both, it is explicit: a
     given stack is kept when it is read-only and owns its data, and copied
-    otherwise.  ``kind`` is parsed as :meth:`StateKind.parse` parses it and
-    ``dim`` checked as :func:`~simplex_decomp.params.check_dimension`
-    checks it.  Construction
-    raises :class:`DimensionMismatchError` when one stack is given alone,
-    or given stacks do not both have the shape (M, dim, dim) with the same
-    M >= 1, and :class:`HermiticityError` unless both stacks are finite and
-    exactly Hermitian, bit for bit, so every instance is.
+    otherwise.  ``kind`` is parsed as :meth:`StateKind.parse` parses it,
+    ``dim`` and ``tau`` (within the family's range) checked as
+    :func:`~simplex_decomp.params.convert_params` checks them.
+    Construction raises :class:`DimensionMismatchError` when one stack is
+    given alone, or given stacks do not both have the shape (M, dim, dim)
+    with the same M >= 1, and :class:`HermiticityError` unless both stacks
+    are finite and exactly Hermitian, bit for bit, so every instance is.
 
-    A built instance keeps O's facts for :func:`verify_decomposition`.  A
-    stack it builds over an exactly Hermitian O is exactly Hermitian when
-    its modulus bound 1/N + |r/2| max|O| is finite: its real parts are
-    equal products, its imaginary parts negate exactly, and each diagonal
-    imaginary part is 0 + (+-0) = +0.  Such a stack is not checked, and is
-    built on first read, from those facts, and kept read-only: certifying
-    reads O's first factor and diagonal, not the stacks.  One O's facts do
-    not vouch for is built and checked at construction, and every given
-    stack is checked entry by entry.  ``n_factors`` and ``weights`` build
-    nothing.
+    A built instance keeps O's facts for :func:`verify_decomposition`.  O
+    is checked once per simplex, and a radius whose modulus bound
+    1/N + |r/2| max|O| overflows is refused, so each stack it builds, on
+    first read and kept read-only, is exactly Hermitian unchecked: its
+    real parts are equal products, its imaginary parts negate exactly, and
+    each diagonal imaginary part is 0 + (+-0) = +0.  Only given stacks are
+    checked.  ``n_factors`` and ``weights`` build nothing.
     """
 
     kind: StateKind
@@ -123,20 +115,23 @@ class Decomposition:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", StateKind.parse(self.kind))
-        check_dimension(self.dim)
+        convert_params(self.kind, self.dim, "tau", self.tau)
         if not abs(self.r * self.s - self.tau) <= RANGE_ATOL:  # NaN fails too
             raise ParameterRangeError(
                 f"r*s = {self.r * self.s} does not match tau = {self.tau}")
         n = self.dim
-        halves = (self.r / 2.0, self.s / 2.0)
         names = ("factors_r", "factors_s")
         stacks = [self.__dict__.get(name) for name in names]  # as given, building none
+        facts = None  # set exactly when built
         if stacks[0] is None and stacks[1] is None:
             ambient = self.simplex.ambient_dim
             if ambient != n * n - 1:
                 raise DimensionMismatchError(
                     f"simplex ambient dimension {ambient} != N^2-1 = {n * n - 1}")
             facts = _operator_facts(self.simplex, n)
+            for name, radius in zip(names, (self.r, self.s)):
+                if not math.isfinite(facts.modulus_bound(radius / 2.0)):
+                    raise HermiticityError(f"{name} overflows at radius {radius!r}")
         elif stacks[0] is None or stacks[1] is None:
             raise DimensionMismatchError("give both factor stacks or neither")
         else:
@@ -147,17 +142,13 @@ class Decomposition:
                 raise DimensionMismatchError(
                     f"factor stacks of shapes {shape_r} and {shape_s}: both must be "
                     f"(M, {n}, {n}) with the same M >= 1")
-            facts = None
-        object.__setattr__(self, "_facts", facts)  # set exactly when built
-        for name, stack, h in zip(names, stacks, halves):
-            if facts is None or not (facts.hermitian and math.isfinite(facts.modulus_bound(h))):
-                if stack is None:
-                    stack = facts.stack(h)
+            for name, stack in zip(names, stacks):
                 dev = _hermitian_deviation(stack)
                 if dev != 0:  # NaN, from an infinite entry, is refused too
                     raise HermiticityError(
                         f"{name} is not exactly Hermitian: deviation {dev:.3e}")
-            object.__setattr__(self, name, stack)
+                object.__setattr__(self, name, stack)
+        object.__setattr__(self, "_facts", facts)
 
     @property
     def n_factors(self) -> int:
@@ -179,14 +170,13 @@ class VerificationReport:
 
     ``reconstruction_error`` is the max-norm error of the mixture that
     :func:`verify_decomposition`'s route read: the orbit table or the
-    Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s``
-    are the smallest eigenvalues over the full factor stacks, computed on
-    first read from the stacks of the decomposition the report keeps (or
-    kept from the check that needed them), so a caller that reads only the
-    verdicts of an orbit-certified decomposition runs no eigensolver over
-    the stacks and builds none.  The report keeps its decomposition, and
-    so the simplex's operator stack, alive.  The repr and equality read all
-    five values, as a plain record's would.
+    Kronecker sum of the stacks.  ``min_eig_r`` and ``min_eig_s`` are the
+    smallest eigenvalues over the full factor stacks of the decomposition
+    the report keeps, computed on first read (or kept from the check that
+    needed them), so reading only the verdicts of an orbit-certified
+    decomposition builds no stack.  The report keeps its decomposition,
+    and so the simplex's operator stack, alive.  The repr and equality
+    read all five values, as a plain record's would.
     """
 
     reconstruction_error: float
@@ -227,13 +217,11 @@ def decompose(kind, dim: int, tau: float, r: float,
     The simplex is not checked again: a :class:`RegularSimplex` is regular
     at its ``tol`` from construction.
 
-    The :class:`Decomposition` returned builds its own factor stacks, on
-    first read, from the simplex's operator stack a_i . L, which is built
-    once per simplex object, kept read-only while the simplex lives, and
-    shared by every decomposition over it.
+    The :class:`Decomposition` returned builds its factor stacks on first
+    read from the simplex's read-only operator stack a_i . L, built once
+    per simplex object and shared by every decomposition over it.
     """
     kind = StateKind.parse(kind)
-    convert_params(kind, dim, "tau", tau)
     tau = float(tau)
     r = float(r)
     if not math.isfinite(r):
@@ -252,14 +240,12 @@ _EPS = float(np.finfo(float).eps)
 
 
 class _OperatorFacts:
-    """What every factor stack over one simplex inherits from its read-only
-    operator stack ``ops`` = a_i . L: whether it is exactly Hermitian, its
-    largest modulus and, computed on first read, its covariance bound.
-    :meth:`stack` builds a factor stack from ``ops``."""
+    """What every factor stack over one simplex inherits from its read-only,
+    exactly Hermitian operator stack ``ops`` = a_i . L: its largest modulus
+    and, on first read, its covariance bound; :meth:`stack` builds one."""
 
     def __init__(self, ops: np.ndarray):
         self.ops = ops
-        self.hermitian = _hermitian_deviation(ops) == 0
         self.max_modulus = float(np.abs(ops).max())
         n = ops.shape[1]
         self.mixed = np.eye(n, dtype=complex) / n
@@ -286,16 +272,9 @@ class _OperatorFacts:
         return stack
 
     def first(self, half_radius) -> np.ndarray:
-        """:meth:`stack`'s first factor bit for bit, from O's first alone;
-        for an array of half radii, the first factor of each, stacked in
-        one broadcast product."""
+        """:meth:`stack`'s first factor bit for bit, from O's first alone; for
+        an array of half radii, the first factor of each, in one product."""
         return _factor_stack(self.mixed, np.asarray(half_radius)[..., None, None], self.ops[0])
-
-    def traces(self, half_radius: float) -> np.ndarray:
-        """``np.trace`` of :meth:`stack`'s factors bit for bit, O(N^3): the
-        sums of the factors' diagonals, built from O's diagonals alone."""
-        diagonals = self.ops.diagonal(axis1=1, axis2=2)
-        return _factor_stack(self.mixed.diagonal(), half_radius, diagonals).sum(-1)
 
 
 # The operator facts of each live simplex, keyed by identity: a
@@ -306,11 +285,18 @@ _OPERATOR_FACTS = weakref.WeakKeyDictionary()
 
 def _operator_facts(simplex: RegularSimplex, dim: int) -> _OperatorFacts:
     """The facts of ``simplex``'s read-only operator stack
-    ``_bloch_operators(simplex.vertices, dim)``, built and checked on the
-    first call for ``simplex``."""
+    ``_bloch_operators(simplex.vertices, dim)``, built on the first call
+    for ``simplex``, which refuses one that is not finite and exactly
+    Hermitian (:class:`HermiticityError`).  Every finite one passes: it has
+    equal real products on both sides of the diagonal and +-anti in
+    imaginary parts that start at +0."""
     facts = _OPERATOR_FACTS.get(simplex)
     if facts is None:
         ops = _bloch_operators(simplex.vertices, dim)
+        dev = _hermitian_deviation(ops)
+        if dev != 0:
+            raise HermiticityError(
+                f"operator stack of the simplex is not exactly Hermitian: deviation {dev:.3e}")
         ops.setflags(write=False)
         # Racing threads keep one, so every stack over a simplex is built
         # from one operator stack.
@@ -480,6 +466,12 @@ def _orbit_bounds(facts: _OperatorFacts, half_radius: float) -> tuple[float, flo
     and loses at most eps (|h| delta_O + c u F^), where
     delta_O <= 2.01 max|O| and so |h| delta_O <= 2.01 F^.  c = 10
     (5 eps) covers both: 5 eps F^ (1 - eps) >= 2 eps F^ + 2.01 eps F^.
+
+    Traces: D_p F_0 D_p^dagger has F_0's trace and is within delta_F of
+    F_p per entry, so |tr F_p - tr F_0| <= N delta_F, and |tr F_0| <= N F^.
+    So the mixture's trace sum_p tr R_p tr S_p / N^2 is within N^2 gap =
+    N^2 (R^ delta_S + S^ delta_R + delta_R delta_S) of tr R_0 tr S_0, which
+    the route adds to that product as computed, as gap to the table's error.
     """
     f_hat = facts.modulus_bound(half_radius)
     return f_hat, abs(half_radius) * facts.deviation + 5 * _EPS * f_hat
@@ -487,19 +479,19 @@ def _orbit_bounds(facts: _OperatorFacts, half_radius: float) -> tuple[float, flo
 
 def _orbit_verdicts(ds: list[Decomposition], entries: tuple, target_tol: float) -> list:
     """Per decomposition of ``ds``, which share kind, N and simplex: the
-    orbit route's reconstruction error and positivity verdict, or None
-    where it cannot certify that decomposition at ``target_tol``.
+    orbit route's reconstruction error, positivity verdict and unit-trace
+    verdict (True, or None for the stacks to decide), or None where it
+    cannot certify that decomposition at ``target_tol``.
 
-    The route takes the built decompositions, whose stacks are images of
-    the simplex's operator stack O.  O's covariance bound delta_O is
-    measured once per simplex; a built stack's bounds follow from it, and
-    its first factor from O's, with no pass over the stack
-    (:func:`_orbit_bounds`).  Built stacks have N^2 factors, one per
-    vertex.  The stacks' mixture differs from the orbit mixture of R_0 and
-    S_0 by at most R^ delta_S + S^ delta_R + delta_R delta_S per entry;
-    the route certifies when the table's error plus that gap is within
-    the gate.  The decompositions run N at
-    a time, so the gathers' scratch stays within one stack: their first
+    The route takes the built decompositions, N^2 factors each, whose
+    bounds and first pair follow from the simplex's operator stack O with
+    no pass over a stack (:func:`_orbit_bounds`).  The stacks' mixture is
+    within gap = R^ delta_S + S^ delta_R + delta_R delta_S per entry of the
+    orbit mixture of R_0 and S_0, and its trace within N^2 gap of
+    tr R_0 tr S_0.  The route decides where the table's error plus gap is
+    within ``target_tol``, and the trace passes where |tr R_0 tr S_0 - 1|
+    plus N^2 gap is within ``HERM_TOL``.  The decompositions run N at a
+    time, so the gathers' scratch stays within one stack: their first
     pairs in one broadcast product, their tables in one gather and sum,
     and the first pairs' spectra in one eigensolve (:func:`_orbit_psd`).
     """
@@ -513,16 +505,18 @@ def _orbit_verdicts(ds: list[Decomposition], entries: tuple, target_tol: float) 
         chunk = built[start:start + n]
         halves = [(ds[i].r / 2.0, ds[i].s / 2.0) for i in chunk]
         firsts = facts.first(halves)  # [decomposition, R or S, ...]
+        traces = np.trace(firsts, axis1=-2, axis2=-1)
         # Both the orbit mixture and the closed form are 0 off the table's
         # support, so this is the max over all N^4 entries, bit for bit.
         tables = _orbit_support(kind, firsts[:, 0], firsts[:, 1])
         errors = np.abs(np.subtract(tables, closed, out=tables)).max(axis=(1, 2))
         lowest = np.linalg.eigvalsh(firsts.reshape(-1, n, n))[:, 0].reshape(-1, 2)
-        for i, pair, err, lows in zip(chunk, halves, errors, lowest):
+        for i, pair, err, lows, (tr_r0, tr_s0) in zip(chunk, halves, errors, lowest, traces):
             (r_hat, delta_r), (s_hat, delta_s) = (_orbit_bounds(facts, h) for h in pair)
             gap = r_hat * delta_s + s_hat * delta_r + delta_r * delta_s
             if err + gap <= target_tol:
-                verdicts[i] = (float(err), _orbit_psd(n, lows, (delta_r, delta_s)))
+                unit = abs(tr_r0 * tr_s0 - 1.0) + n * n * gap <= HERM_TOL or None
+                verdicts[i] = (float(err), _orbit_psd(n, lows, (delta_r, delta_s)), unit)
     return verdicts
 
 
@@ -553,15 +547,15 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     * the orbit route, for a decomposition that builds its own stacks from
       its simplex's operator stack O: the first pair comes from O's first
       operator, and how far each factor is from the displaced first one
-      follows from O's covariance bound, measured once per simplex, and
-      from r or s, with no pass over the stacks and without building one.
-      Over a :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex, whose
+      from O's covariance bound, measured once per simplex, and r or s,
+      building no stack.  Over a
+      :func:`~simplex_decomp.sicpovm.sic_from_fiducial` simplex, whose
       stacks are the Weyl-Heisenberg orbit of their first pair in
       ``_wh_tables`` order, that bound is a few ulps.  The route compares
-      the orbit's N x N table with the closed form in the same
-      coordinates; both are 0 off the table's support.  It decides when
-      that error plus the bound on the gap between the two mixtures is at
-      most ``target_tol``, and the error is ``reconstruction_error``;
+      the orbit's N x N table with the closed form in the same coordinates,
+      both 0 off the table's support, and decides when that error, the
+      ``reconstruction_error``, plus the bound on the gap between the two
+      mixtures is at most ``target_tol``;
     * otherwise, and for every given stack, the dense route: the Kronecker
       sum of :func:`reconstruct`, O(N^6), of any trace, whose error is
       ``reconstruction_error``.
@@ -569,16 +563,17 @@ def verify_decomposition(d: Decomposition, target_tol: float | None = None
     The separable certificate also demands PSD factors, an error of at
     most ``target_tol``, by default the simplex's ``tol`` (over a SIC, the
     certificate tolerance of its provenance), and a mixture whose trace is
-    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands; a built
-    stack's traces are summed from O's diagonals, O(N^3), bit for bit the
-    stack's.  Where the orbit route decides, the factors are PSD when the
-    smallest eigenvalues of R_0 and S_0, less N delta_R and N delta_S, are
-    at least -PSD_TOL: two N x N eigensolves.  Otherwise the full stacks'
-    minima decide, as the report's ``min_eig_r`` and ``min_eig_s`` print
-    them; the orbit bound says PSD only where those minima do.  Only the
-    dense route and the full stacks' minima read the stacks, building any
-    not yet built; the report keeps ``d``, so its minima read the same
-    stacks.
+    within ``HERM_TOL`` of 1, as :func:`reconstruct` demands.  On the orbit
+    route a bound from the first pair decides each gate it reaches: the
+    factors are PSD when the smallest eigenvalues of R_0 and S_0, less
+    N delta_R and N delta_S, are at least -PSD_TOL (two N x N
+    eigensolves), and the trace is within N^2 gap of tr R_0 tr S_0
+    (:func:`_orbit_bounds`).  Otherwise the stacks decide: the full stacks'
+    minima, as the report's ``min_eig_r`` and ``min_eig_s`` print them, of
+    which the bound says PSD only where they do, and the stacks' traces.
+    Only the dense route and bounds short of their gates read the stacks,
+    building any not yet built; the report keeps ``d``, so its minima read
+    the same stacks.
     """
     return _verify_contour([d], target_tol)[0]
 
@@ -587,10 +582,9 @@ def _verify_contour(ds: list[Decomposition], target_tol: float | None
                     ) -> list[VerificationReport]:
     """:func:`verify_decomposition`'s report of each of ``ds``, bit for bit,
     for decompositions that share kind, N, tau and simplex, as a contour's
-    do: the closed form's entries and table are computed once, and the
-    orbit route certifies the built ones together (:func:`_orbit_verdicts`).
-    The traces are summed per radius, and any decomposition that route
-    cannot decide takes the dense route alone."""
+    do: the closed form's entries and table are computed once, the orbit
+    route certifies the built ones together (:func:`_orbit_verdicts`), and
+    any it cannot decide takes the dense route alone."""
     d0 = ds[0]
     if target_tol is None:
         target_tol = d0.simplex.tol
@@ -602,20 +596,18 @@ def _verify_contour(ds: list[Decomposition], target_tol: float | None
     for d, verdict in zip(ds, verdicts):
         if verdict is None:
             err = float(np.abs(_kronecker_sum(d) - _scatter(d.kind, d.dim, entries)).max())
-            all_psd = False
+            all_psd, unit_trace = False, None
         else:
-            err, all_psd = verdict
+            err, all_psd, unit_trace = verdict
         minima = {}
         if not all_psd:
             minima = {"min_eig_r": _stack_min_eig(d.factors_r),
                       "min_eig_s": _stack_min_eig(d.factors_s)}
             all_psd = minima["min_eig_r"] >= -PSD_TOL and minima["min_eig_s"] >= -PSD_TOL
-        # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's
-        # bound; a built stack's traces come from O's diagonals.
-        tr_r, tr_s = (np.trace(getattr(d, stack), axis1=1, axis2=2) if d._facts is None
-                      else d._facts.traces(radius / 2.0)
-                      for stack, radius in zip(("factors_r", "factors_s"), (d.r, d.s)))
-        unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
+        if unit_trace is None:
+            # The mixture's trace, sum_i tr R_i tr S_i / M, within DensityMatrix's bound.
+            tr_r, tr_s = (np.trace(f, axis1=1, axis2=2) for f in (d.factors_r, d.factors_s))
+            unit_trace = abs(tr_r @ tr_s / d.n_factors - 1.0) <= HERM_TOL
         report = VerificationReport(reconstruction_error=err, all_factors_psd=all_psd,
                                     separable_certificate=bool(all_psd and err <= target_tol
                                                                and unit_trace),
@@ -652,14 +644,9 @@ def contour_radii(dim: int, tau: float, k: int) -> list[float]:
     When the admissible set degenerates to isolated points (tau at an
     endpoint of the separable interval), the unique radii are returned --
     possibly fewer than k -- and a multiplicity note is emitted as a warning.
-    A count ``operator.index`` refuses, such as 2.0, is refused.
+    A count that ``params.check_sample_count`` refuses, such as 2.0, is refused.
     """
-    try:
-        operator.index(k)
-    except TypeError:
-        raise ParameterRangeError(f"sample count must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ParameterRangeError(f"sample count must be >= 1, got {k}")
+    check_sample_count(k)
     intervals = admissible_r_interval(dim, tau)
     if not intervals:  # an explicit raise, so it holds under python -O
         raise NotSeparableError(

@@ -147,6 +147,16 @@ def check_dimension(n: int) -> None:
         raise DimensionMismatchError(f"dimension must be >= 2, got {n}")
 
 
+def check_sample_count(k: int) -> None:
+    """Refuse a sample count that is not an integer (as ``index`` reads one) >= 1."""
+    try:
+        index(k)
+    except TypeError:
+        raise ParameterRangeError(f"sample count must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ParameterRangeError(f"sample count must be >= 1, got {k}")
+
+
 def psd_radius_bounds(dimension: int) -> tuple[float, float]:
     """Closed positivity interval for the radius along a pure-state direction.
 

@@ -888,6 +888,7 @@ class TestImportHygiene:
         ("decompose werner 4 --tau -0.9", 4),
         ("decompose werner 3 --tau 0.5 --r 2", 5),
         ("decompose werner 3 --tau 0.5 --r nan", 5),
+        ("decompose werner 13 --tau 0.1 --count 0", 5),
     ])
     def test_scalar_command_loads_no_numpy(self, argv, code):
         _, loaded = self._loaded_beyond_start_up(

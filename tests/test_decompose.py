@@ -774,10 +774,17 @@ def closed_form(kind, dim, tau):
     return isotropic_density(dim, eta=params.eta).entries
 
 
+def unit_trace(d):
+    """The trace gate read from the stacks themselves: the mixture's trace
+    sum_i tr R_i tr S_i / M within ``decompose.HERM_TOL``, as patched, of 1."""
+    tr_r, tr_s = (np.trace(f, axis1=1, axis2=2) for f in (d.factors_r, d.factors_s))
+    return abs(tr_r @ tr_s / d.n_factors - 1.0) <= decompose_module.HERM_TOL
+
+
 def dense_report(d, target_tol=None):
-    """The values of `verify_decomposition` by the Kronecker sum and the
-    full stacks' spectra alone: what every report the dense route decides
-    prints bit for bit, and the minima of every report."""
+    """The values of `verify_decomposition` by the Kronecker sum, the full
+    stacks' spectra and their traces alone: what every report the dense
+    route decides prints bit for bit, and the minima of every report."""
     if target_tol is None:
         target_tol = d.simplex.tol
     err = float(np.abs(reconstruct(d).entries - closed_form(d.kind, d.dim, d.tau)).max())
@@ -786,7 +793,7 @@ def dense_report(d, target_tol=None):
     all_psd = min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL
     return dict(reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
                 all_factors_psd=all_psd,
-                separable_certificate=bool(all_psd and err <= target_tol))
+                separable_certificate=bool(all_psd and err <= target_tol and unit_trace(d)))
 
 
 def measured_bounds(d):
@@ -813,8 +820,9 @@ def orbit_image_bound(d):
 def measured_report(d, target_tol=None):
     """The values `verify_decomposition` prints, from an orbit route that
     measures each stack (`measured_bounds`) where the library derives its
-    bounds from the simplex's operator stack: the reference of the derived
-    route.  The mixture's trace gate aside, as in `dense_report`."""
+    bounds from the simplex's operator stack, and whose trace gate reads
+    the stacks' traces where the library bounds the trace from the first
+    pair: the reference of the derived route."""
     if target_tol is None:
         target_tol = d.simplex.tol
     n = d.dim
@@ -835,7 +843,7 @@ def measured_report(d, target_tol=None):
                or (min_eig_r >= -PSD_TOL and min_eig_s >= -PSD_TOL))
     return dict(reconstruction_error=err, min_eig_r=min_eig_r, min_eig_s=min_eig_s,
                 all_factors_psd=all_psd,
-                separable_certificate=bool(all_psd and err <= target_tol))
+                separable_certificate=bool(all_psd and err <= target_tol and unit_trace(d)))
 
 
 def orbit_image(kind, table):
@@ -1056,39 +1064,78 @@ def drawn_contour_point(sics, dim, t, branch, u):
     return sics(dim), tau, min(a + u * (b - a), b)
 
 
+def trace_gap(d):
+    """N^2 gap: the route's bound on the distance of the mixture's trace
+    from tr R_0 tr S_0, from the bounds derived for both stacks."""
+    facts = decompose_module._operator_facts(d.simplex, d.dim)
+    (r_hat, delta_r), (s_hat, delta_s) = (decompose_module._orbit_bounds(facts, radius / 2.0)
+                                          for radius in (d.r, d.s))
+    return d.dim * d.dim * (r_hat * delta_s + s_hat * delta_r + delta_r * delta_s)
+
+
 class TestDerivedBounds:
     """Over a built stack F = mixed + h O, the route's F^ and delta_F, derived
-    from the operator stack O, bound what a pass over F measures, and the
-    report is the measured route's, bit for bit."""
+    from the operator stack O, bound what a pass over F measures, the
+    mixture's trace is within N^2 gap of the first pair's traces' product,
+    and every report, alone or shared, is the measured route's, trace gate
+    read from the stacks, bit for bit.  The first pair's bound decides the
+    trace gate without reading a stack; with ``HERM_TOL`` below N^2 gap, the
+    stacks' traces decide, to the same report."""
 
     @staticmethod
-    def check_derived_bounds(d):
-        assert d._facts is not None
-        facts = decompose_module._operator_facts(d.simplex, d.dim)
-        roots = decompose_module._roots_of_unity(d.dim)
-        for stack, radius in ((d.factors_r, d.r), (d.factors_s, d.s)):
-            f_hat, delta = decompose_module._orbit_bounds(facts, radius / 2.0)
-            assert np.abs(stack).max() <= f_hat
-            assert decompose_module._covariance_deviation(stack, roots) <= delta
-        assert repr(report_values(verify_decomposition(d))) == repr(measured_report(d))
+    def check_derived_bounds(ds, monkeypatch):
+        for d in ds:
+            assert d._facts is not None
+        alone = [verify_decomposition(d) for d in ds]
+        shared = decompose_module._verify_contour(ds, None)
+        assert not any(name in vars(d) for d in ds for name in ("factors_r", "factors_s"))
+        roots = decompose_module._roots_of_unity(ds[0].dim)
+        for d, rep, shared_rep in zip(ds, alone, shared):
+            facts = decompose_module._operator_facts(d.simplex, d.dim)
+            for stack, radius in ((d.factors_r, d.r), (d.factors_s, d.s)):
+                f_hat, delta = decompose_module._orbit_bounds(facts, radius / 2.0)
+                assert np.abs(stack).max() <= f_hat
+                assert decompose_module._covariance_deviation(stack, roots) <= delta
+            tr_r, tr_s = (np.trace(f, axis1=1, axis2=2) for f in (d.factors_r, d.factors_s))
+            first = np.trace(d.factors_r[0]) * np.trace(d.factors_s[0])
+            assert abs(tr_r @ tr_s / d.n_factors - first) <= trace_gap(d)
+            want = repr(measured_report(d))
+            assert repr(report_values(rep)) == want and repr(report_values(shared_rep)) == want
+        # The fallback: fresh decompositions, their stacks built by the gate.
+        fresh = [decompose(d.kind, d.dim, d.tau, d.r, d.simplex) for d in ds]
+        monkeypatch.setattr(decompose_module, "HERM_TOL", min(map(trace_gap, fresh)) / 2)
+        callers = factor_stack_callers(monkeypatch)
+        shared = decompose_module._verify_contour(fresh, None)
+        built = [name for name in callers if name != "first"]
+        assert built == ["stack"] * (2 * len(fresh))
+        for d, shared_rep in zip(fresh, shared):
+            want = repr(measured_report(d))
+            assert repr(report_values(shared_rep)) == want
+            assert repr(report_values(verify_decomposition(d))) == want
+        monkeypatch.undo()
 
     @pytest.mark.parametrize("kind, source, tau, radii", GOLDEN_GRIDS)
-    def test_golden_grids(self, kind, source, tau, radii):
+    def test_golden_grids(self, monkeypatch, kind, source, tau, radii):
         fid = known_fiducial(source) if source in (2, 3) else load_fiducial_cache(DATA / source)
         sic = sic_from_fiducial(fid)
         if isinstance(radii, int):
             radii = contour_radii(sic.dim, tau, radii)
-        for r in radii:
-            self.check_derived_bounds(separable_decompose(kind, sic.dim, tau, r, sic=sic))
+        self.check_derived_bounds(
+            [separable_decompose(kind, sic.dim, tau, r, sic=sic) for r in radii], monkeypatch)
 
     @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore:contour r\\*s")
     @given(kind=st.sampled_from(list(StateKind)), dim=st.integers(2, 10),
            t=st.one_of(st.sampled_from(["lower end", "upper end", "0.0", "-0.0"]),
                        st.floats(0.0, 1.0)),
            branch=st.integers(0, 1), u=st.floats(0.0, 1.0))
     def test_drawn_decompositions(self, sics, kind, dim, t, branch, u):
+        """The drawn radius and a contour of two at its tau."""
         sic, tau, r = drawn_contour_point(sics, dim, t, branch, u)
-        self.check_derived_bounds(decompose(kind, dim, tau, r, sic.bloch))
+        radii = [r, *contour_radii(dim, tau, 2)]
+        with pytest.MonkeyPatch.context() as mp:
+            self.check_derived_bounds([decompose(kind, dim, tau, r, sic.bloch) for r in radii],
+                                      mp)
 
 
 def factor_stack_callers(monkeypatch):
@@ -1109,15 +1156,15 @@ class TestTie:
 
     def test_decompose_builds_each_stack_once(self, registry_sics, monkeypatch):
         """Neither construction nor the certificate builds a stack: the
-        certificate reads O's first factor and diagonal.  The first read of
-        each stack builds it, and no later read builds it again."""
+        certificate reads O's first operator alone.  The first read of each
+        stack builds it, and no later read builds it again."""
         simplex = registry_sics[3].bloch
         decompose("werner", 3, 0.5, 1.0, simplex)  # builds the operator facts
         callers = factor_stack_callers(monkeypatch)
         d = decompose("isotropic", 3, 0.5, 1.1, simplex)
         assert d._facts is not None and callers == []
         assert verify_decomposition(d).separable_certificate
-        assert sorted(callers) == ["first", "traces", "traces"]
+        assert callers == ["first"]
         del callers[:]
         stacks = d.factors_r, d.factors_s
         assert callers == ["stack", "stack"]
@@ -1256,23 +1303,40 @@ class TestTie:
         assert repr(report_values(rep)) == repr(dense_report(untied))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_stack_is_refused(self, monkeypatch):
+    def test_overflowing_radius_is_refused(self, monkeypatch):
         """Vertices of norm 1e150, at a tolerance that admits them, and
-        r = 1e160: the left stack overflows to inf, and its modulus bound
-        is infinite, so it is built at construction, checked and refused."""
+        r = 1e160: the left stack's modulus bound is infinite, so the radius
+        is refused at construction, with no stack built and only O
+        checked."""
         simplex = RegularSimplex(ambient_dim=8, vertices=1e150 * canonical_simplex(8).vertices,
                                  tol=1e301)
         real, checked = decompose_module._hermitian_deviation, []
         monkeypatch.setattr(decompose_module, "_hermitian_deviation",
                             lambda stack: checked.append(stack) or real(stack))
-        with pytest.raises(HermiticityError,
-                           match="factors_r is not exactly Hermitian: deviation nan"):
+        callers = factor_stack_callers(monkeypatch)
+        with pytest.raises(HermiticityError, match="factors_r overflows"):
             decompose("werner", 3, 0.5, 1e160, simplex)
         facts = decompose_module._operator_facts(simplex, 3)
-        assert facts.hermitian and np.isinf(facts.modulus_bound(0.5e160))
-        assert len(checked) == 2 and checked[0] is facts.ops
-        assert np.isinf(checked[1]).any()
+        assert np.isinf(facts.modulus_bound(0.5e160))
+        assert callers == [] and checked == [facts.ops]
+        with np.errstate(over="ignore"):
+            assert np.isinf(facts.stack(0.5e160)).any()
+
+    def test_operator_stack_not_exactly_hermitian_is_refused(self, registry_sics, monkeypatch):
+        """An operator stack one ulp off exact Hermiticity is refused on the
+        simplex's first use, and no facts are kept for it."""
+        simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
+        real = decompose_module._bloch_operators
+
+        def moved(coords, n):
+            ops = real(coords, n)
+            ops.imag[4, 2, 0] = np.nextafter(ops.imag[4, 2, 0], np.inf)
+            return ops
+        monkeypatch.setattr(decompose_module, "_bloch_operators", moved)
+        with pytest.raises(HermiticityError, match="operator stack of the simplex is not "
+                                                   "exactly Hermitian: deviation [1-9]"):
+            decompose("werner", 3, 0.5, 1.0, simplex)
+        assert simplex not in decompose_module._OPERATOR_FACTS
 
     def test_covariance_is_measured_once_per_simplex(self, registry_sics, monkeypatch):
         simplex = RegularSimplex(ambient_dim=8, vertices=registry_sics[3].bloch.vertices)
@@ -1316,8 +1380,8 @@ class TestTie:
 
 class TestDeferredStacks:
     """A `Decomposition` given no stacks builds each on its first read, once:
-    certifying reads O's first factor and diagonals, O(N^3), and the same
-    bits as the built stacks' first factors and traces."""
+    certifying reads O's first operator, O(N^2), and the same bits as the
+    built stacks' first factors."""
 
     @staticmethod
     def full_builds(monkeypatch, n):
@@ -1397,8 +1461,8 @@ class TestDeferredStacks:
 
     @pytest.mark.parametrize("dim", range(2, 18))
     def test_certificate_reads_the_stacks_bits(self, dim):
-        """O's first factor and diagonals give the built stacks' first
-        factors and traces bit for bit, zero signs included, over a SIC
+        """O's first operator gives the built stacks' first factors bit for
+        bit, zero signs included, over a SIC
         simplex (registry or `tests/data` fiducial) or the canonical one,
         for both families, tau at both ends, 0.0, -0.0 and inside, and r
         inside each branch.  Given the built stacks, a `Decomposition`
@@ -1419,8 +1483,6 @@ class TestDeferredStacks:
                     for name, radius in (("factors_r", d.r), ("factors_s", d.s)):
                         stack = getattr(d, name)
                         assert_bitwise_equal(facts.first(radius / 2.0), stack[0])
-                        assert_bitwise_equal(facts.traces(radius / 2.0),
-                                             np.trace(stack, axis1=1, axis2=2))
                     given = verify_decomposition(with_factors(d, d.factors_r, d.factors_s))
                     assert repr(report_values(given, reconstruction_error=0.0)) == repr(
                         report_values(rep, reconstruction_error=0.0))
@@ -1467,6 +1529,20 @@ class TestConstruction:
                  else self.built(d, kind=spelling))
             assert e.kind is kind
             assert repr(verify_decomposition(e)) == want
+
+    @pytest.mark.parametrize("stacks", ["given", "built"])
+    @pytest.mark.parametrize("kind, tau, r, s, interval", [
+        ("werner", 50.0, 10.0, 5.0, "\\[-2.6666666666666665, 1.3333333333333333\\]"),
+        ("isotropic", -1.0, -1.0, 1.0, "\\[-0.6666666666666666, 5.333333333333333\\]")])
+    def test_tau_outside_the_family_range_is_refused(self, registry_sics, stacks, kind, tau,
+                                                    r, s, interval):
+        """Refused at construction, before any stack is checked or built,
+        not first by the certificate."""
+        d = decompose(kind, 3, 0.5, 1.0, registry_sics[3].bloch)
+        extra = dict(factors_r=d.factors_r, factors_s=d.factors_s) if stacks == "given" else {}
+        with pytest.raises(ParameterRangeError,
+                           match=f"tau = {tau} outside its legal interval {interval}"):
+            self.built(d, tau=tau, r=r, s=s, **extra)
 
     def test_unknown_kind_is_refused(self, registry_sics):
         d = decompose("werner", 3, 0.5, 1.0, registry_sics[3].bloch)
